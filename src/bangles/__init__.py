@@ -9,7 +9,6 @@ together on a shipped fixture corpus.
 from .curve import Curve, arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from .harness import VerificationReport, report_text, run_corpus
 from .mutation import initial_seed, matrix_mutate, seed_mutate, yseed_mutate
-from .poly import BACKEND
 from .shear import dual_shear, elementary_laminate, shear_flip_check
 from .snakegraph import (
     bangle_of_lamination,
@@ -25,7 +24,6 @@ from .surface import Triangulation, adjacency_matrix, flip, parse_triangulation
 
 __version__ = "0.1.0"
 __all__ = [
-    "BACKEND",
     "Curve",
     "Triangulation",
     "VerificationReport",

@@ -1,9 +1,8 @@
 """Pure-Python term kernels for Laurent polynomial dicts.
 
 A polynomial is a dict mapping exponent tuples (ints, negatives allowed) to
-nonzero int coefficients.  These two loops dominate every verification run,
-so they also exist as a Cython build (`_polykernel`); `poly` picks whichever
-imports.  Keep both implementations line-for-line equivalent.
+nonzero int coefficients.  These two loops dominate every verification run;
+`poly` calls them for every sum and product.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .mutation import (
     yseed_mutate,
 )
 from .poly import (
-    Poly,
     PosRational,
     lp_format,
     lp_substitute,
@@ -38,7 +37,6 @@ from .poly import (
 )
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
 from .snakegraph import (
-    bangle_of_lamination,
     build_band_graph,
     msw_function,
     snake_F_poly,
@@ -55,27 +53,6 @@ IDENTITIES = (
     "g-equals-shear",
     "arc-vs-cluster",
 )
-
-
-@dataclass(frozen=True)
-class Lamination:
-    """Multiset of laminates whose compatibility the fixture declares.
-
-    Compatibility is taken on faith from the fixture author; nothing here
-    computes intersection numbers.
-    """
-
-    parts: Tuple[Tuple[Curve, int], ...]
-    declared_compatible: bool = True
-
-    def __post_init__(self):
-        if any(mult < 1 for _, mult in self.parts):
-            raise ValueError("laminate multiplicities must be positive")
-
-
-def lamination_bangle(t: Triangulation, lam: Lamination) -> Poly:
-    curves = [c for c, mult in lam.parts for _ in range(mult)]
-    return bangle_of_lamination(t, curves)
 
 
 @dataclass(frozen=True)

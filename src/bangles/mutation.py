@@ -6,9 +6,10 @@ variables, never as abstract symbols, so they can be compared directly
 against matching expansions via rf_eq.
 
 Coefficient regime: seeds are coefficient-free (y = 1).  Principal
-coefficients are realized where they are consumed, by substituting
-yhat_j = prod_i x_i^{b_ij} into an F-polynomial (`substitute_yhat`) rather
-than by a 2n x n seed recursion.
+coefficients are not produced by a 2n x n seed recursion: where they are
+consumed, `snakegraph.principal_msw` reads them off the matching sum W,
+keeping each matching's height as a y-monomial.  `substitute_yhat`
+evaluates an F-polynomial at yhat_j = prod_i x_i^{b_ij}.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import List, Sequence, Tuple
 from .poly import (
     Poly,
     PosRational,
+    lp_arity,
     lp_monomial,
     lp_one,
     lp_substitute,
@@ -55,42 +57,26 @@ def _sgn(v: int) -> int:
 
 
 def matrix_mutate(b: Matrix, k: int) -> Matrix:
-    """b'_ij = -b_ij if k in {i,j}, else b_ij + sgn(b_ik)[b_ik*b_kj]+."""
-    n = len(b)
-    _check_index(n, k)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + _sgn(b[i][k]) * max(0, b[i][k] * b[k][j]))
-        out.append(tuple(row))
-    return tuple(out)
+    """b'_ij = -b_ij if k in {i,j}, else b_ij + sgn(b_ik)[b_ik*b_kj]+.
 
-
-def ext_matrix_mutate(m: Matrix, k: int) -> Matrix:
-    """Same rule on a rectangular matrix (extra coefficient rows below).
-
-    Rows beyond the square block mutate through the square block's row k;
-    with top block -B(T) the bottom row transforms exactly as
-    gamma_transform does (the shear transport law).
+    b may be rectangular, with extra coefficient rows below the square
+    block.  Those rows mutate through the square block's row k; with top
+    block -B(T) the bottom row transforms exactly as gamma_transform does
+    (the shear transport law).
     """
-    if not m:
-        raise ValueError("empty matrix")
-    n = len(m[0])
+    n = len(b[0]) if b else 0
     _check_index(n, k)
     out = []
-    for i in range(len(m)):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-m[i][j])
-            else:
-                row.append(m[i][j] + _sgn(m[i][k]) * max(0, m[i][k] * m[k][j]))
-        out.append(tuple(row))
+    for i, row in enumerate(b):
+        bik = row[k]
+        out.append(tuple(
+            -v if i == k or j == k else v + _sgn(bik) * max(0, bik * b[k][j])
+            for j, v in enumerate(row)
+        ))
     return tuple(out)
+
+
+ext_matrix_mutate = matrix_mutate
 
 
 def gamma_transform(g: Sequence[int], b: Matrix, k: int) -> Tuple[int, ...]:
@@ -129,7 +115,7 @@ def yseed_mutate(y: Sequence[PosRational], b: Matrix, k: int) -> Tuple[PosRation
     n = len(b)
     _check_index(n, k)
     yk = y[k]
-    one_plus = rf_add(rf_one(_yarity(yk)), yk)
+    one_plus = rf_add(rf_one(lp_arity(yk.num)), yk)
     out: List[PosRational] = []
     for j in range(n):
         if j == k:
@@ -143,14 +129,6 @@ def yseed_mutate(y: Sequence[PosRational], b: Matrix, k: int) -> Tuple[PosRation
 
 def initial_y(n: int) -> Tuple[PosRational, ...]:
     return tuple(rf_var(n, i) for i in range(n))
-
-
-def _yarity(v: PosRational) -> int:
-    for e in v.num:
-        return len(e)
-    for e in v.den:
-        return len(e)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +204,3 @@ def substitute_yhat(f: Poly, b: Matrix) -> PosRational:
     n = len(b)
     args = [rf_from_poly(yhat_monomial(b, j)) for j in range(n)]
     return lp_substitute(f, args) if f else rf_from_poly(lp_one(n))
-
-
-# ---------------------------------------------------------------------------
-# quiver dictionary (debugging aid only; nothing computes through it)
-
-
-def quiver_arrows(b: Matrix) -> Tuple[Tuple[int, int], ...]:
-    """Arrow list (j, i) repeated b_ij times whenever b_ij > 0 (0-based)."""
-    n = len(b)
-    arrows: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if b[i][j] > 0:
-                arrows.extend([(j, i)] * b[i][j])
-    return tuple(sorted(arrows))
-
-
-def matrix_from_arrows(n: int, arrows: Sequence[Tuple[int, int]]) -> Matrix:
-    """Inverse of quiver_arrows: b_ij = #{j -> i} - #{i -> j}."""
-    b = [[0] * n for _ in range(n)]
-    for src, dst in arrows:
-        b[dst][src] += 1
-        b[src][dst] -= 1
-    return as_matrix(b)

@@ -13,23 +13,15 @@ Rationals are unreduced num/den pairs compared by cross-multiplication
 (`rf_eq`); no gcd is ever computed.
 
 The two inner loops (term merge and product accumulation) live in
-`_polykernel` (compiled) with `_polypure` as fallback; `BACKEND` records
-which one is active.
+`_polypure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-try:  # pragma: no cover - which backend wins depends on the build
-    from . import _polykernel as _kernel
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from . import _polypure as _kernel
-
-    BACKEND = "pure"
+from . import _polypure as _kernel
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, int]
@@ -141,10 +133,6 @@ def lp_pow(p: Poly, k: int) -> Poly:
             base = lp_mul(base, base)
         k = base_needed
     return out
-
-
-def lp_is_monomial(p: Poly) -> bool:
-    return len(p) == 1
 
 
 def grlex_key(e: Exponent) -> tuple:
@@ -293,20 +281,13 @@ def lp_substitute(p: Poly, args: Sequence[PosRational]) -> PosRational:
         return rf_from_poly(p)
     out = None
     for e, c in p.items():
-        term = rf_from_poly(lp_const(_rf_arity(args[0]), c))
+        term = rf_from_poly(lp_const(lp_arity(args[0].num), c))
         for i, a in enumerate(args):
             if e[i]:
                 term = rf_mul(term, rf_pow(a, e[i]))
         out = term if out is None else rf_add(out, term)
     assert out is not None
     return out
-
-
-def _rf_arity(a: PosRational) -> int:
-    n = lp_arity(a.num)
-    if n is None:
-        n = lp_arity(a.den)
-    return 0 if n is None else n
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +338,8 @@ def lp_parse(text: str, names: Sequence[str]) -> Poly:
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("polynomial text ends mid-term")
         tok = tokens[pos]
         pos += 1
         return tok
@@ -389,6 +372,8 @@ def lp_parse(text: str, names: Sequence[str]) -> Poly:
                 take()
             else:
                 expect_factor = False
+        if peek() not in (None, "+", "-"):
+            raise ValueError(f"missing operator before {peek()!r}")
         out = lp_add(out, lp_monomial(e, coeff))
         first = False
     if first:

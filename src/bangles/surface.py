@@ -391,41 +391,6 @@ class QuadRecord:
         # e1..e4 = quad side index 0..3 in the new storage
         return ((self.tri_a, 0), (self.tri_a, 1), (self.tri_b, 0), (self.tri_b, 1))[[3, 0, 1, 2][i]]
 
-    def new_triangle_of_side(self, i: int) -> int:
-        return (self.tri_b, self.tri_a, self.tri_a, self.tri_b)[i]
-
-    def old_corner_name(self, c: Corner) -> Optional[str]:
-        (ta, ia), (tb, ib) = self.old_k_slots
-        names = {
-            (ta, (ia + 1) % 3): "P",
-            (ta, (ia + 2) % 3): "Q",
-            (ta, ia): "S",
-            (tb, (ib + 1) % 3): "R",
-            (tb, (ib + 2) % 3): "S",
-            (tb, ib): "Q",
-        }
-        return names.get(c)
-
-    def new_corner(self, name: str, in_triangle: int) -> Corner:
-        options = {
-            "P": ((self.tri_a, 2), (self.tri_b, 1)),
-            "Q": ((self.tri_a, 0),),
-            "R": ((self.tri_a, 1), (self.tri_b, 2)),
-            "S": ((self.tri_b, 0),),
-        }[name]
-        for c in options:
-            if c[0] == in_triangle:
-                return c
-        raise ValueError(f"corner {name} is not on triangle {in_triangle}")
-
-    def corner_triangles(self, name: str) -> Tuple[int, ...]:
-        return {
-            "P": (self.tri_a, self.tri_b),
-            "Q": (self.tri_a,),
-            "R": (self.tri_a, self.tri_b),
-            "S": (self.tri_b,),
-        }[name]
-
 
 @dataclass(frozen=True)
 class FlipResult:

@@ -1,13 +1,9 @@
-import pytest
-
-from bangles.curve import arc_curve, parse_curve
+from bangles.curve import parse_curve
 from bangles.fixtures import load_curve_text, load_surface
 from bangles.harness import (
     IDENTITIES,
     CorpusConfig,
-    Lamination,
     VerificationReport,
-    lamination_bangle,
     report_text,
     run_corpus,
     verify_arc_bangle,
@@ -15,7 +11,6 @@ from bangles.harness import (
     verify_key_lemma,
     verify_shear_flip,
 )
-from bangles.poly import lp_mul
 
 
 def _annulus_core():
@@ -139,20 +134,3 @@ def test_broken_fixture_becomes_failed_entry():
     assert not any(r.passed for r in reports)
     assert all(r.identity == "corpus-load" for r in reports)
     assert "no-such-surface" in reports[0].rhs
-
-
-def test_lamination_bangle_is_multiplicative():
-    t, c = _annulus_core()
-    arc = arc_curve(1)
-    one = Lamination(((c, 1),))
-    two = Lamination(((arc, 2),))
-    both = Lamination(((c, 1), (arc, 2)))
-    assert lamination_bangle(t, both) == lp_mul(
-        lamination_bangle(t, one), lamination_bangle(t, two)
-    )
-
-
-def test_lamination_rejects_zero_multiplicity():
-    _, c = _annulus_core()
-    with pytest.raises(ValueError):
-        Lamination(((c, 0),))

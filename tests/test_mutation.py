@@ -15,9 +15,7 @@ from bangles.mutation import (
     initial_y,
     is_skew_symmetric,
     laurent_form,
-    matrix_from_arrows,
     matrix_mutate,
-    quiver_arrows,
     seed_mutate,
     seed_mutate_word,
     substitute_yhat,
@@ -219,7 +217,7 @@ def test_ext_involution():
 
 
 # ---------------------------------------------------------------------------
-# principal-coefficient substitution and the quiver dictionary
+# principal-coefficient substitution
 
 
 def test_yhat_monomials_annulus():
@@ -234,15 +232,3 @@ def test_substitute_yhat_constant_term():
     names = var_names("x", 2)
     want = rf_from_poly(lp_parse("1 + x1^-2 + x1^-2*x2^2", names))
     assert rf_eq(v, want)
-
-
-def test_quiver_round_trip():
-    rng = random.Random(7)
-    for _ in range(20):
-        b = random_skew(rng, rng.randint(2, 5))
-        assert matrix_from_arrows(len(b), quiver_arrows(b)) == b
-
-
-def test_quiver_arrow_direction():
-    # b_21 = 2 means two arrows 1 -> 2 in 0-based labels (0, 1)
-    assert quiver_arrows(ANNULUS_B) == ((0, 1), (0, 1))

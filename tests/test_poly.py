@@ -213,6 +213,9 @@ def test_parse_rejects_garbage():
         P("1 + zz9")
     with pytest.raises(ValueError):
         P("")
+    for text in ("y1 y2", "2 3", "y1^"):
+        with pytest.raises(ValueError):
+            P(text)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,8 @@ def test_bangle_products():
     assert bangle_of_lamination(ANNULUS, []) == lp_one(2)
     msw = msw_function(ANNULUS, CORE)
     assert bangle_of_lamination(ANNULUS, [CORE, CORE]) == lp_mul(msw, msw)
+    mixed = bangle_of_lamination(ANNULUS, [CORE, arc_curve(1), arc_curve(1)])
+    assert mixed == lp_mul(msw, lp_var(2, 0, 2))
     t = load_surface("hexagon")
     got = bangle_of_lamination(t, [arc_curve(1), arc_curve(3)])
     assert got == lp_mul(lp_var(t.n_arcs, 0), lp_var(t.n_arcs, 2))

@@ -256,6 +256,5 @@ def test_quad_record_slots_consistent():
                 assert t.triangles[ti][pos] == q.sides[i]
                 ti, pos = q.new_slot(i)
                 assert res.triangulation.triangles[ti][pos] == q.sides[i]
-                assert q.new_slot(i)[0] == q.new_triangle_of_side(i)
             for ti, pos in q.old_k_slots:
                 assert t.triangles[ti][pos] == k
