@@ -275,7 +275,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 
 
 def parse_curve(t: Triangulation, text: str) -> Curve:
-    from .surface import arc_endpoints, corner_orbits, resolve_vertex_ref
+    from .surface import corner_orbits, resolve_vertex_ref
 
     closed = None
     steps: List[Step] = []

@@ -43,7 +43,7 @@ from .snakegraph import (
     snake_g_vector,
     snake_h_vector,
 )
-from .surface import Triangulation, adjacency_matrix, flip
+from .surface import Triangulation, adjacency_matrix, canonical_form, flip, triangle_order
 
 IDENTITIES = (
     "keylemma-F",
@@ -231,15 +231,12 @@ def _closed_fixture(name: str) -> Optional[Curve]:
 
 def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     # Flip words revisit states with triangles stored in another order,
-    # and closed-curve steps index triangles by storage position.  Sort
-    # the rotation-normalized triangles and push the same renumbering
-    # through the steps so equal keys really mean equal checks.
-    rots = [min(tri[i:] + tri[:i] for i in range(3)) for tri in cur.triangles]
-    order = sorted(range(len(rots)), key=lambda i: (rots[i], i))
-    new_index = {old: new for new, old in enumerate(order)}
+    # and closed-curve steps index triangles by storage position.  Push
+    # canonical_form's triangle order through the steps so equal keys
+    # really mean equal checks.
+    new_index = {old: new for new, old in enumerate(triangle_order(cur))}
     steps = tuple((new_index[tri], a) for tri, a in curve.steps)
-    c = normalize_curve(replace(curve, steps=steps))
-    return (tuple(rots[i] for i in order), tuple(sorted(cur.notched)), c)
+    return canonical_form(cur), normalize_curve(replace(curve, steps=steps))
 
 
 def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:

@@ -8,8 +8,7 @@ against matching expansions via rf_eq.
 Coefficient regime: seeds are coefficient-free (y = 1).  Principal
 coefficients are not produced by a 2n x n seed recursion: where they are
 consumed, `snakegraph.principal_msw` reads them off the matching sum W,
-keeping each matching's height as a y-monomial.  `substitute_yhat`
-evaluates an F-polynomial at yhat_j = prod_i x_i^{b_ij}.
+keeping each matching's height as a y-monomial.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ from .poly import (
     Poly,
     PosRational,
     lp_arity,
-    lp_monomial,
-    lp_one,
-    lp_substitute,
     rf_add,
-    rf_from_poly,
     rf_inv,
     rf_mul,
     rf_one,
@@ -187,20 +182,3 @@ def laurent_form(v: PosRational) -> Poly:
     from .poly import lp_divexact
 
     return lp_divexact(v.num, v.den)
-
-
-# ---------------------------------------------------------------------------
-# principal coefficients via substitution
-
-
-def yhat_monomial(b: Matrix, j: int) -> Poly:
-    """yhat_j = prod_i x_i^{b_ij} as a monomial in the x-variables."""
-    n = len(b)
-    return lp_monomial([b[i][j] for i in range(n)])
-
-
-def substitute_yhat(f: Poly, b: Matrix) -> PosRational:
-    """Evaluate an F-polynomial in y at y_j = yhat_j(x)."""
-    n = len(b)
-    args = [rf_from_poly(yhat_monomial(b, j)) for j in range(n)]
-    return lp_substitute(f, args) if f else rf_from_poly(lp_one(n))

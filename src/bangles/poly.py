@@ -151,7 +151,11 @@ def lp_sorted_terms(p: Poly) -> List[Tuple[Exponent, int]]:
     return sorted(p.items(), key=lambda t: grlex_key(t[0]))
 
 
-def lp_divexact(p: Poly, q: Poly, max_steps: int = 100_000) -> Poly:
+# lp_divexact's step budget: an exact quotient takes one step per term.
+DIVEXACT_MAX_STEPS = 100_000
+
+
+def lp_divexact(p: Poly, q: Poly) -> Poly:
     """Exact quotient p/q in the Laurent ring.
 
     Long division on graded-lex leading terms.  In the Laurent ring every
@@ -171,7 +175,7 @@ def lp_divexact(p: Poly, q: Poly, max_steps: int = 100_000) -> Poly:
     steps = 0
     while rem:
         steps += 1
-        if steps > max_steps:
+        if steps > DIVEXACT_MAX_STEPS:
             raise InexactDivisionError("division did not terminate; quotient is not a Laurent polynomial")
         er, cr = lp_leading(rem)
         c, leftover = divmod(cr, cq)

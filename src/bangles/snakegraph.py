@@ -12,20 +12,20 @@ Matchings are weighed twice over: an x-monomial multiplying the variables of
 the matched edge labels, and a y-monomial recording how far the matching
 winds above the minimal one.  All invariants here (F-polynomial, g- and
 h-vectors, the matching-sum Laurent expression of the curve) are read off
-the bivariate generating sum W over matchings.
+the bivariate generating sum W over matchings.  One transfer scan computes
+W (three seam runs for a band), and the graph keeps it as `SnakeGraph.w`;
+`brute_force_sum` rebuilds W from an independent backtracking matcher.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .curve import Curve, _landing, crossing_monomial, validate_curve
-from .mutation import Matrix
 from .poly import (
     Poly,
-    lp_monomial,
     lp_mono_mul,
     lp_mul,
     lp_one,
@@ -87,6 +87,19 @@ class SnakeGraph:
     @property
     def d(self) -> int:
         return len(self.tiles)
+
+    @cached_property
+    def w(self) -> Poly:
+        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly.
+
+        Kept on the graph, so it lives exactly as long as the graph does.
+        """
+        if not self.band:
+            return _scan(self)
+        acc: Poly = {}
+        for forced, excluded, unweighted in _band_runs(self):
+            _merge(acc, _scan(self, forced, excluded, unweighted))
+        return acc
 
 
 def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
@@ -238,76 +251,47 @@ def _scan(
     g: SnakeGraph,
     forced: FrozenSet[EdgeId] = frozenset(),
     excluded: FrozenSet[EdgeId] = frozenset(),
-    x_override: Optional[Dict[EdgeId, Tuple[int, ...]]] = None,
-    collect: bool = False,
-):
+    unweighted: FrozenSet[EdgeId] = frozenset(),
+) -> Poly:
     """Walk the edges tile by tile, keeping only covered-vertex frontiers.
 
-    Returns the accumulated weight dict (2n-exponent -> count), or with
-    collect=True the explicit list of matchings (as edge-id frozensets).
+    Sums the weights (2n-exponent -> count) of the matchings that use every
+    forced edge and no excluded one; an unweighted edge adds its y-weight
+    but not its x-weight.
     """
     n = g.surface.n_arcs
     last_use: Dict[Vertex, int] = {}
     for idx, eid in enumerate(g.edge_order):
         for v in g.edges[eid].ends:
             last_use[v] = idx
-    zero2n = (0,) * (2 * n)
+    zero_x = (0,) * n
 
-    # state: frozenset of covered-but-still-open vertices
-    if collect:
-        states: Dict[FrozenSet[Vertex], list] = {frozenset(): [frozenset()]}
-    else:
-        states = {frozenset(): {zero2n: 1}}
-
-    def weight_of(eid: EdgeId) -> Tuple[int, ...]:
-        e = g.edges[eid]
-        xv = e.x_vec
-        if x_override and eid in x_override:
-            xv = x_override[eid]
-        return tuple(xv) + tuple(e.y_vec)
-
+    # state: frozenset of covered-but-still-open vertices -> weight sum
+    states: Dict[FrozenSet[Vertex], Poly] = {frozenset(): {(0,) * (2 * n): 1}}
     for idx, eid in enumerate(g.edge_order):
-        u, w = g.edges[eid].ends
-        nxt: Dict[FrozenSet[Vertex], object] = {}
-
-        def put(cover, value):
-            if collect:
-                nxt.setdefault(cover, []).extend(value)
-            else:
-                acc = nxt.setdefault(cover, {})
-                for key, cnt in value.items():
-                    acc[key] = acc.get(key, 0) + cnt
-
-        ew = None if collect else weight_of(eid)
+        e = g.edges[eid]
+        u, w = e.ends
+        ew = (zero_x if eid in unweighted else e.x_vec) + e.y_vec
+        nxt: Dict[FrozenSet[Vertex], Poly] = {}
         for cover, value in states.items():
             if eid not in forced:
-                put(cover, value)
-            if eid in excluded:
+                _merge(nxt.setdefault(cover, {}), value)
+            if eid in excluded or u in cover or w in cover:
                 continue
-            if u in cover or w in cover:
-                continue
-            cover2 = cover | {u, w}
-            if collect:
-                put(cover2, [m | {eid} for m in value])
-            else:
-                put(cover2, {_add_exps(key, ew): cnt for key, cnt in value.items()})
+            shifted = {_add_exps(key, ew): cnt for key, cnt in value.items()}
+            _merge(nxt.setdefault(cover | {u, w}, {}), shifted)
         # retire vertices with no later edges: they must be covered by now
         retire = {v for v in (u, w) if last_use[v] == idx}
         states = {}
         for cover, value in nxt.items():
-            if retire - cover:
-                continue
-            cover = cover - retire
-            if collect:
-                states.setdefault(cover, []).extend(value)
-            else:
-                acc = states.setdefault(cover, {})
-                for key, cnt in value.items():
-                    acc[key] = acc.get(key, 0) + cnt
-    final = states.get(frozenset())
-    if final is None:
-        return [] if collect else {}
-    return final
+            if not retire - cover:
+                _merge(states.setdefault(cover - retire, {}), value)
+    return states.get(frozenset(), {})
+
+
+def _merge(acc: Poly, part: Poly) -> None:
+    for key, cnt in part.items():
+        acc[key] = acc.get(key, 0) + cnt
 
 
 def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -315,43 +299,12 @@ def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _band_runs(g: SnakeGraph):
-    """The three seam configurations whose scans add up to W."""
-    label = g.edges[g.iota].label
-    seam_x = _label_x_vec(g.surface, label)
-    zero = (0,) * g.surface.n_arcs
-    yield frozenset({g.iota, g.omega}), frozenset(), {g.iota: seam_x, g.omega: zero}, True
-    yield frozenset({g.iota}), frozenset({g.omega}), {g.iota: zero}, False
-    yield frozenset({g.omega}), frozenset({g.iota}), {g.omega: zero}, False
-
-
-@lru_cache(maxsize=None)
-def _matching_sum(g: SnakeGraph) -> Poly:
-    """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
-    if not g.band:
-        return dict(_scan(g))
-    acc: Poly = {}
-    for forced, excluded, override, _ in _band_runs(g):
-        part = _scan(g, forced, excluded, override)
-        for key, cnt in part.items():
-            acc[key] = acc.get(key, 0) + cnt
-            if acc[key] == 0:
-                del acc[key]
-    return acc
-
-
-def enumerate_matchings(g: SnakeGraph) -> List[FrozenSet]:
-    """All matchings, as edge-id sets; for bands, the good ones with their
-    seam copies folded into the single seam edge."""
-    if not g.band:
-        return sorted(_scan(g, collect=True), key=sorted)
-    out = []
-    for forced, excluded, override, both in _band_runs(g):
-        for m in _scan(g, forced, excluded, override, collect=True):
-            m = m - {g.iota, g.omega}
-            if both:
-                m = m | {SEAM}
-            out.append(m)
-    return sorted(out, key=lambda m: sorted(m, key=str))
+    """(forced, excluded, unweighted) for the three seam configurations whose
+    scans add up to W; the seam's x-weight is counted once."""
+    iota, omega = frozenset({g.iota}), frozenset({g.omega})
+    yield iota | omega, frozenset(), omega
+    yield iota, omega, iota
+    yield omega, iota, omega
 
 
 def _lift_band_matching(g: SnakeGraph, m: FrozenSet) -> FrozenSet[EdgeId]:
@@ -380,38 +333,9 @@ def _matching_y(g: SnakeGraph, m: FrozenSet) -> Tuple[int, ...]:
 
 
 def _min_y(g: SnakeGraph) -> Tuple[int, ...]:
-    w = _matching_sum(g)
     n = g.surface.n_arcs
-    ys = [key[n:] for key in w]
+    ys = [key[n:] for key in g.w]
     return tuple(min(y[i] for y in ys) for i in range(n))
-
-
-def minimal_matching(g: SnakeGraph) -> FrozenSet:
-    """The unique matching at the floor of the height order."""
-    if g.d > 16:
-        raise SnakeGraphError("explicit matchings only enumerated up to 16 tiles")
-    m0 = _min_y(g)
-    hits = [m for m in enumerate_matchings(g) if _matching_y(g, m) == m0]
-    if len(hits) != 1:
-        raise SnakeGraphError(f"expected one minimal matching, found {len(hits)}")
-    return hits[0]
-
-
-def weight_monomial(g: SnakeGraph, m: FrozenSet) -> Poly:
-    """Product of the x variables along a matching (seam counted once)."""
-    acc = (0,) * g.surface.n_arcs
-    for eid in m:
-        if eid == SEAM:
-            acc = _add_exps(acc, _label_x_vec(g.surface, g.edges[g.iota].label))
-        else:
-            acc = _add_exps(acc, g.edges[eid].x_vec)
-    return lp_monomial(acc, 1)
-
-
-def height_monomial(g: SnakeGraph, m: FrozenSet) -> Poly:
-    """y-monomial of a matching, normalized so the minimal matching gives 1."""
-    y = _matching_y(g, m)
-    return lp_monomial(_sub_exps(y, _min_y(g)), 1)
 
 
 def _sub_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -426,7 +350,7 @@ def snake_F_poly(g: SnakeGraph) -> Poly:
     """Height generating polynomial: constant term 1, coefficients count
     matchings at each normalized height."""
     n = g.surface.n_arcs
-    w = _matching_sum(g)
+    w = g.w
     m0 = _min_y(g)
     out: Poly = {}
     for key, cnt in w.items():
@@ -440,7 +364,7 @@ def snake_F_poly(g: SnakeGraph) -> Poly:
 def snake_g_vector(g: SnakeGraph) -> Tuple[int, ...]:
     """x-degrees of the minimal matching minus the crossing degrees."""
     n = g.surface.n_arcs
-    w = _matching_sum(g)
+    w = g.w
     m0 = _min_y(g)
     floor = [(key, cnt) for key, cnt in w.items() if key[n:] == m0]
     if len(floor) != 1 or floor[0][1] != 1:
@@ -448,10 +372,9 @@ def snake_g_vector(g: SnakeGraph) -> Tuple[int, ...]:
     return _sub_exps(floor[0][0][:n], g.cross_vec)
 
 
-def snake_h_vector(g: SnakeGraph, b: Optional[Matrix] = None) -> Tuple[int, ...]:
+def snake_h_vector(g: SnakeGraph) -> Tuple[int, ...]:
     """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
-    if b is None:
-        b = adjacency_matrix(g.surface)
+    b = adjacency_matrix(g.surface)
     f = snake_F_poly(g)
     n = len(b)
     out = []
@@ -468,7 +391,7 @@ def msw_function(t: Triangulation, c: Curve) -> Poly:
         return lp_var(t.n_arcs, c.arc - 1)
     g = build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
     n = t.n_arcs
-    w = _matching_sum(g)
+    w = g.w
     xonly: Poly = {}
     for key, cnt in w.items():
         xkey = key[:n]
@@ -483,7 +406,7 @@ def principal_msw(t: Triangulation, c: Curve) -> Poly:
         validate_curve(t, c)
         return lp_var(2 * n, c.arc - 1)
     g = build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
-    w = _matching_sum(g)
+    w = g.w
     m0 = _min_y(g)
     shift = tuple(-e for e in g.cross_vec) + tuple(-e for e in m0)
     return lp_mono_mul(w, shift, 1)
@@ -559,3 +482,17 @@ def brute_force_matchings(g: SnakeGraph) -> List[FrozenSet]:
 
     backtrack(frozenset(vertices), frozenset())
     return sorted(out, key=lambda m: sorted(m, key=str))
+
+
+def brute_force_sum(g: SnakeGraph) -> Poly:
+    """W rebuilt from the brute-force matchings: x from the matched edge
+    labels (the seam counted once), y from the lift to the cut graph."""
+    out: Poly = {}
+    for m in brute_force_matchings(g):
+        x = (0,) * g.surface.n_arcs
+        for eid in m:
+            label = g.edges[g.iota if eid == SEAM else eid].label
+            x = _add_exps(x, _label_x_vec(g.surface, label))
+        key = x + _matching_y(g, m)
+        out[key] = out.get(key, 0) + 1
+    return out

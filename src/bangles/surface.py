@@ -496,12 +496,19 @@ def flip_word(t: Triangulation, word: Sequence[int]) -> Tuple[Triangulation, Lis
     return t, steps
 
 
+def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    return min(tri[i:] + tri[:i] for i in range(3))
+
+
 def canonical_form(t: Triangulation) -> tuple:
     """Flip-path-independent fingerprint (triangle multiset + tags)."""
-    return (
-        tuple(sorted(min(tri[i:] + tri[:i] for i in range(3)) for tri in t.triangles)),
-        tuple(sorted(t.notched)),
-    )
+    return tuple(sorted(_rotated(tri) for tri in t.triangles)), tuple(sorted(t.notched))
+
+
+def triangle_order(t: Triangulation) -> List[int]:
+    """Storage indices of t's triangles in `canonical_form` order."""
+    rots = [_rotated(tri) for tri in t.triangles]
+    return sorted(range(len(rots)), key=lambda i: (rots[i], i))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from bangles.curve import (
     crossing_monomial,
     format_curve,
     normalize_curve,
-    open_curve,
     parse_curve,
     transport_curve,
     validate_curve,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bangles.mutation import (
-    Seed,
     as_matrix,
     ext_matrix_mutate,
     gamma_transform,
@@ -18,18 +17,14 @@ from bangles.mutation import (
     matrix_mutate,
     seed_mutate,
     seed_mutate_word,
-    substitute_yhat,
-    yhat_monomial,
     yseed_mutate,
 )
 from bangles.poly import (
     lp_parse,
-    lp_var,
     rf_eq,
     rf_from_poly,
     rf_inv,
     rf_mul,
-    rf_pow,
     rf_var,
     var_names,
 )
@@ -214,21 +209,3 @@ def test_ext_zero_bottom_row_stays_zero():
 def test_ext_involution():
     m = tuple(tuple(-v for v in row) for row in A3_B) + ((1, -2, 3),)
     assert ext_matrix_mutate(ext_matrix_mutate(m, 2), 2) == m
-
-
-# ---------------------------------------------------------------------------
-# principal-coefficient substitution
-
-
-def test_yhat_monomials_annulus():
-    assert yhat_monomial(ANNULUS_B, 0) == lp_var(2, 1, 2)
-    assert yhat_monomial(ANNULUS_B, 1) == lp_var(2, 0, -2)
-
-
-def test_substitute_yhat_constant_term():
-    f = lp_parse("1 + y2 + y1*y2", var_names("y", 2))
-    v = substitute_yhat(f, ANNULUS_B)
-    # 1 + x1^-2 + x2^2*x1^-2 over a monomial denominator
-    names = var_names("x", 2)
-    want = rf_from_poly(lp_parse("1 + x1^-2 + x1^-2*x2^2", names))
-    assert rf_eq(v, want)

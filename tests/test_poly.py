@@ -7,22 +7,16 @@ from bangles.poly import (
     ArityError,
     InexactDivisionError,
     NotSubtractionFreeError,
-    PosRational,
     lp_add,
-    lp_const,
     lp_divexact,
     lp_format,
-    lp_monomial,
     lp_mul,
     lp_neg,
     lp_one,
     lp_parse,
     lp_pow,
-    lp_scale,
     lp_sorted_terms,
-    lp_sub,
     lp_substitute,
-    lp_var,
     lp_zero,
     rf,
     rf_eq,

@@ -1,15 +1,16 @@
 """Snake/band graphs: tile layout, matchings, F/g/h data, bangle functions."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from bangles import snakegraph
 from bangles.curve import arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
-    lp_format,
-    lp_monomial,
     lp_mul,
     lp_one,
     lp_parse,
@@ -24,24 +25,20 @@ from bangles.snakegraph import (
     SnakeGraphError,
     bangle_of_lamination,
     brute_force_matchings,
+    brute_force_sum,
     build_band_graph,
     build_snake_graph,
-    enumerate_matchings,
-    height_monomial,
-    minimal_matching,
     msw_function,
     principal_msw,
     snake_F_poly,
     snake_g_vector,
     snake_h_vector,
-    weight_monomial,
 )
 from bangles.surface import adjacency_matrix, flip
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
 Y2 = var_names("y", 2)
-X2 = var_names("x", 2)
 
 
 def closed_fixtures():
@@ -69,23 +66,17 @@ def test_annulus_band_layout():
 
 def test_annulus_good_matchings():
     g = build_band_graph(ANNULUS, CORE)
-    ms = enumerate_matchings(g)
+    ms = brute_force_matchings(g)
     assert len(ms) == 3
-    seen = {
-        (
-            lp_format(weight_monomial(g, m), X2),
-            lp_format(height_monomial(g, m), Y2),
-        )
-        for m in ms
-    }
-    assert seen == {("1", "y2"), ("x1^2", "1"), ("x2^2", "y1*y2")}
-    assert minimal_matching(g) == frozenset({((0, 1), (0, 2)), ((1, 1), (1, 2))})
-    assert [m for m in ms if SEAM in m] and len([m for m in ms if SEAM in m]) == 1
+    assert len([m for m in ms if SEAM in m]) == 1
+    # x-degrees then raw heights: x1^2 sits on the floor (-1, -1), 1 one
+    # step above it (y2) and x2^2 two steps above it (y1*y2)
+    assert g.w == {(2, 0, -1, -1): 1, (0, 0, -1, 0): 1, (0, 2, 0, 0): 1}
 
 
 def test_annulus_brute_force_agrees():
     g = build_band_graph(ANNULUS, CORE)
-    assert set(brute_force_matchings(g)) == set(enumerate_matchings(g))
+    assert g.w == brute_force_sum(g)
 
 
 def test_annulus_F_g_h():
@@ -120,10 +111,11 @@ def test_single_tile_graph():
     g = build_snake_graph(t, back)
     assert len(g.tiles) == 1
     assert g.tiles[0].compass == (5, 2, 3, 4)
-    ms = enumerate_matchings(g)
-    assert len(ms) == 2
-    # the floor matching is the horizontal pair
-    assert minimal_matching(g) == frozenset({((0, 0), (1, 0)), ((0, 1), (1, 1))})
+    assert len(brute_force_matchings(g)) == 2
+    # the floor matching is the horizontal pair of boundary edges (x-free,
+    # height -1); the vertical pair carries x2
+    assert g.w == {(0, 0, -1, 0): 1, (0, 1, 0, 0): 1}
+    assert g.w == brute_force_sum(g)
     assert snake_F_poly(g) == lp_parse("1 + y1", Y2)
     assert snake_g_vector(g) == (-1, 0)
     assert snake_h_vector(g) == (-1, 0)
@@ -138,9 +130,8 @@ def test_two_tile_snake_three_matchings():
     c = open_curve([(0, 1), (1, 2)], ((0, 0), (2, 0)))
     g = build_snake_graph(t, c)
     assert len(g.tiles) == 2
-    ms = enumerate_matchings(g)
-    assert len(ms) == 3
-    assert set(ms) == set(brute_force_matchings(g))
+    assert len(brute_force_matchings(g)) == 3
+    assert g.w == brute_force_sum(g)
     f = snake_F_poly(g)
     assert f[(0,) * t.n_arcs] == 1 and len(f) == 3
 
@@ -173,6 +164,26 @@ def test_band_rotation_invariance():
         assert snake_h_vector(g1) == snake_h_vector(g2)
 
 
+def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
+    t = load_surface("torus-boundary")
+    c = parse_curve(t, load_curve_text("torus-weave"))
+    scan = snakegraph._scan
+    calls = []
+
+    def counting_scan(g, *seam_run):  # keeps no reference to g
+        calls.append(seam_run)
+        return scan(g, *seam_run)
+
+    monkeypatch.setattr(snakegraph, "_scan", counting_scan)
+    g = build_band_graph(t, c)
+    snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w
+    assert len(calls) == 3  # one scan per seam run, shared by every reader
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
 def test_torus_band_zigzags():
     t = load_surface("torus-boundary")
     c = parse_curve(t, load_curve_text("torus-weave"))
@@ -188,7 +199,7 @@ def test_torus_band_zigzags():
 def test_dp_matches_brute_force_on_fixture_bands():
     for name, t, c in closed_fixtures():
         g = build_band_graph(t, c)
-        assert set(enumerate_matchings(g)) == set(brute_force_matchings(g)), name
+        assert g.w == brute_force_sum(g), name
 
 
 def test_dp_matches_brute_force_on_transported_arcs():
@@ -200,7 +211,7 @@ def test_dp_matches_brute_force_on_transported_arcs():
                 continue
             back = transport_curve(arc_curve(k), res.quad, forward=False)
             g = build_snake_graph(t, back)
-            assert set(enumerate_matchings(g)) == set(brute_force_matchings(g))
+            assert g.w == brute_force_sum(g), (name, k)
 
 
 def test_F_constant_term_one_h_nonpositive():
@@ -211,7 +222,6 @@ def test_F_constant_term_one_h_nonpositive():
         assert f[(0,) * n] == 1
         assert all(coeff > 0 for coeff in f.values())
         assert all(h <= 0 for h in snake_h_vector(g))
-        assert height_monomial(g, minimal_matching(g)) == lp_one(n)
 
 
 def test_h_equals_min_zero_g_on_closed_fixtures():
