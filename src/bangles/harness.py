@@ -5,6 +5,8 @@ returns VerificationReports; sweeps walk the fixture corpus and flip words
 depth-first, transporting curves as they go.  Repeated states (flip words
 are free to backtrack) are deduplicated by canonical form, so a sweep of
 depth d covers exactly the checks reachable by words of length <= d.
+A check that raises becomes failing reports under its own identities and
+case (lhs: the exception type, rhs: its message) and the sweep goes on.
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -29,10 +31,10 @@ from .poly import (
     lp_substitute,
     rf_add,
     rf_eq,
+    rf_from_poly,
     rf_mul,
     rf_one,
     rf_pow,
-    rf_var,
     var_names,
 )
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
@@ -69,6 +71,10 @@ class VerificationReport:
         if not self.passed:
             out += f"\n  lhs: {self.lhs}\n  rhs: {self.rhs}"
         return out
+
+
+def _error_report(case: str, identity: str, exc: Exception) -> VerificationReport:
+    return VerificationReport(case, identity, False, type(exc).__name__, str(exc))
 
 
 def _rf_text(v: PosRational, names: Sequence[str]) -> str:
@@ -153,15 +159,13 @@ def _pull_back_arc(arc: int, quads: Sequence) -> Curve:
 def _arc_report(
     t: Triangulation, c: Curve, arc: int, seed: Seed, case: str
 ) -> VerificationReport:
-    n = t.n_arcs
     msw = msw_function(t, c)
-    mine = lp_substitute(msw, [rf_var(n, i) for i in range(n)])
     want = seed.x[arc - 1]
-    xnames = var_names("x", n)
+    xnames = var_names("x", t.n_arcs)
     return VerificationReport(
         case,
         "arc-vs-cluster",
-        rf_eq(mine, want),
+        rf_eq(rf_from_poly(msw), want),
         lp_format(msw, xnames),
         _rf_text(want, xnames),
     )
@@ -261,6 +265,9 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
                         out.extend(verify_key_lemma(cur, k, curve, case))
                     except TransportError:
                         continue
+                    except Exception as exc:
+                        # one call computes keylemma-F, -g and -h together
+                        out.extend(_error_report(case, i, exc) for i in IDENTITIES[:3])
                 if len(word) + 1 < depth:
                     try:
                         res = _require_transportable(cur, k)
@@ -279,13 +286,19 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
     n = t.n_arcs
     c = _closed_fixture(name)
     if c is not None:
-        out.append(verify_g_equals_shear(t, c, f"{name}:{CLOSED_CURVES[name]}"))
+        case = f"{name}:{CLOSED_CURVES[name]}"
+        try:
+            out.append(verify_g_equals_shear(t, c, case))
+        except Exception as exc:
+            out.append(_error_report(case, "g-equals-shear", exc))
         for k in range(1, n + 1):
             case = f"{name}:{CLOSED_CURVES[name]}:flip={k}"
             try:
                 out.append(verify_shear_flip(t, k, c, case=case))
             except (TransportError, ShearError):
                 continue
+            except Exception as exc:
+                out.append(_error_report(case, "shear-flip", exc))
     for k in range(1, n + 1):
         res = flip(t, k)
         if res.quad is None:
@@ -299,7 +312,10 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
                 lam2 = elementary_laminate(res.triangulation, j)
             except ShearError:
                 continue
-            out.append(verify_shear_flip(t, k, lam, moved=lam2, case=case))
+            try:
+                out.append(verify_shear_flip(t, k, lam, moved=lam2, case=case))
+            except Exception as exc:
+                out.append(_error_report(case, "shear-flip", exc))
 
 
 def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
@@ -324,7 +340,10 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
                     continue
                 checked.add(back)
                 case = f"{name}:arc={j}:word={word}"
-                out.append(_arc_report(t0, back, j, seed, case))
+                try:
+                    out.append(_arc_report(t0, back, j, seed, case))
+                except Exception as exc:
+                    out.append(_error_report(case, "arc-vs-cluster", exc))
             if len(word) < depth:
                 for k in range(1, n + 1):
                     if word and word[-1] == k:
@@ -357,9 +376,7 @@ def run_corpus(config: Optional[CorpusConfig] = None) -> List[VerificationReport
         try:
             sweep(name, *args, out)
         except (OSError, KeyError, ValueError) as exc:
-            out.append(
-                VerificationReport(name, "corpus-load", False, type(exc).__name__, str(exc))
-            )
+            out.append(_error_report(name, "corpus-load", exc))
 
     for name in config.surfaces:
         guarded(_keylemma_sweep, name, config.keylemma_depth)

@@ -271,10 +271,15 @@ def rf_eq(a: PosRational, b: PosRational) -> bool:
 
 
 def lp_substitute(p: Poly, args: Sequence[PosRational]) -> PosRational:
-    """Substitute args[i] for variable i; result stays unreduced.
+    """Substitute args[i] = num_i/den_i for variable i; result stays unreduced.
 
-    Evaluates term by term over a common denominator D = prod den_i^{spread}
-    chosen per term, which keeps the denominator a plain product (no gcd).
+    With hi_i the largest positive exponent of variable i in p and lo_i the
+    magnitude of its most negative one (0 if there is none), the result is
+    N / D over the one common denominator D = prod num_i^lo_i * den_i^hi_i.
+    Each term c * vars^e adds c * prod num_i^(e_i+lo_i) * den_i^(hi_i-e_i)
+    to N; both exponents are >= 0, so N is a plain polynomial (no gcd).
+    Each power is built once per call and factors equal to 1 are skipped.
+    A result that cancels to zero raises ZeroDivisionError.
     """
     n = lp_arity(p)
     if n is None:
@@ -283,15 +288,26 @@ def lp_substitute(p: Poly, args: Sequence[PosRational]) -> PosRational:
         raise ArityError(f"expected {n} substitution values, got {len(args)}")
     if not args:
         return rf_from_poly(p)
-    out = None
+    one = lp_one(lp_arity(args[0].num))
+    lo = [max(0, -min(e[i] for e in p)) for i in range(n)]
+    hi = [max(0, max(e[i] for e in p)) for i in range(n)]
+    # ladders[j] = [b, b^2, ...] for b = num_j (j < n) or den_(j-n), grown
+    # on demand; None marks a base equal to 1
+    ladders = [[b] if b != one else None for b in [a.num for a in args] + [a.den for a in args]]
+
+    def times(out: Poly, exps: Sequence[int]) -> Poly:
+        for ladder, k in zip(ladders, exps):
+            if k and ladder:
+                while len(ladder) < k:
+                    ladder.append(lp_mul(ladder[-1], ladder[0]))
+                out = lp_mul(out, ladder[k - 1])
+        return out
+
+    num: Poly = {}
     for e, c in p.items():
-        term = rf_from_poly(lp_const(lp_arity(args[0].num), c))
-        for i, a in enumerate(args):
-            if e[i]:
-                term = rf_mul(term, rf_pow(a, e[i]))
-        out = term if out is None else rf_add(out, term)
-    assert out is not None
-    return out
+        exps = [x + s for x, s in zip(e, lo)] + [s - x for x, s in zip(e, hi)]
+        num = lp_add(num, times(lp_scale(one, c), exps))
+    return PosRational(num, times(one, lo + hi))
 
 
 # ---------------------------------------------------------------------------

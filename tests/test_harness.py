@@ -1,3 +1,6 @@
+import pytest
+
+import bangles.harness as harness
 from bangles.curve import parse_curve
 from bangles.fixtures import load_curve_text, load_surface
 from bangles.harness import (
@@ -11,6 +14,7 @@ from bangles.harness import (
     verify_key_lemma,
     verify_shear_flip,
 )
+from bangles.poly import InexactDivisionError
 
 
 def _annulus_core():
@@ -134,3 +138,56 @@ def test_broken_fixture_becomes_failed_entry():
     assert not any(r.passed for r in reports)
     assert all(r.identity == "corpus-load" for r in reports)
     assert "no-such-surface" in reports[0].rhs
+
+
+def _fail_first_call(monkeypatch, name, exc):
+    real = getattr(harness, name)
+    pending = [exc]
+
+    def flaky(*args):
+        if pending:
+            raise pending.pop()
+        return real(*args)
+
+    monkeypatch.setattr(harness, name, flaky)
+
+
+@pytest.mark.parametrize(
+    "cfg, name, exc, identity, case",
+    [
+        (
+            CorpusConfig(surfaces=("annulus",), keylemma_depth=2, arc_surfaces=()),
+            "lp_substitute",
+            InexactDivisionError("remainder left"),
+            "keylemma-F",
+            "annulus:annulus-core:word=[1]",
+        ),
+        (
+            CorpusConfig(surfaces=("pentagon",), arc_depth=1, arc_surfaces=("pentagon",)),
+            "msw_function",
+            ZeroDivisionError("zero part"),
+            "arc-vs-cluster",
+            "pentagon:arc=1:word=[]",
+        ),
+        (
+            CorpusConfig(surfaces=("annulus",), arc_surfaces=()),
+            "shear_flip_sides",
+            ZeroDivisionError("zero part"),
+            "shear-flip",
+            "annulus:annulus-core:flip=1",
+        ),
+    ],
+    ids=["keylemma", "arc", "shear"],
+)
+def test_check_error_is_reported_and_sweep_continues(monkeypatch, cfg, name, exc, identity, case):
+    clean = run_corpus(cfg)
+    _fail_first_call(monkeypatch, name, exc)
+    reports = run_corpus(cfg)
+    # the same checks, the first one now failing under its real identity and case
+    assert [(r.case, r.identity) for r in reports] == [(r.case, r.identity) for r in clean]
+    failed = [r for r in reports if not r.passed]
+    assert {r.case for r in failed} == {case}
+    assert identity in {r.identity for r in failed}
+    assert all((r.lhs, r.rhs) == (type(exc).__name__, str(exc)) for r in failed)
+    assert sum(r.identity == identity and r.passed for r in reports) > 0
+    assert report_text(reports).splitlines()[-1] == f"{len(clean)} checks, {len(failed)} failed"

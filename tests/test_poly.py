@@ -15,10 +15,12 @@ from bangles.poly import (
     lp_one,
     lp_parse,
     lp_pow,
+    lp_scale,
     lp_sorted_terms,
     lp_substitute,
     lp_zero,
     rf,
+    rf_add,
     rf_eq,
     rf_from_poly,
     rf_inv,
@@ -147,6 +149,32 @@ def test_substitute_mutated_coefficients():
     got = lp_substitute(f, [y1p, y2p])
     want = rf(P("y1 + 1 + y2 + 2*y1*y2 + y1^2*y2"), P("y1"))
     assert rf_eq(got, want)
+    # exactly D = den_1^1 * den_2^1 = y1 over N, nothing multiplied in twice
+    assert got.den == P("y1")
+    assert got.num == P("1 + y1 + y2 + 2*y1*y2 + y1^2*y2")
+
+
+def test_substitute_denominator_does_not_grow_with_terms():
+    # seven terms, exponents 0..6 of y1: D = den^6 once, not den^(0+1+...+6)
+    p = P("1 + y1 + y1^2 + y1^3 + y1^4 + y1^5 + y1^6")
+    arg = rf(P("1 + y2"), P("1 + y1"))
+    got = lp_substitute(p, [arg, rf_var(2, 1)])
+    assert got.den == lp_pow(P("1 + y1"), 6)
+    assert rf_eq(got, _substitute_ref(p, [arg, rf_var(2, 1)]))
+
+
+def test_substitute_negative_exponents_use_numerator_powers():
+    # y1^-2 + y1: lo_1 = 2, hi_1 = 1, so D = num^2 * den
+    arg = rf(P("1 + y2"), P("y1 + y2"))
+    got = lp_substitute(P("y1^-2 + y1"), [arg, rf_var(2, 1)])
+    assert got.den == lp_mul(lp_pow(P("1 + y2"), 2), P("y1 + y2"))
+    assert got.num == lp_add(lp_pow(P("y1 + y2"), 3), lp_pow(P("1 + y2"), 3))
+
+
+def test_substitute_cancelling_to_zero_raises():
+    a = rf(P("1 + y1"), P("y2"))
+    with pytest.raises(ZeroDivisionError):
+        lp_substitute(P("y1*y2^-1 - 1"), [a, a])
 
 
 def test_substitute_constant():
@@ -254,6 +282,35 @@ def test_rf_eq_equivalence_relation(a, b, c):
     assert rf_eq(ra, scaled) and rf_eq(scaled, ra)
     if rf_eq(ra, rb) and rf_eq(rb, rc):
         assert rf_eq(ra, rc)
+
+
+def _substitute_ref(p, args):
+    """Term-by-term substitution with rf_mul/rf_pow/rf_add, as an oracle."""
+    out = None
+    for e, c in p.items():
+        term = rf_from_poly(lp_scale(lp_one(len(args)), c))
+        for i, a in enumerate(args):
+            if e[i]:
+                term = rf_mul(term, rf_pow(a, e[i]))
+        out = term if out is None else rf_add(out, term)
+    return out
+
+
+# Small enough for the oracle, whose denominators multiply up term by term.
+# Arguments have two-term numerators and denominators, so no power is a
+# monomial shift.
+small_exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+substitutables = st.dictionaries(small_exponents, st.integers(1, 4), min_size=1, max_size=4)
+binomials = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(1, 3), min_size=2, max_size=2
+)
+pos_rationals = st.builds(rf, binomials, binomials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutables, pos_rationals, pos_rationals)
+def test_substitute_matches_term_by_term_oracle(p, a, b):
+    assert rf_eq(lp_substitute(p, [a, b]), _substitute_ref(p, [a, b]))
 
 
 def test_large_coefficients_stay_exact():
