@@ -9,7 +9,7 @@ together on a shipped fixture corpus.
 from .curve import Curve, arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from .harness import VerificationReport, report_text, run_corpus
 from .mutation import initial_seed, matrix_mutate, seed_mutate, yseed_mutate
-from .shear import dual_shear, elementary_laminate, shear_flip_check
+from .shear import dual_shear, elementary_laminate
 from .snakegraph import (
     bangle_of_lamination,
     build_band_graph,
@@ -47,7 +47,6 @@ __all__ = [
     "report_text",
     "run_corpus",
     "seed_mutate",
-    "shear_flip_check",
     "snake_F_poly",
     "snake_g_vector",
     "snake_h_vector",

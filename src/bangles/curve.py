@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .poly import Poly, lp_monomial, lp_one
-from .surface import Corner, QuadRecord, Triangulation, occurrences
+from .surface import Corner, QuadRecord, Triangulation
 
 Step = Tuple[int, int]  # (triangle index, arc label)
 
@@ -58,7 +58,7 @@ def open_curve(steps, ends, tags: Tuple[str, str] = ("plain", "plain")) -> Curve
 def _landing(t: Triangulation, step: Step) -> int:
     """Triangle on the far side of a crossing."""
     tri, arc = step
-    occ = occurrences(t)[arc]
+    occ = t.occurrences[arc]
     if len(occ) != 2 or occ[0][0] == occ[1][0]:
         raise CurveError(f"arc {arc} cannot be crossed (folded side)")
     (t0, _), (t1, _) = occ
@@ -275,7 +275,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 
 
 def parse_curve(t: Triangulation, text: str) -> Curve:
-    from .surface import corner_orbits, resolve_vertex_ref
+    from .surface import resolve_vertex_ref
 
     closed = None
     steps: List[Step] = []
@@ -328,7 +328,7 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
         raise CurveError("open curves need exactly two end lines")
     if not steps:
         raise CurveError("open curves with no crossings use the arc form")
-    orbit_of = corner_orbits(t)
+    orbit_of = t.corner_orbits
     corners = []
     for which, (ref, _, pos) in enumerate(end_refs):
         target = resolve_vertex_ref(t, ref)
@@ -350,7 +350,7 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
 
 
 def format_curve(t: Triangulation, c: Curve) -> str:
-    from .surface import corner_orbits, vertex_ref
+    from .surface import vertex_ref
 
     lines = [f"curve closed={1 if c.closed else 0}"]
     if c.arc is not None:
@@ -361,7 +361,7 @@ def format_curve(t: Triangulation, c: Curve) -> str:
         lines += body
         return "\n".join(lines) + "\n"
 
-    orbit_of = corner_orbits(t)
+    orbit_of = t.corner_orbits
 
     def end_line(which: int) -> str:
         tri, pos = c.ends[which]

@@ -1,10 +1,11 @@
 """Verification campaigns tying mutation, snake graphs, and shear together.
 
 Each check compares two independently computed sides of one identity and
-returns VerificationReports; sweeps walk the fixture corpus and flip words
-depth-first, transporting curves as they go.  Repeated states (flip words
-are free to backtrack) are deduplicated by canonical form, so a sweep of
-depth d covers exactly the checks reachable by words of length <= d.
+returns VerificationReports.  Both flip sweeps use one breadth-first walker
+over exchange-graph states: a closed curve on a triangulation for the key
+lemma, a cluster of arcs pulled back to the start for the arc checks.  It
+yields each state once, under its shortest flip word, so a sweep of depth
+d covers exactly the checks reachable by words of length <= d.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 Reports are deterministic: identical inputs give byte-identical output.
@@ -13,7 +14,7 @@ Reports are deterministic: identical inputs give byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
@@ -243,42 +244,49 @@ def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     return canonical_form(cur), normalize_curve(replace(curve, steps=steps))
 
 
+def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable) -> Iterator[tuple]:
+    """Yield (triangulation, state, flip word) once per state reachable from
+    (t0, start) by at most `depth` transportable flips, under its shortest
+    flip word.  advance(state, quad) carries a state across a flip (a
+    TransportError skips the flip); states with equal key(t, state) are one.
+    """
+    seen = {key(t0, start)}
+    frontier = [(t0, start, [])]
+    while frontier:
+        nxt = []
+        for cur, state, word in frontier:
+            yield cur, state, word
+            if len(word) >= depth:
+                continue
+            for k in range(1, cur.n_arcs + 1):
+                try:
+                    res = _require_transportable(cur, k)
+                    child = advance(state, res.quad)
+                except TransportError:
+                    continue
+                ck = key(res.triangulation, child)
+                if ck not in seen:
+                    seen.add(ck)
+                    nxt.append((res.triangulation, child, word + [k]))
+        frontier = nxt
+
+
 def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
     c0 = _closed_fixture(name)
     if c0 is None:
         return
     t0 = load_surface(name)
     label = CLOSED_CURVES[name]
-    checked: Set[tuple] = set()
-    states = {_state_key(t0, c0)}
-    # breadth first so each check is reported under its shortest flip word
-    frontier = [(t0, c0, [])]
-    while frontier:
-        nxt = []
-        for cur, curve, word in frontier:
-            for k in range(1, cur.n_arcs + 1):
-                key = (_state_key(cur, curve), k)
-                if key not in checked:
-                    checked.add(key)
-                    case = f"{name}:{label}:word={word + [k]}"
-                    try:
-                        out.extend(verify_key_lemma(cur, k, curve, case))
-                    except TransportError:
-                        continue
-                    except Exception as exc:
-                        # one call computes keylemma-F, -g and -h together
-                        out.extend(_error_report(case, i, exc) for i in IDENTITIES[:3])
-                if len(word) + 1 < depth:
-                    try:
-                        res = _require_transportable(cur, k)
-                    except TransportError:
-                        continue
-                    moved = transport_curve(curve, res.quad)
-                    skey = _state_key(res.triangulation, moved)
-                    if skey not in states:
-                        states.add(skey)
-                        nxt.append((res.triangulation, moved, word + [k]))
-        frontier = nxt
+    for cur, curve, word in _walk(t0, c0, depth - 1, transport_curve, _state_key):
+        for k in range(1, cur.n_arcs + 1):
+            case = f"{name}:{label}:word={word + [k]}"
+            try:
+                out.extend(verify_key_lemma(cur, k, curve, case))
+            except TransportError:
+                continue
+            except Exception as exc:
+                # one call computes keylemma-F, -g and -h together
+                out.extend(_error_report(case, i, exc) for i in IDENTITIES[:3])
 
 
 def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
@@ -318,49 +326,35 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
                 out.append(_error_report(case, "shear-flip", exc))
 
 
+def _flip_cluster(state: tuple, quad) -> tuple:
+    # only the flipped arc changes, so only it is pulled back to t0
+    seed, quads, backs = state
+    k, quads = quad.arc, quads + (quad,)
+    back = normalize_curve(_pull_back_arc(k, quads))
+    return seed_mutate(seed, k - 1), quads, backs[: k - 1] + (back,) + backs[k:]
+
+
 def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    # Arc checks depend on the flip path (the seed and the transport
-    # chain), and triangulations that encode identically can still carry
-    # distinct arcs (twists).  So nodes are pruned only for immediate
-    # backtracking, and checks are deduplicated by the pulled-back curve,
-    # which names the arc itself.
+    # A state is a cluster: its seed, the flips that reach it, and its arcs
+    # pulled back to t0.  Triangulations that encode identically can still
+    # carry distinct arcs (twists), so clusters are keyed by the pulled-back
+    # arcs, and each arc is checked once, in the first cluster holding it.
     t0 = load_surface(name)
     n = t0.n_arcs
+    backs = tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1))
+    start = (initial_seed(adjacency_matrix(t0)), (), backs)
     checked: Set[Curve] = set()
-    frontier = [(t0, initial_seed(adjacency_matrix(t0)), (), [])]
-    while frontier:
-        nxt = []
-        for cur, seed, quads, word in frontier:
-            for j in range(1, n + 1):
-                try:
-                    back = normalize_curve(_pull_back_arc(j, quads))
-                except TransportError:
-                    continue
-                if back in checked:
-                    continue
-                checked.add(back)
-                case = f"{name}:arc={j}:word={word}"
-                try:
-                    out.append(_arc_report(t0, back, j, seed, case))
-                except Exception as exc:
-                    out.append(_error_report(case, "arc-vs-cluster", exc))
-            if len(word) < depth:
-                for k in range(1, n + 1):
-                    if word and word[-1] == k:
-                        continue
-                    try:
-                        res = _require_transportable(cur, k)
-                    except TransportError:
-                        continue
-                    nxt.append(
-                        (
-                            res.triangulation,
-                            seed_mutate(seed, k - 1),
-                            quads + (res.quad,),
-                            word + [k],
-                        )
-                    )
-        frontier = nxt
+    cluster = lambda t, state: frozenset(state[2])
+    for _, (seed, _, backs), word in _walk(t0, start, depth, _flip_cluster, cluster):
+        for j, back in enumerate(backs, 1):
+            if back in checked:
+                continue
+            checked.add(back)
+            case = f"{name}:arc={j}:word={word}"
+            try:
+                out.append(_arc_report(t0, back, j, seed, case))
+            except Exception as exc:
+                out.append(_error_report(case, "arc-vs-cluster", exc))
 
 
 def run_corpus(config: Optional[CorpusConfig] = None) -> List[VerificationReport]:
@@ -375,7 +369,7 @@ def run_corpus(config: Optional[CorpusConfig] = None) -> List[VerificationReport
     def guarded(sweep, name, *args):
         try:
             sweep(name, *args, out)
-        except (OSError, KeyError, ValueError) as exc:
+        except Exception as exc:
             out.append(_error_report(name, "corpus-load", exc))
 
     for name in config.surfaces:

@@ -166,12 +166,6 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     return Seed(matrix_mutate(s.b, k), tuple(x))
 
 
-def seed_mutate_word(s: Seed, word: Sequence[int]) -> Seed:
-    for k in word:
-        s = seed_mutate(s, k)
-    return s
-
-
 def laurent_form(v: PosRational) -> Poly:
     """Clear the unreduced denominator, returning v as a Laurent polynomial.
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .curve import Curve, _landing, open_curve, transport_curve, validate_curve
 from .mutation import Matrix, ext_matrix_mutate
-from .surface import Triangulation, adjacency_matrix, flip, occurrences
+from .surface import Triangulation, adjacency_matrix, flip
 
 ShearVector = Tuple[int, ...]
 
@@ -62,7 +62,7 @@ def dual_shear(t: Triangulation, lam: Curve) -> ShearVector:
     d = len(lam.steps)
     if d == 0:
         return tuple(out)
-    occ = occurrences(t)
+    occ = t.occurrences
 
     def quad_index(a: int, tri: int, slot: int) -> Optional[int]:
         (ta, ia), (tb, ib) = occ[a]
@@ -112,7 +112,7 @@ def _slide(t: Triangulation, tri: int, corner: int, turns: int):
 
     Returns (crossings as (src, arc, dst) triples, final (tri, corner)).
     """
-    occ = occurrences(t)
+    occ = t.occurrences
     crossings: List[Tuple[int, int, int]] = []
     seen: Dict[Tuple[int, int], int] = {}
     while True:
@@ -140,7 +140,7 @@ def elementary_laminate(t: Triangulation, j: int, turns: int = 2) -> Curve:
         raise ShearError("elementary laminates only built on plain triangulations")
     if j < 1 or j > t.n_arcs:
         raise ShearError(f"no arc {j}")
-    occ = occurrences(t)[j]
+    occ = t.occurrences[j]
     if len(occ) != 2 or occ[0][0] == occ[1][0]:
         raise ShearError(f"arc {j} is folded or a loop")
     (ta, ia), (tb, ib) = occ
@@ -179,10 +179,3 @@ def shear_flip_sides(
     lhs = ext_matrix_mutate(shear_matrix(t, lam), k - 1)
     rhs = shear_matrix(res.triangulation, moved)
     return lhs, rhs
-
-
-def shear_flip_check(
-    t: Triangulation, k: int, lam: Curve, moved: Optional[Curve] = None
-) -> bool:
-    lhs, rhs = shear_flip_sides(t, k, lam, moved)
-    return lhs == rhs

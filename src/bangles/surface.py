@@ -23,7 +23,7 @@ self-folded triangles on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .mutation import Matrix, as_matrix
@@ -63,19 +63,60 @@ class Triangulation:
     def is_boundary(self, label: int) -> bool:
         return self.n_arcs < label <= self.n_arcs + self.n_boundary
 
+    @cached_property
+    def occurrences(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """label -> tuple of (triangle index, side position), in storage order."""
+        occ: Dict[int, List[Tuple[int, int]]] = {}
+        for ti, tri in enumerate(self.triangles):
+            for pos, s in enumerate(tri):
+                occ.setdefault(s, []).append((ti, pos))
+        return {k: tuple(v) for k, v in occ.items()}
+
+    @cached_property
+    def corner_orbits(self) -> Dict[Corner, Tuple[Corner, ...]]:
+        """Map each corner to its vertex orbit (sorted tuple of corners).
+
+        Crossing an arc from one of its flanking corners lands on the
+        matching flanking corner of the other occurrence; orbits of that
+        relation are the marked points and punctures.
+        """
+        uf = _UnionFind()
+        for ti in range(len(self.triangles)):
+            for pos in range(3):
+                uf.find((ti, pos))
+        for label, occ in self.occurrences.items():
+            if not self.is_arc(label) or len(occ) != 2:
+                continue
+            (ta, ia), (tb, ib) = occ
+            uf.union((ta, (ia - 1) % 3), (tb, ib))
+            uf.union((ta, ia), (tb, (ib - 1) % 3))
+        groups: Dict[Corner, List[Corner]] = {}
+        for ti in range(len(self.triangles)):
+            for pos in range(3):
+                groups.setdefault(uf.find((ti, pos)), []).append((ti, pos))
+        orbit_of: Dict[Corner, Tuple[Corner, ...]] = {}
+        for members in groups.values():
+            tup = tuple(sorted(members))
+            for c in members:
+                orbit_of[c] = tup
+        return orbit_of
+
+    @cached_property
+    def vertices(self) -> Tuple[Tuple[Tuple[Corner, ...], str], ...]:
+        """All vertex orbits with kind 'marked' (on boundary) or 'puncture'."""
+        seen: Dict[Tuple[Corner, ...], str] = {}
+        for orbit in self.corner_orbits.values():
+            if orbit in seen:
+                continue
+            on_boundary = any(
+                self.is_boundary(s) for c in orbit for s in corner_sides(self, c)
+            )
+            seen[orbit] = "marked" if on_boundary else "puncture"
+        return tuple(sorted(seen.items()))
+
 
 # ---------------------------------------------------------------------------
 # derived combinatorics
-
-
-@lru_cache(maxsize=None)
-def occurrences(t: Triangulation) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-    """label -> tuple of (triangle index, side position), in storage order."""
-    occ: Dict[int, List[Tuple[int, int]]] = {}
-    for ti, tri in enumerate(t.triangles):
-        for pos, s in enumerate(tri):
-            occ.setdefault(s, []).append((ti, pos))
-    return {k: tuple(v) for k, v in occ.items()}
 
 
 def folded_sides(t: Triangulation) -> Dict[int, int]:
@@ -113,63 +154,18 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-@lru_cache(maxsize=None)
-def corner_orbits(t: Triangulation) -> Dict[Corner, Tuple[Corner, ...]]:
-    """Map each corner to its vertex orbit (sorted tuple of corners).
-
-    Crossing an arc from one of its flanking corners lands on the matching
-    flanking corner of the other occurrence; orbits of that relation are the
-    marked points and punctures.
-    """
-    uf = _UnionFind()
-    for ti in range(len(t.triangles)):
-        for pos in range(3):
-            uf.find((ti, pos))
-    for label, occ in occurrences(t).items():
-        if not t.is_arc(label) or len(occ) != 2:
-            continue
-        (ta, ia), (tb, ib) = occ
-        uf.union((ta, (ia - 1) % 3), (tb, ib))
-        uf.union((ta, ia), (tb, (ib - 1) % 3))
-    groups: Dict[Corner, List[Corner]] = {}
-    for ti in range(len(t.triangles)):
-        for pos in range(3):
-            groups.setdefault(uf.find((ti, pos)), []).append((ti, pos))
-    orbit_of: Dict[Corner, Tuple[Corner, ...]] = {}
-    for members in groups.values():
-        tup = tuple(sorted(members))
-        for c in members:
-            orbit_of[c] = tup
-    return orbit_of
-
-
 def corner_sides(t: Triangulation, c: Corner) -> Tuple[int, int]:
     ti, pos = c
     tri = t.triangles[ti]
     return tri[pos], tri[(pos + 1) % 3]
 
 
-@lru_cache(maxsize=None)
-def vertices(t: Triangulation) -> Tuple[Tuple[Tuple[Corner, ...], str], ...]:
-    """All vertex orbits with kind 'marked' (on boundary) or 'puncture'."""
-    orbit_of = corner_orbits(t)
-    seen: Dict[Tuple[Corner, ...], str] = {}
-    for orbit in orbit_of.values():
-        if orbit in seen:
-            continue
-        on_boundary = any(
-            t.is_boundary(s) for c in orbit for s in corner_sides(t, c)
-        )
-        seen[orbit] = "marked" if on_boundary else "puncture"
-    return tuple(sorted(seen.items()))
-
-
 def punctures(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
-    return tuple(o for o, kind in vertices(t) if kind == "puncture")
+    return tuple(o for o, kind in t.vertices if kind == "puncture")
 
 
 def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
-    return tuple(o for o, kind in vertices(t) if kind == "marked")
+    return tuple(o for o, kind in t.vertices if kind == "marked")
 
 
 def puncture_id(t: Triangulation, orbit: Tuple[Corner, ...]) -> int:
@@ -179,7 +175,7 @@ def puncture_id(t: Triangulation, orbit: Tuple[Corner, ...]) -> int:
 
 def vertex_ref(t: Triangulation, corner: Corner) -> str:
     """`marked:<id>` / `puncture:<id>` for the vertex at a corner."""
-    orbit = corner_orbits(t)[corner]
+    orbit = t.corner_orbits[corner]
     pts = punctures(t)
     if orbit in pts:
         return f"puncture:{pts.index(orbit) + 1}"
@@ -201,20 +197,20 @@ def resolve_vertex_ref(t: Triangulation, ref: str) -> Tuple[Corner, ...]:
 def arc_endpoints(t: Triangulation, arc: int) -> Tuple[Tuple[Corner, ...], Tuple[Corner, ...]]:
     """(end 0, end 1) vertex orbits; ends are numbered from the first
     occurrence of the arc in storage order (its before- and after-corner)."""
-    occ = occurrences(t)[arc]
+    occ = t.occurrences[arc]
     ti, pos = occ[0]
-    orbit_of = corner_orbits(t)
+    orbit_of = t.corner_orbits
     return orbit_of[(ti, (pos - 1) % 3)], orbit_of[(ti, pos)]
 
 
 def enclosed_puncture(t: Triangulation, folded: int) -> Tuple[Corner, ...]:
     """The puncture inside the self-folded triangle with this folded side."""
-    (ta, ia), (tb, ib) = occurrences(t)[folded]
+    (ta, ia), (tb, ib) = t.occurrences[folded]
     if ta != tb:
         raise TriangulationError(f"arc {folded} is not a folded side")
     # inner corner flanked by the two folded-side slots
     pos = ia if (ia + 1) % 3 == ib else ib
-    return corner_orbits(t)[(ta, pos)]
+    return t.corner_orbits[(ta, pos)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ def validate(t: Triangulation) -> None:
     if n != expect_n:
         raise TriangulationError(f"arc count {n} does not match surface data (expected {expect_n})")
 
-    occ = occurrences(t)
+    occ = t.occurrences
     for label in range(1, n + 1):
         if len(occ.get(label, ())) != 2:
             raise TriangulationError(f"arc {label} must occur exactly twice")
@@ -255,7 +251,7 @@ def validate(t: Triangulation) -> None:
             if not t.is_arc(dup):
                 raise TriangulationError(f"triangle {tri} repeats a boundary label")
 
-    orbit_of = corner_orbits(t)
+    orbit_of = t.corner_orbits
     n_marked = len(marked_points(t))
     n_punct = len(punctures(t))
     if n_punct != t.n_punctures:
@@ -399,7 +395,7 @@ class FlipResult:
 
 
 def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
-    occ = occurrences(t)[k]
+    occ = t.occurrences[k]
     (ta, ia), (tb, ib) = occ
     if ta == tb:
         raise UnsupportedFlipError(k, "folded side reached the ideal flip")
@@ -453,13 +449,13 @@ def flip(t: Triangulation, k: int) -> FlipResult:
     applied: List[int] = []
     cur = t
     while True:
-        occ = occurrences(cur)[k]
+        occ = cur.occurrences[k]
         folded = occ[0][0] == occ[1][0]
         quad_tris = {ti for ti, _ in occ}
         if folded:
             # the flip region also spans the triangle outside the loop
             loop = folded_sides(cur)[k]
-            quad_tris |= {ti for ti, _ in occurrences(cur)[loop]}
+            quad_tris |= {ti for ti, _ in cur.occurrences[loop]}
         hit = None
         for pid in sorted(cur.notched):
             orbit = punctures(cur)[pid - 1]

@@ -106,6 +106,13 @@ def test_criterion_4_arc_bangles_vs_mutation():
             _arc_sweep(name, 5, out)
         assert len(out) >= 50
         assert all(r.passed for r in out)
+        # every diagonal is checked once, in the first cluster that holds it
+        per_surface = {}
+        for r in out:
+            per_surface.setdefault(r.case.split(":", 1)[0], []).append(r.lhs)
+        counts = {name: len(lhs) for name, lhs in per_surface.items()}
+        assert counts == {"pentagon": 5, "hexagon": 9, "heptagon": 14, "octagon": 20, "annulus": 12}
+        assert all(len(set(lhs)) == len(lhs) for lhs in per_surface.values())
 
     _criterion("arc expansions vs mutation engine, words to length 5", 120.0, body)
 

@@ -191,3 +191,19 @@ def test_check_error_is_reported_and_sweep_continues(monkeypatch, cfg, name, exc
     assert all((r.lhs, r.rhs) == (type(exc).__name__, str(exc)) for r in failed)
     assert sum(r.identity == identity and r.passed for r in reports) > 0
     assert report_text(reports).splitlines()[-1] == f"{len(clean)} checks, {len(failed)} failed"
+
+
+def test_error_outside_any_check_fails_only_its_surface(monkeypatch):
+    # the arc sweep mutates seeds while it builds clusters, outside any check
+    def broken(*args):
+        raise InexactDivisionError("remainder left")
+
+    monkeypatch.setattr(harness, "seed_mutate", broken)
+    cfg = CorpusConfig(surfaces=("pentagon", "annulus"), arc_surfaces=("pentagon",))
+    reports = run_corpus(cfg)
+    failed = [r for r in reports if not r.passed]
+    assert [(r.case, r.identity, r.lhs, r.rhs) for r in failed] == [
+        ("pentagon", "corpus-load", "InexactDivisionError", "remainder left")
+    ]
+    annulus = [r for r in reports if r.case.startswith("annulus:")]
+    assert annulus and all(r.passed for r in annulus)

@@ -16,7 +16,6 @@ from bangles.mutation import (
     laurent_form,
     matrix_mutate,
     seed_mutate,
-    seed_mutate_word,
     yseed_mutate,
 )
 from bangles.poly import (
@@ -141,11 +140,6 @@ def test_cluster_variables_are_laurent():
             s = seed_mutate(s, k)
             for v in s.x:
                 laurent_form(v)  # raises if not Laurent
-
-
-def test_seed_mutate_word_matches_stepwise():
-    s = initial_seed(A3_B)
-    assert seed_mutate_word(s, [0, 1]).b == seed_mutate(seed_mutate(s, 0), 1).b
 
 
 # ---------------------------------------------------------------------------

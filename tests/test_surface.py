@@ -1,6 +1,8 @@
 """Triangulation combinatorics: parsing, vertex orbits, B(T), flips, tags."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -13,7 +15,6 @@ from bangles.surface import (
     adjacency_matrix,
     arc_endpoints,
     canonical_form,
-    corner_orbits,
     flip,
     flip_word,
     folded_sides,
@@ -99,6 +100,18 @@ def test_double_flip_restores_canonical_form():
         for k in range(1, t.n_arcs + 1):
             back = flip(flip(t, k).triangulation, k).triangulation
             assert canonical_form(back) == canonical_form(t), (name, k)
+
+
+def test_flipped_triangulation_is_freed_when_dropped():
+    # occurrences, corner orbits and vertices live on the object, so a long
+    # sweep does not keep every triangulation it passed through
+    t = flip(load_surface("hexagon"), 1).triangulation
+    validate(t)
+    flip(t, 2)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 def test_flip_compatibility_sweep():
@@ -233,7 +246,7 @@ def test_arc_count_must_match_surface():
 def test_annulus_endpoints():
     e0, e1 = arc_endpoints(ANNULUS, 1)
     assert e0 != e1  # the two boundary marked points
-    refs = {vertex_ref(ANNULUS, c) for c in corner_orbits(ANNULUS)}
+    refs = {vertex_ref(ANNULUS, c) for c in ANNULUS.corner_orbits}
     assert refs == {"marked:1", "marked:2"}
 
 
