@@ -19,22 +19,12 @@ from .harness import (
     report_text,
     run_corpus,
     verify_arc_bangle,
-    verify_key_lemma,
+    verify_key_lemma_word,
     verify_shear_flip,
 )
-from .poly import lp_format, lp_one, lp_var, var_names, xy_names
+from .poly import lp_format, lp_one, var_names, xy_names
 from .shear import ShearError, dual_shear
-from .snakegraph import (
-    SnakeGraph,
-    SnakeGraphError,
-    build_band_graph,
-    build_snake_graph,
-    msw_function,
-    principal_msw,
-    snake_F_poly,
-    snake_g_vector,
-    snake_h_vector,
-)
+from .snakegraph import SnakeGraph, SnakeGraphError, curve_expansion, curve_graph
 from .surface import (
     Triangulation,
     TriangulationError,
@@ -112,31 +102,21 @@ def cmd_compute(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
     n = t.n_arcs
-    xnames, ynames = var_names("x", n), var_names("y", n)
-    if c.arc is not None:
+    g = curve_graph(t, c)
+    if g is None:
         # an arc of the triangulation itself: empty graph, unit expansion
         print("graph: none (the curve is an arc of the triangulation)")
-        f = lp_one(n)
-        gv = tuple(1 if i == c.arc - 1 else 0 for i in range(n))
-        hv = (0,) * n
-        msw = lp_var(n, c.arc - 1)
-        pmsw = lp_var(2 * n, c.arc - 1)
+        f, gv, hv = lp_one(n), tuple(int(i == c.arc - 1) for i in range(n)), (0,) * n
     else:
-        g = build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
         for line in _graph_lines(g):
             print(line)
-        f = snake_F_poly(g)
-        gv = snake_g_vector(g)
-        hv = snake_h_vector(g)
-        msw = msw_function(t, c)
-        pmsw = principal_msw(t, c)
-    print(f"F = {lp_format(f, ynames)}")
+        f, gv, hv = g.f_poly, g.g_vector, g.h_vector
+    print(f"F = {lp_format(f, var_names('y', n))}")
     print(f"g = {gv}")
     print(f"h = {hv}")
-    if args.coefficients == "principal":
-        print(f"MSW = {lp_format(pmsw, xy_names(n))}")
-    else:
-        print(f"MSW = {lp_format(msw, xnames)}")
+    principal = args.coefficients == "principal"
+    names = xy_names(n) if principal else var_names("x", n)
+    print(f"MSW = {lp_format(curve_expansion(t, c, g, principal), names)}")
     return 0
 
 
@@ -159,14 +139,7 @@ def _emit(reports) -> int:
 def cmd_verify_keylemma(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
-    word = _parse_word(args.flips)
-    reports = []
-    for i, k in enumerate(word):
-        reports.extend(verify_key_lemma(t, k, c, case=f"step {i + 1}: flip={k}"))
-        res = flip(t, k)
-        c = transport_curve(c, res.quad)
-        t = res.triangulation
-    return _emit(reports)
+    return _emit(verify_key_lemma_word(t, c, _parse_word(args.flips)))
 
 
 def cmd_verify_shear(args) -> int:
@@ -178,8 +151,6 @@ def cmd_verify_shear(args) -> int:
         print(f"step {i}: Sh = {dual_shear(t, c)}")
         reports.append(verify_shear_flip(t, k, c, case=f"step {i + 1}: flip={k}"))
         res = flip(t, k)
-        if res.quad is None or not res.quad.transportable:
-            raise CliError(f"flip at {k} cannot carry the curve further")
         c = transport_curve(c, res.quad)
         t = res.triangulation
     print(f"step {len(word)}: Sh = {dual_shear(t, c)}")
@@ -212,7 +183,6 @@ def _add_common(sub, *, curve=True, flips=False, flips_required=False):
             default="",
             help='1-based flip word, e.g. "1 3 2"',
         )
-    sub.add_argument("--format", choices=["text"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify_arc)
 
     sub = subs.add_parser("run-corpus", help="run every bundled verification case")
-    sub.add_argument("--format", choices=["text"], default="text")
     sub.set_defaults(func=cmd_run_corpus)
 
     return parser

@@ -5,7 +5,9 @@ returns VerificationReports.  Both flip sweeps use one breadth-first walker
 over exchange-graph states: a closed curve on a triangulation for the key
 lemma, a cluster of arcs pulled back to the start for the arc checks.  It
 yields each state once, under its shortest flip word, so a sweep of depth
-d covers exactly the checks reachable by words of length <= d.
+d covers exactly the checks reachable by words of length <= d.  The
+key-lemma sweep builds each state's band graph once and keeps only its
+(F, g, h), until the sweep returns.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 Reports are deterministic: identical inputs give byte-identical output.
@@ -14,7 +16,7 @@ Reports are deterministic: identical inputs give byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
@@ -39,13 +41,7 @@ from .poly import (
     var_names,
 )
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
-from .snakegraph import (
-    build_band_graph,
-    msw_function,
-    snake_F_poly,
-    snake_g_vector,
-    snake_h_vector,
-)
+from .snakegraph import build_band_graph, msw_function
 from .surface import Triangulation, adjacency_matrix, canonical_form, flip, triangle_order
 
 IDENTITIES = (
@@ -91,20 +87,26 @@ def _require_transportable(t: Triangulation, k: int):
     return res
 
 
-def verify_key_lemma(
-    t: Triangulation, k: int, c: Curve, case: str = ""
-) -> List[VerificationReport]:
-    """One flip's worth of band-graph bookkeeping: the F identity under
-    Y-seed mutation, the g-vector rules, and h = min(0, g)."""
-    case = case or f"flip={k}"
+def _band_reads(t: Triangulation, c: Curve) -> tuple:
+    """(F, g, h) of a closed curve; its band graph is dropped on return."""
+    g = build_band_graph(t, c)
+    return g.f_poly, g.g_vector, g.h_vector
+
+
+def _across(t: Triangulation, k: int, c: Curve, reads: Callable) -> tuple:
+    """reads(t, c) and reads of c carried across the flip at k."""
     res = _require_transportable(t, k)
     moved = transport_curve(c, res.quad)
+    return reads(t, c), reads(res.triangulation, moved)
+
+
+def _key_lemma_reports(
+    t: Triangulation, k: int, before: tuple, after: tuple, case: str
+) -> List[VerificationReport]:
+    """Compare the (F, g, h) of a band graph before and after the flip at k."""
+    (f1, gv1, hv1), (f2, gv2, hv2) = before, after
     n = t.n_arcs
     b = adjacency_matrix(t)
-    g1, g2 = build_band_graph(t, c), build_band_graph(res.triangulation, moved)
-    f1, f2 = snake_F_poly(g1), snake_F_poly(g2)
-    gv1, gv2 = snake_g_vector(g1), snake_g_vector(g2)
-    hv1, hv2 = snake_h_vector(g1), snake_h_vector(g2)
     ynames = var_names("y", n)
 
     # F identity, negative powers cross-multiplied:
@@ -147,6 +149,31 @@ def verify_key_lemma(
             f"min(0,g)={floors[0]} min(0,g')={floors[1]}",
         )
     )
+    return reports
+
+
+def verify_key_lemma(
+    t: Triangulation, k: int, c: Curve, case: str = ""
+) -> List[VerificationReport]:
+    """One flip's worth of band-graph bookkeeping: the F identity under
+    Y-seed mutation, the g-vector rules, and h = min(0, g)."""
+    before, after = _across(t, k, c, _band_reads)
+    return _key_lemma_reports(t, k, before, after, case or f"flip={k}")
+
+
+def verify_key_lemma_word(
+    t: Triangulation, c: Curve, word: Sequence[int]
+) -> List[VerificationReport]:
+    """verify_key_lemma at each flip of a word, case "step i: flip=k".  Each
+    step's moved curve and its (F, g, h) carry over to the next step."""
+    reports: List[VerificationReport] = []
+    before = _band_reads(t, c)
+    for i, k in enumerate(word, 1):
+        res = _require_transportable(t, k)
+        c = transport_curve(c, res.quad)
+        after = _band_reads(res.triangulation, c)
+        reports.extend(_key_lemma_reports(t, k, before, after, f"step {i}: flip={k}"))
+        t, before = res.triangulation, after
     return reports
 
 
@@ -205,7 +232,7 @@ def verify_shear_flip(
 
 def verify_g_equals_shear(t: Triangulation, c: Curve, case: str = "") -> VerificationReport:
     sh = dual_shear(t, c)
-    gv = snake_g_vector(build_band_graph(t, c))
+    gv = build_band_graph(t, c).g_vector
     return VerificationReport(case or "closed curve", "g-equals-shear", sh == gv, repr(sh), repr(gv))
 
 
@@ -277,11 +304,21 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
         return
     t0 = load_surface(name)
     label = CLOSED_CURVES[name]
+    # (F, g, h) by state, for this sweep only.  A read that raises stores
+    # nothing, so each check that needs it fails under its own case.
+    known: Dict[tuple, tuple] = {}
+
+    def reads(t: Triangulation, c: Curve) -> tuple:
+        key = _state_key(t, c)
+        if key not in known:
+            known[key] = _band_reads(t, c)
+        return known[key]
+
     for cur, curve, word in _walk(t0, c0, depth - 1, transport_curve, _state_key):
         for k in range(1, cur.n_arcs + 1):
             case = f"{name}:{label}:word={word + [k]}"
             try:
-                out.extend(verify_key_lemma(cur, k, curve, case))
+                out.extend(_key_lemma_reports(cur, k, *_across(cur, k, curve, reads), case))
             except TransportError:
                 continue
             except Exception as exc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .poly import (
-    Poly,
     PosRational,
     lp_arity,
     rf_add,
@@ -69,9 +68,6 @@ def matrix_mutate(b: Matrix, k: int) -> Matrix:
             for j, v in enumerate(row)
         ))
     return tuple(out)
-
-
-ext_matrix_mutate = matrix_mutate
 
 
 def gamma_transform(g: Sequence[int], b: Matrix, k: int) -> Tuple[int, ...]:
@@ -164,15 +160,3 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     x = list(s.x)
     x[k] = new_xk
     return Seed(matrix_mutate(s.b, k), tuple(x))
-
-
-def laurent_form(v: PosRational) -> Poly:
-    """Clear the unreduced denominator, returning v as a Laurent polynomial.
-
-    Every cluster variable admits this form (Laurent phenomenon); a value
-    that does not raises InexactDivisionError, which test sweeps treat as a
-    mutation-engine bug.
-    """
-    from .poly import lp_divexact
-
-    return lp_divexact(v.num, v.den)

@@ -43,10 +43,6 @@ class NotSubtractionFreeError(ValueError):
 # constructors
 
 
-def lp_zero() -> Poly:
-    return {}
-
-
 def lp_const(nvars: int, c: int) -> Poly:
     return {(0,) * nvars: c} if c else {}
 
@@ -226,10 +222,6 @@ class PosRational:
     def __post_init__(self):
         if not self.num or not self.den:
             raise ZeroDivisionError("PosRational parts must be nonzero")
-
-
-def rf(num: Poly, den: Poly) -> PosRational:
-    return PosRational(num, den)
 
 
 def rf_from_poly(p: Poly) -> PosRational:

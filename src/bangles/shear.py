@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .curve import Curve, _landing, open_curve, transport_curve, validate_curve
-from .mutation import Matrix, ext_matrix_mutate
+from .mutation import Matrix, matrix_mutate
 from .surface import Triangulation, adjacency_matrix, flip
 
 ShearVector = Tuple[int, ...]
@@ -176,6 +176,6 @@ def shear_flip_sides(
         if res.quad is None:
             raise ShearError(f"flip at {k} has no transportable quadrilateral")
         moved = transport_curve(lam, res.quad)
-    lhs = ext_matrix_mutate(shear_matrix(t, lam), k - 1)
+    lhs = matrix_mutate(shear_matrix(t, lam), k - 1)
     rhs = shear_matrix(res.triangulation, moved)
     return lhs, rhs

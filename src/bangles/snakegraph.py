@@ -11,10 +11,11 @@ each (the seam copies), and the band graph is the quotient that glues them.
 Matchings are weighed twice over: an x-monomial multiplying the variables of
 the matched edge labels, and a y-monomial recording how far the matching
 winds above the minimal one.  All invariants here (F-polynomial, g- and
-h-vectors, the matching-sum Laurent expression of the curve) are read off
-the bivariate generating sum W over matchings.  One transfer scan computes
-W (three seam runs for a band), and the graph keeps it as `SnakeGraph.w`;
-`brute_force_sum` rebuilds W from an independent backtracking matcher.
+h-vectors, the curve's Laurent expansions) are read off the bivariate
+generating sum W over matchings.  One transfer scan computes W (three seam
+runs for a band); the graph caches W and each read off it, so each is
+computed once and freed with the graph.  `brute_force_sum` rebuilds W from
+an independent backtracking matcher.
 """
 
 from __future__ import annotations
@@ -74,10 +75,8 @@ class Edge:
 @dataclass(frozen=True, eq=False)
 class SnakeGraph:
     surface: Triangulation
-    curve: Curve
     tiles: Tuple[Tile, ...]
-    edges: Dict[EdgeId, Edge]
-    edge_order: Tuple[EdgeId, ...]
+    edges: Dict[EdgeId, Edge]  # in scan order: tile by tile
     band: bool
     iota: Optional[EdgeId]  # first tile's seam copy (bands only)
     omega: Optional[EdgeId]  # last tile's seam copy
@@ -90,16 +89,64 @@ class SnakeGraph:
 
     @cached_property
     def w(self) -> Poly:
-        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly.
-
-        Kept on the graph, so it lives exactly as long as the graph does.
-        """
+        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
         if not self.band:
             return _scan(self)
         acc: Poly = {}
         for forced, excluded, unweighted in _band_runs(self):
             _merge(acc, _scan(self, forced, excluded, unweighted))
         return acc
+
+    @cached_property
+    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """x-degrees and heights of the minimal matching, which must be the
+        only matching at the least height in every direction."""
+        n = self.surface.n_arcs
+        ys = [key[n:] for key in self.w]
+        m0 = tuple(min(y[i] for y in ys) for i in range(n))
+        floor = [(key, cnt) for key, cnt in self.w.items() if key[n:] == m0]
+        if len(floor) != 1 or floor[0][1] != 1:
+            raise SnakeGraphError("height floor is not a single matching")
+        return floor[0][0][:n], m0
+
+    @cached_property
+    def f_poly(self) -> Poly:
+        """Height generating polynomial: constant term 1, coefficients count
+        matchings at each normalized height."""
+        n = self.surface.n_arcs
+        m0 = self._floor[1]
+        out: Poly = {}
+        for key, cnt in self.w.items():
+            ykey = _sub_exps(key[n:], m0)
+            out[ykey] = out.get(ykey, 0) + cnt
+        return out
+
+    @cached_property
+    def g_vector(self) -> Tuple[int, ...]:
+        """x-degrees of the minimal matching minus the crossing degrees."""
+        return _sub_exps(self._floor[0], self.cross_vec)
+
+    @cached_property
+    def h_vector(self) -> Tuple[int, ...]:
+        """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
+        rows = enumerate(adjacency_matrix(self.surface))
+        dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
+        return tuple(trop_eval(self.f_poly, c) for c in dirs)
+
+    @cached_property
+    def msw(self) -> Poly:
+        """Laurent expansion: matching sum over the crossing monomial."""
+        n = self.surface.n_arcs
+        xonly: Poly = {}
+        for key, cnt in self.w.items():
+            xonly[key[:n]] = xonly.get(key[:n], 0) + cnt
+        return lp_mono_mul(xonly, tuple(-e for e in self.cross_vec), 1)
+
+    @cached_property
+    def principal_msw(self) -> Poly:
+        """Matching sum with heights above the floor kept: variables x1..xn
+        then y1..yn."""
+        return lp_mono_mul(self.w, tuple(-e for e in self.cross_vec + self._floor[1]), 1)
 
 
 def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
@@ -195,7 +242,6 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
 
     # assemble edges; a shared edge belongs to the earlier tile
     edges: Dict[EdgeId, Edge] = {}
-    order: List[EdgeId] = []
     col_tiles: Dict[int, List[Tile]] = {}
     for tile in tiles:
         col_tiles.setdefault(tile.pos[0], []).append(tile)
@@ -217,16 +263,13 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
                     if other.pos[1] >= y1:
                         y_vec[other.diagonal - 1] -= sgn
             edges[eid] = Edge(eid, label, _label_x_vec(t, label), tuple(y_vec))
-            order.append(eid)
 
     cross = crossing_monomial(t, c)
     (cross_vec,) = cross.keys()
     return SnakeGraph(
         surface=t,
-        curve=c,
         tiles=tuple(tiles),
         edges=edges,
-        edge_order=tuple(order),
         band=band,
         iota=iota,
         omega=omega,
@@ -261,14 +304,14 @@ def _scan(
     """
     n = g.surface.n_arcs
     last_use: Dict[Vertex, int] = {}
-    for idx, eid in enumerate(g.edge_order):
+    for idx, eid in enumerate(g.edges):
         for v in g.edges[eid].ends:
             last_use[v] = idx
     zero_x = (0,) * n
 
     # state: frozenset of covered-but-still-open vertices -> weight sum
     states: Dict[FrozenSet[Vertex], Poly] = {frozenset(): {(0,) * (2 * n): 1}}
-    for idx, eid in enumerate(g.edge_order):
+    for idx, eid in enumerate(g.edges):
         e = g.edges[eid]
         u, w = e.ends
         ew = (zero_x if eid in unweighted else e.x_vec) + e.y_vec
@@ -332,84 +375,51 @@ def _matching_y(g: SnakeGraph, m: FrozenSet) -> Tuple[int, ...]:
     return acc
 
 
-def _min_y(g: SnakeGraph) -> Tuple[int, ...]:
-    n = g.surface.n_arcs
-    ys = [key[n:] for key in g.w]
-    return tuple(min(y[i] for y in ys) for i in range(n))
-
-
 def _sub_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
-# invariants read off W
+# invariants of a graph, and of a curve on a triangulation
 
 
 def snake_F_poly(g: SnakeGraph) -> Poly:
-    """Height generating polynomial: constant term 1, coefficients count
-    matchings at each normalized height."""
-    n = g.surface.n_arcs
-    w = g.w
-    m0 = _min_y(g)
-    out: Poly = {}
-    for key, cnt in w.items():
-        ykey = _sub_exps(key[n:], m0)
-        out[ykey] = out.get(ykey, 0) + cnt
-    if out.get((0,) * n) != 1:
-        raise SnakeGraphError("height floor is not a single matching")
-    return out
+    return g.f_poly
 
 
 def snake_g_vector(g: SnakeGraph) -> Tuple[int, ...]:
-    """x-degrees of the minimal matching minus the crossing degrees."""
-    n = g.surface.n_arcs
-    w = g.w
-    m0 = _min_y(g)
-    floor = [(key, cnt) for key, cnt in w.items() if key[n:] == m0]
-    if len(floor) != 1 or floor[0][1] != 1:
-        raise SnakeGraphError("height floor is not a single matching")
-    return _sub_exps(floor[0][0][:n], g.cross_vec)
+    return g.g_vector
 
 
 def snake_h_vector(g: SnakeGraph) -> Tuple[int, ...]:
-    """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
-    b = adjacency_matrix(g.surface)
-    f = snake_F_poly(g)
-    n = len(b)
-    out = []
-    for i in range(n):
-        c = tuple(-1 if j == i else max(-b[i][j], 0) for j in range(n))
-        out.append(trop_eval(f, c))
-    return tuple(out)
+    return g.h_vector
+
+
+def curve_graph(t: Triangulation, c: Curve) -> Optional[SnakeGraph]:
+    """The band graph of a closed curve, the snake graph of an open one, and
+    None for an arc of t itself (checked against t), which crosses nothing."""
+    if c.arc is not None:
+        validate_curve(t, c)
+        return None
+    return build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
+
+
+def curve_expansion(t: Triangulation, c: Curve, g: Optional[SnakeGraph], principal: bool) -> Poly:
+    """c's Laurent expansion read off g = curve_graph(t, c), in x1..xn, or in
+    x1..xn then y1..yn when principal; an arc of t is its own variable."""
+    if g is None:
+        return lp_var(2 * t.n_arcs if principal else t.n_arcs, c.arc - 1)
+    return g.principal_msw if principal else g.msw
 
 
 def msw_function(t: Triangulation, c: Curve) -> Poly:
     """Laurent expansion of a curve: matching sum over crossing monomial."""
-    if c.arc is not None:
-        validate_curve(t, c)
-        return lp_var(t.n_arcs, c.arc - 1)
-    g = build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
-    n = t.n_arcs
-    w = g.w
-    xonly: Poly = {}
-    for key, cnt in w.items():
-        xkey = key[:n]
-        xonly[xkey] = xonly.get(xkey, 0) + cnt
-    return lp_mono_mul(xonly, tuple(-e for e in g.cross_vec), 1)
+    return curve_expansion(t, c, curve_graph(t, c), principal=False)
 
 
 def principal_msw(t: Triangulation, c: Curve) -> Poly:
     """Matching sum with heights kept: variables x1..xn then y1..yn."""
-    n = t.n_arcs
-    if c.arc is not None:
-        validate_curve(t, c)
-        return lp_var(2 * n, c.arc - 1)
-    g = build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
-    w = g.w
-    m0 = _min_y(g)
-    shift = tuple(-e for e in g.cross_vec) + tuple(-e for e in m0)
-    return lp_mono_mul(w, shift, 1)
+    return curve_expansion(t, c, curve_graph(t, c), principal=True)
 
 
 def bangle_of_lamination(t: Triangulation, curves: Sequence[Curve]) -> Poly:
@@ -441,7 +451,7 @@ def brute_force_matchings(g: SnakeGraph) -> List[FrozenSet]:
 
     edge_ids: List = []
     ends: Dict = {}
-    for eid in g.edge_order:
+    for eid in g.edges:
         if g.band and eid in (g.iota, g.omega):
             continue
         u, w = g.edges[eid].ends

@@ -53,10 +53,6 @@ class Triangulation:
     triangles: Tuple[Tuple[int, int, int], ...]
     notched: FrozenSet[int] = frozenset()  # puncture ids with all ends notched
 
-    @property
-    def n(self) -> int:
-        return self.n_arcs
-
     def is_arc(self, label: int) -> bool:
         return 1 <= label <= self.n_arcs
 

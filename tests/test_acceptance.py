@@ -17,7 +17,6 @@ from bangles.harness import (
     verify_key_lemma,
 )
 from bangles.mutation import (
-    ext_matrix_mutate,
     initial_seed,
     initial_y,
     is_skew_symmetric,
@@ -185,7 +184,7 @@ def test_criterion_6_structural_invariants():
                 tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)
             )
             ext = tuple(tuple(-v for v in row) for row in b) + extra
-            assert ext_matrix_mutate(ext_matrix_mutate(ext, k), k) == ext
+            assert matrix_mutate(matrix_mutate(ext, k), k) == ext
 
             ys = initial_y(n)
             back = yseed_mutate(yseed_mutate(ys, b, k), m, k)

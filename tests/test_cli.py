@@ -1,6 +1,10 @@
+import pytest
+
+from bangles import snakegraph
 from bangles.cli import main
-from bangles.curve import arc_curve, format_curve, transport_curve
-from bangles.fixtures import load_surface
+from bangles.curve import arc_curve, format_curve, parse_curve, transport_curve
+from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
+from bangles.poly import lp_format, var_names, xy_names
 from bangles.surface import flip
 
 
@@ -66,6 +70,61 @@ def test_compute_plain_arc(tmp_path, capsys):
     assert "MSW = x2" in out
 
 
+@pytest.mark.parametrize("coefficients", ["none", "principal"])
+@pytest.mark.parametrize("surface", sorted(CLOSED_CURVES))
+def test_compute_prints_the_graph_reads(capsys, surface, coefficients):
+    curve = CLOSED_CURVES[surface]
+    code, out, _ = run(
+        capsys,
+        "compute",
+        "--triangulation",
+        surface,
+        "--curve",
+        curve,
+        "--coefficients",
+        coefficients,
+    )
+    assert code == 0
+    t = load_surface(surface)
+    g = snakegraph.build_band_graph(t, parse_curve(t, load_curve_text(curve)))
+    n = t.n_arcs
+    if coefficients == "principal":
+        msw = lp_format(g.principal_msw, xy_names(n))
+    else:
+        msw = lp_format(g.msw, var_names("x", n))
+    assert out.splitlines()[-4:] == [
+        f"F = {lp_format(g.f_poly, var_names('y', n))}",
+        f"g = {g.g_vector}",
+        f"h = {g.h_vector}",
+        f"MSW = {msw}",
+    ]
+
+
+def test_compute_builds_one_graph(monkeypatch, capsys):
+    real = snakegraph._build
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(snakegraph, "_build", counting)
+    for coefficients in ("none", "principal"):
+        calls.clear()
+        code, _, _ = run(
+            capsys,
+            "compute",
+            "--triangulation",
+            "annulus",
+            "--curve",
+            "annulus-core",
+            "--coefficients",
+            coefficients,
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_mutate_prints_matrix_and_triangulation(capsys):
     code, out, _ = run(capsys, "mutate", "--triangulation", "annulus", "--flips", "1")
     assert code == 0
@@ -106,6 +165,24 @@ def test_verify_shear_prints_each_step(capsys):
     assert "step 1: Sh = (-1, 1)" in out
     assert "step 2: Sh = (1, -1)" in out
     assert out.count("[pass] shear-flip") == 2
+
+
+def test_verify_shear_stops_at_a_flip_the_curve_cannot_follow(tmp_path, capsys):
+    curve_file = tmp_path / "a.curve"
+    curve_file.write_text("curve closed=0\narc 1\n")
+    code, out, err = run(
+        capsys,
+        "verify-shear",
+        "--triangulation",
+        "punctured-square",
+        "--curve",
+        str(curve_file),
+        "--flips",
+        "1 3 2",
+    )
+    assert code == 2
+    assert "step 2: Sh =" in out
+    assert "flip of arc 2 involved tags or folded sides" in err
 
 
 def test_verify_arc_roundtrip(tmp_path, capsys):

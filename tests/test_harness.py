@@ -207,3 +207,18 @@ def test_error_outside_any_check_fails_only_its_surface(monkeypatch):
     ]
     annulus = [r for r in reports if r.case.startswith("annulus:")]
     assert annulus and all(r.passed for r in annulus)
+
+
+def test_key_lemma_sweep_builds_each_state_once(monkeypatch):
+    built = []
+    real = harness.build_band_graph
+
+    def recording(t, c):
+        built.append(harness._state_key(t, c))
+        return real(t, c)
+
+    monkeypatch.setattr(harness, "build_band_graph", recording)
+    out = []
+    harness._keylemma_sweep("annulus", 3, out)
+    assert out and all(r.passed for r in out)
+    assert len(built) == len(set(built))

@@ -28,6 +28,7 @@ from bangles.snakegraph import (
     brute_force_sum,
     build_band_graph,
     build_snake_graph,
+    curve_graph,
     msw_function,
     principal_msw,
     snake_F_poly,
@@ -45,10 +46,6 @@ def closed_fixtures():
     for surface, curve in CLOSED_CURVES.items():
         t = load_surface(surface)
         yield surface, t, parse_curve(t, load_curve_text(curve))
-
-
-def graph_of(t, c):
-    return build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
 
 
 def test_annulus_band_layout():
@@ -140,6 +137,8 @@ def test_arc_msw_is_its_variable():
     for name in ("pentagon", "annulus", "punctured-square"):
         t = load_surface(name)
         assert msw_function(t, arc_curve(2)) == lp_var(t.n_arcs, 1)
+        assert principal_msw(t, arc_curve(2)) == lp_var(2 * t.n_arcs, 1)
+        assert curve_graph(t, arc_curve(2)) is None
 
 
 def test_bangle_products():
@@ -176,8 +175,10 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
 
     monkeypatch.setattr(snakegraph, "_scan", counting_scan)
     g = build_band_graph(t, c)
-    snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w
+    snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w, g.msw, g.principal_msw
     assert len(calls) == 3  # one scan per seam run, shared by every reader
+    assert g.msw == msw_function(t, c) and g.principal_msw == principal_msw(t, c)
+    assert len(calls) == 9  # the two wrappers build and scan graphs of their own
     ref = weakref.ref(g)
     del g
     gc.collect()
