@@ -5,11 +5,15 @@ returns VerificationReports.  Both flip sweeps use one breadth-first walker
 over exchange-graph states: a closed curve on a triangulation for the key
 lemma, a cluster of arcs pulled back to the start for the arc checks.  It
 yields each state once, under its shortest flip word, so a sweep of depth
-d covers exactly the checks reachable by words of length <= d.  The
-key-lemma sweep builds each state's band graph once and keeps only its
-(F, g, h), until the sweep returns.
+d covers exactly the checks reachable by words of length <= d.  The walker
+flips each state once per arc and hands out every flip it took, with the
+child state and its key; the key-lemma sweep checks each such flip edge,
+builds each state's band graph once and keeps only its (F, g, h), until
+the sweep returns.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
+A flip or a transport that raises anything but TransportError ends the
+walk, and run_corpus records one corpus-load failure for that surface.
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -93,13 +97,6 @@ def _band_reads(t: Triangulation, c: Curve) -> tuple:
     return g.f_poly, g.g_vector, g.h_vector
 
 
-def _across(t: Triangulation, k: int, c: Curve, reads: Callable) -> tuple:
-    """reads(t, c) and reads of c carried across the flip at k."""
-    res = _require_transportable(t, k)
-    moved = transport_curve(c, res.quad)
-    return reads(t, c), reads(res.triangulation, moved)
-
-
 def _key_lemma_reports(
     t: Triangulation, k: int, before: tuple, after: tuple, case: str
 ) -> List[VerificationReport]:
@@ -111,10 +108,11 @@ def _key_lemma_reports(
 
     # F identity, negative powers cross-multiplied:
     #   F(y) * (1+y'_k)^{-h'_k}  ==  F'(y') * (1+y_k)^{-h_k}
+    # F at the initial Y-seed is F itself; only F' is substituted.
     ys = initial_y(n)
     yp = yseed_mutate(ys, b, k - 1)
     one = rf_one(n)
-    lhs = rf_mul(lp_substitute(f1, ys), rf_pow(rf_add(one, yp[k - 1]), -hv2[k - 1]))
+    lhs = rf_mul(rf_from_poly(f1), rf_pow(rf_add(one, yp[k - 1]), -hv2[k - 1]))
     rhs = rf_mul(lp_substitute(f2, yp), rf_pow(rf_add(one, ys[k - 1]), -hv1[k - 1]))
     reports = [
         VerificationReport(
@@ -152,20 +150,12 @@ def _key_lemma_reports(
     return reports
 
 
-def verify_key_lemma(
-    t: Triangulation, k: int, c: Curve, case: str = ""
-) -> List[VerificationReport]:
-    """One flip's worth of band-graph bookkeeping: the F identity under
-    Y-seed mutation, the g-vector rules, and h = min(0, g)."""
-    before, after = _across(t, k, c, _band_reads)
-    return _key_lemma_reports(t, k, before, after, case or f"flip={k}")
-
-
 def verify_key_lemma_word(
     t: Triangulation, c: Curve, word: Sequence[int]
 ) -> List[VerificationReport]:
-    """verify_key_lemma at each flip of a word, case "step i: flip=k".  Each
-    step's moved curve and its (F, g, h) carry over to the next step."""
+    """The key lemma at each flip of a word, case "step i: flip=k": the F
+    identity under Y-seed mutation, the g-vector rules, and h = min(0, g).
+    Each step's moved curve and its (F, g, h) carry over to the next step."""
     reports: List[VerificationReport] = []
     before = _band_reads(t, c)
     for i, k in enumerate(word, 1):
@@ -272,29 +262,33 @@ def _state_key(cur: Triangulation, curve: Curve) -> tuple:
 
 
 def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable) -> Iterator[tuple]:
-    """Yield (triangulation, state, flip word) once per state reachable from
-    (t0, start) by at most `depth` transportable flips, under its shortest
-    flip word.  advance(state, quad) carries a state across a flip (a
-    TransportError skips the flip); states with equal key(t, state) are one.
+    """Yield (triangulation, state, key, flip word, edges) once per state
+    reachable from (t0, start) by at most `depth` transportable flips, under
+    its shortest flip word.  advance(state, quad) carries a state across a
+    flip (a TransportError skips the flip); states with equal key(t, state)
+    are one.  edges lists (k, child triangulation, child state, child key)
+    for every transportable flip out of a state above `depth`, and is empty
+    at `depth`.  Any other error of a flip or an advance ends the walk.
     """
-    seen = {key(t0, start)}
-    frontier = [(t0, start, [])]
+    k0 = key(t0, start)
+    seen = {k0}
+    frontier = [(t0, start, k0, [])]
     while frontier:
         nxt = []
-        for cur, state, word in frontier:
-            yield cur, state, word
-            if len(word) >= depth:
-                continue
-            for k in range(1, cur.n_arcs + 1):
+        for cur, state, sk, word in frontier:
+            edges = []
+            for k in range(1, cur.n_arcs + 1) if len(word) < depth else ():
                 try:
                     res = _require_transportable(cur, k)
                     child = advance(state, res.quad)
                 except TransportError:
                     continue
                 ck = key(res.triangulation, child)
+                edges.append((k, res.triangulation, child, ck))
                 if ck not in seen:
                     seen.add(ck)
-                    nxt.append((res.triangulation, child, word + [k]))
+                    nxt.append((res.triangulation, child, ck, word + [k]))
+            yield cur, state, sk, word, edges
         frontier = nxt
 
 
@@ -304,23 +298,22 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
         return
     t0 = load_surface(name)
     label = CLOSED_CURVES[name]
-    # (F, g, h) by state, for this sweep only.  A read that raises stores
-    # nothing, so each check that needs it fails under its own case.
+    # (F, g, h) by the walker's state key, for this sweep only.  A read that
+    # raises stores nothing, so each check that needs it fails under its
+    # own case.
     known: Dict[tuple, tuple] = {}
 
-    def reads(t: Triangulation, c: Curve) -> tuple:
-        key = _state_key(t, c)
+    def reads(t: Triangulation, c: Curve, key: tuple) -> tuple:
         if key not in known:
             known[key] = _band_reads(t, c)
         return known[key]
 
-    for cur, curve, word in _walk(t0, c0, depth - 1, transport_curve, _state_key):
-        for k in range(1, cur.n_arcs + 1):
+    for cur, curve, key, word, edges in _walk(t0, c0, depth, transport_curve, _state_key):
+        for k, t2, c2, key2 in edges:
             case = f"{name}:{label}:word={word + [k]}"
             try:
-                out.extend(_key_lemma_reports(cur, k, *_across(cur, k, curve, reads), case))
-            except TransportError:
-                continue
+                before, after = reads(cur, curve, key), reads(t2, c2, key2)
+                out.extend(_key_lemma_reports(cur, k, before, after, case))
             except Exception as exc:
                 # one call computes keylemma-F, -g and -h together
                 out.extend(_error_report(case, i, exc) for i in IDENTITIES[:3])
@@ -382,7 +375,7 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
     start = (initial_seed(adjacency_matrix(t0)), (), backs)
     checked: Set[Curve] = set()
     cluster = lambda t, state: frozenset(state[2])
-    for _, (seed, _, backs), word in _walk(t0, start, depth, _flip_cluster, cluster):
+    for _, (seed, _, backs), _, word, _ in _walk(t0, start, depth, _flip_cluster, cluster):
         for j, back in enumerate(backs, 1):
             if back in checked:
                 continue

@@ -12,8 +12,8 @@ Matchings are weighed twice over: an x-monomial multiplying the variables of
 the matched edge labels, and a y-monomial recording how far the matching
 winds above the minimal one.  All invariants here (F-polynomial, g- and
 h-vectors, the curve's Laurent expansions) are read off the bivariate
-generating sum W over matchings.  One transfer scan computes W (three seam
-runs for a band); the graph caches W and each read off it, so each is
+generating sum W over matchings.  One transfer scan computes W, for snakes
+and bands alike; the graph caches W and each read off it, so each is
 computed once and freed with the graph.  `brute_force_sum` rebuilds W from
 an independent backtracking matcher.
 """
@@ -90,12 +90,7 @@ class SnakeGraph:
     @cached_property
     def w(self) -> Poly:
         """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
-        if not self.band:
-            return _scan(self)
-        acc: Poly = {}
-        for forced, excluded, unweighted in _band_runs(self):
-            _merge(acc, _scan(self, forced, excluded, unweighted))
-        return acc
+        return _scan(self)
 
     @cached_property
     def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -290,46 +285,54 @@ def build_band_graph(t: Triangulation, c: Curve) -> SnakeGraph:
 # matchings: transfer scan along the staircase
 
 
-def _scan(
-    g: SnakeGraph,
-    forced: FrozenSet[EdgeId] = frozenset(),
-    excluded: FrozenSet[EdgeId] = frozenset(),
-    unweighted: FrozenSet[EdgeId] = frozenset(),
-) -> Poly:
+def _scan(g: SnakeGraph) -> Poly:
     """Walk the edges tile by tile, keeping only covered-vertex frontiers.
 
-    Sums the weights (2n-exponent -> count) of the matchings that use every
-    forced edge and no excluded one; an unweighted edge adds its y-weight
-    but not its x-weight.
+    Sums the weights (2n-exponent -> count) of the good matchings.  A band's
+    seam copies are scanned without their x-weight, and a taken copy leaves
+    its own id in the frontier.  A band matching takes ι, ω or both (both
+    is the seam edge itself), and only the last adds the seam's x-weight,
+    once.
     """
     n = g.surface.n_arcs
+    seam = (g.iota, g.omega)  # (None, None) for a snake
     last_use: Dict[Vertex, int] = {}
     for idx, eid in enumerate(g.edges):
         for v in g.edges[eid].ends:
             last_use[v] = idx
     zero_x = (0,) * n
 
-    # state: frozenset of covered-but-still-open vertices -> weight sum
-    states: Dict[FrozenSet[Vertex], Poly] = {frozenset(): {(0,) * (2 * n): 1}}
+    # state: frozenset of covered-but-still-open vertices and taken seam
+    # copies -> weight sum
+    states: Dict[FrozenSet, Poly] = {frozenset(): {(0,) * (2 * n): 1}}
     for idx, eid in enumerate(g.edges):
         e = g.edges[eid]
         u, w = e.ends
-        ew = (zero_x if eid in unweighted else e.x_vec) + e.y_vec
-        nxt: Dict[FrozenSet[Vertex], Poly] = {}
+        if eid in seam:
+            ew, taken = zero_x + e.y_vec, {u, w, eid}
+        else:
+            ew, taken = e.x_vec + e.y_vec, {u, w}
+        nxt: Dict[FrozenSet, Poly] = {}
         for cover, value in states.items():
-            if eid not in forced:
-                _merge(nxt.setdefault(cover, {}), value)
-            if eid in excluded or u in cover or w in cover:
+            _merge(nxt.setdefault(cover, {}), value)
+            if u in cover or w in cover:
                 continue
             shifted = {_add_exps(key, ew): cnt for key, cnt in value.items()}
-            _merge(nxt.setdefault(cover | {u, w}, {}), shifted)
+            _merge(nxt.setdefault(cover | taken, {}), shifted)
         # retire vertices with no later edges: they must be covered by now
         retire = {v for v in (u, w) if last_use[v] == idx}
         states = {}
         for cover, value in nxt.items():
             if not retire - cover:
                 _merge(states.setdefault(cover - retire, {}), value)
-    return states.get(frozenset(), {})
+    if not g.band:
+        return states.get(frozenset(), {})
+    iota, omega = frozenset({g.iota}), frozenset({g.omega})
+    seam_x = g.edges[g.iota].x_vec + zero_x
+    out = {_add_exps(key, seam_x): cnt for key, cnt in states.get(iota | omega, {}).items()}
+    for alone in (iota, omega):
+        _merge(out, states.get(alone, {}))
+    return out
 
 
 def _merge(acc: Poly, part: Poly) -> None:
@@ -339,15 +342,6 @@ def _merge(acc: Poly, part: Poly) -> None:
 
 def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _band_runs(g: SnakeGraph):
-    """(forced, excluded, unweighted) for the three seam configurations whose
-    scans add up to W; the seam's x-weight is counted once."""
-    iota, omega = frozenset({g.iota}), frozenset({g.omega})
-    yield iota | omega, frozenset(), omega
-    yield iota, omega, iota
-    yield omega, iota, omega
 
 
 def _lift_band_matching(g: SnakeGraph, m: FrozenSet) -> FrozenSet[EdgeId]:

@@ -14,7 +14,7 @@ from bangles.harness import (
     _closed_fixture,
     _keylemma_sweep,
     _shear_sweep,
-    verify_key_lemma,
+    verify_key_lemma_word,
 )
 from bangles.mutation import (
     initial_seed,
@@ -65,7 +65,7 @@ def test_criterion_1_annulus_reproduction():
         twist = rf_pow(rf_add(rf_one(2), rf_var(2, 0)), 2)
         assert rf_eq(yp[1], rf_mul(rf_var(2, 1), twist))
 
-        reports = verify_key_lemma(t, 1, core)
+        reports = verify_key_lemma_word(t, core, [1])
         assert all(r.passed for r in reports)
 
     _criterion("annulus reproduction", 1.0, body)

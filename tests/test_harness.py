@@ -11,7 +11,7 @@ from bangles.harness import (
     run_corpus,
     verify_arc_bangle,
     verify_g_equals_shear,
-    verify_key_lemma,
+    verify_key_lemma_word,
     verify_shear_flip,
 )
 from bangles.poly import InexactDivisionError
@@ -35,7 +35,7 @@ def test_identity_names_are_fixed():
 
 def test_key_lemma_on_annulus():
     t, c = _annulus_core()
-    reports = verify_key_lemma(t, 1, c, case="annulus")
+    reports = verify_key_lemma_word(t, c, [1])
     assert [r.identity for r in reports] == ["keylemma-F", "keylemma-g", "keylemma-h"]
     assert all(r.passed for r in reports)
     h_report = reports[2]
@@ -222,3 +222,42 @@ def test_key_lemma_sweep_builds_each_state_once(monkeypatch):
     harness._keylemma_sweep("annulus", 3, out)
     assert out and all(r.passed for r in out)
     assert len(built) == len(set(built))
+
+
+def test_key_lemma_sweep_flips_once_per_check(monkeypatch):
+    flips = []
+    real = harness.flip
+
+    def counting(t, k):
+        flips.append(k)
+        return real(t, k)
+
+    monkeypatch.setattr(harness, "flip", counting)
+    out = []
+    harness._keylemma_sweep("annulus2", 3, out)
+    checks = [r for r in out if r.identity == "keylemma-F"]
+    assert all(r.passed for r in out)
+    assert len(flips) == len(checks) == 60
+
+
+def test_transport_error_in_walk_fails_only_its_surface(monkeypatch):
+    # the walker carries the curve across each flip, outside any check
+    real = harness.transport_curve
+    annulus_core = harness._closed_fixture("annulus")
+
+    def broken(c, quad, **kwargs):
+        if c == annulus_core:
+            raise KeyError("no such step")
+        return real(c, quad, **kwargs)
+
+    monkeypatch.setattr(harness, "transport_curve", broken)
+    cfg = CorpusConfig(surfaces=("annulus", "annulus2"), arc_surfaces=())
+    reports = run_corpus(cfg)
+    failed = [r for r in reports if not r.passed]
+    assert [(r.case, r.identity, r.lhs, r.rhs) for r in failed] == [
+        ("annulus", "corpus-load", "KeyError", "'no such step'")
+    ]
+    annulus = [r.identity for r in reports if r.case.startswith("annulus:")]
+    assert annulus and not any(i.startswith("keylemma") for i in annulus)
+    other = [r for r in reports if r.case.startswith("annulus2:")]
+    assert any(r.identity == "keylemma-F" for r in other) and all(r.passed for r in other)

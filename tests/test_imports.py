@@ -1,6 +1,8 @@
-"""Every imported name is used: an AST scan of the package and its tests."""
+"""AST scans: every imported name is used, in the package and its tests, and
+every private module-level helper of the package has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +33,36 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(), str(path))
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in _unused_imports(tree)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _names(node):
+    """Counts of every name and attribute referenced under node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _orphans(trees):
+    """Module-level private functions and classes that no code outside their
+    own definition names."""
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if everywhere[name] == _names(node)[name]:
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return out
+
+
+def test_no_orphaned_private_helpers():
+    paths = sorted((ROOT / "src" / "bangles").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    orphans = _orphans(trees)
+    assert not orphans, "private helper never referenced:\n" + "\n".join(orphans)

@@ -169,16 +169,16 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
     scan = snakegraph._scan
     calls = []
 
-    def counting_scan(g, *seam_run):  # keeps no reference to g
-        calls.append(seam_run)
-        return scan(g, *seam_run)
+    def counting_scan(g):  # keeps no reference to g
+        calls.append(g.d)
+        return scan(g)
 
     monkeypatch.setattr(snakegraph, "_scan", counting_scan)
     g = build_band_graph(t, c)
     snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w, g.msw, g.principal_msw
-    assert len(calls) == 3  # one scan per seam run, shared by every reader
+    assert len(calls) == 1  # one scan, shared by every reader
     assert g.msw == msw_function(t, c) and g.principal_msw == principal_msw(t, c)
-    assert len(calls) == 9  # the two wrappers build and scan graphs of their own
+    assert len(calls) == 3  # the two wrappers build and scan graphs of their own
     ref = weakref.ref(g)
     del g
     gc.collect()
