@@ -2,8 +2,9 @@
 
 Triangulations and curves are given either as file paths or as bundled
 fixture names (`annulus`, `annulus-core`, ...).  Flip words are 1-based
-arc labels separated by whitespace, e.g. "1 3 2".  Every verify command
-exits 0 exactly when all its checks pass.
+arc labels separated by whitespace, e.g. "1 3 2"; only verify-arc takes
+an empty one.  Every verify command exits 0 exactly when all its checks
+pass.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def _parse_word(text: str) -> List[int]:
         word = [int(p) for p in text.split()]
     except ValueError:
         raise CliError(f"flip word must be whitespace-separated integers: {text!r}")
+    if not word:
+        raise CliError("flip word is empty")
     if any(k < 1 for k in word):
         raise CliError("flip word entries are 1-based arc labels")
     return word
@@ -162,7 +165,7 @@ def cmd_verify_arc(args) -> int:
     c = _load_curve(t, args.curve)
     if c.arc is None:
         raise CliError("verify-arc wants a label-only curve file (an `arc j` line)")
-    word = _parse_word(args.flips) if args.flips else []
+    word = _parse_word(args.flips) if args.flips.strip() else []
     return _emit([verify_arc_bangle(t, c.arc, word)])
 
 

@@ -1,9 +1,11 @@
 """Exchange-matrix, seed, Y-seed, and g-vector mutation.
 
 Matrices are tuples of tuples of ints (rows), mutation indices are 0-based.
-Cluster variables are stored as unreduced rationals in the initial
-variables, never as abstract symbols, so they can be compared directly
-against matching expansions via rf_eq.
+Cluster variables are Laurent polynomials in the initial variables, never
+abstract symbols, so they compare with `==` against matching expansions.
+Each exchange divides exactly: a mutation that leaves the Laurent ring
+raises InexactDivisionError.  Y-seed values are rational, not Laurent,
+so Y-seeds stay subtraction-free rationals.
 
 Coefficient regime: seeds are coefficient-free (y = 1).  Principal
 coefficients are not produced by a 2n x n seed recursion: where they are
@@ -17,8 +19,15 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .poly import (
+    Poly,
     PosRational,
     lp_arity,
+    lp_add,
+    lp_divexact,
+    lp_mul,
+    lp_one,
+    lp_pow,
+    lp_var,
     rf_add,
     rf_inv,
     rf_mul,
@@ -129,7 +138,7 @@ def initial_y(n: int) -> Tuple[PosRational, ...]:
 @dataclass(frozen=True)
 class Seed:
     b: Matrix
-    x: Tuple[PosRational, ...]
+    x: Tuple[Poly, ...]
 
     @property
     def n(self) -> int:
@@ -141,22 +150,22 @@ def initial_seed(b: Sequence[Sequence[int]]) -> Seed:
     if not is_skew_symmetric(bm):
         raise ValueError("exchange matrix must be skew-symmetric")
     n = len(bm)
-    return Seed(bm, tuple(rf_var(n, i) for i in range(n)))
+    return Seed(bm, tuple(lp_var(n, i) for i in range(n)))
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
-    """Coefficient-free exchange: x'_k * x_k = prod_+ + prod_-, B mutated."""
+    """Coefficient-free exchange: x'_k * x_k = prod_+ + prod_-, B mutated.
+    x'_k is an exact quotient (InexactDivisionError if it is not Laurent)."""
     n = s.n
     _check_index(n, k)
-    plus = rf_one(n)
-    minus = rf_one(n)
+    plus = minus = lp_one(n)
     for j in range(n):
         bjk = s.b[j][k]
         if bjk > 0:
-            plus = rf_mul(plus, rf_pow(s.x[j], bjk))
+            plus = lp_mul(plus, lp_pow(s.x[j], bjk))
         elif bjk < 0:
-            minus = rf_mul(minus, rf_pow(s.x[j], -bjk))
-    new_xk = rf_mul(rf_add(plus, minus), rf_inv(s.x[k]))
+            minus = lp_mul(minus, lp_pow(s.x[j], -bjk))
+    new_xk = lp_divexact(lp_add(plus, minus), s.x[k])
     x = list(s.x)
     x[k] = new_xk
     return Seed(matrix_mutate(s.b, k), tuple(x))

@@ -10,7 +10,9 @@ tuple); it fixes printing, equality of rendered forms, and the leading term
 used by exact division.
 
 Rationals are unreduced num/den pairs compared by cross-multiplication
-(`rf_eq`); no gcd is ever computed.
+(`rf_eq`); no gcd is ever computed.  They serve only values that really are
+rational (Y-seeds and the key-lemma F identity); cluster variables are
+Laurent polynomials.
 
 The two inner loops (term merge and product accumulation) live in
 `_polypure`.
@@ -157,8 +159,10 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     Long division on graded-lex leading terms.  In the Laurent ring every
     monomial divides every other, so each step cancels the remainder's
     leading term; for exact quotients the number of steps equals the number
-    of quotient terms.  A nonzero final remainder (or a blown step budget,
-    which only an inexact division can produce here) raises.
+    of quotient terms.  A leading coefficient that does not divide raises
+    InexactDivisionError, and so does a blown step budget: an inexact
+    division that never clears its remainder, or an exact quotient with
+    more than DIVEXACT_MAX_STEPS terms.
     """
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
@@ -172,7 +176,7 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     while rem:
         steps += 1
         if steps > DIVEXACT_MAX_STEPS:
-            raise InexactDivisionError("division did not terminate; quotient is not a Laurent polynomial")
+            raise InexactDivisionError(f"division took more than {DIVEXACT_MAX_STEPS} steps")
         er, cr = lp_leading(rem)
         c, leftover = divmod(cr, cq)
         if leftover:

@@ -22,9 +22,10 @@ self-folded triangles on its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .mutation import Matrix, as_matrix
 
@@ -136,15 +137,15 @@ def pi_map(t: Triangulation) -> Dict[int, int]:
 
 class _UnionFind:
     def __init__(self):
-        self.parent: Dict[Corner, Corner] = {}
+        self.parent: Dict[Hashable, Hashable] = {}
 
-    def find(self, x: Corner) -> Corner:
+    def find(self, x: Hashable) -> Hashable:
         p = self.parent.setdefault(x, x)
         if p != x:
             self.parent[x] = p = self.find(p)
         return p
 
-    def union(self, a: Corner, b: Corner) -> None:
+    def union(self, a: Hashable, b: Hashable) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
@@ -259,24 +260,14 @@ def validate(t: Triangulation) -> None:
         raise TriangulationError("Euler characteristic mismatch")
 
     # boundary segments chain into one cycle per component, of the right sizes
-    comp_uf: Dict[Tuple[Corner, ...], Tuple[Corner, ...]] = {}
-
-    def find(v):
-        while comp_uf.setdefault(v, v) != v:
-            v = comp_uf[v]
-        return v
-
-    seg_ends = {}
+    uf = _UnionFind()
+    starts = []
     for label in range(n + 1, n + nb + 1):
         ti, pos = occ[label][0]
         a, b = orbit_of[(ti, (pos - 1) % 3)], orbit_of[(ti, pos)]
-        seg_ends[label] = (a, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp_uf[max(ra, rb)] = min(ra, rb)
-    sizes: Dict[Tuple[Corner, ...], int] = {}
-    for label, (a, _) in seg_ends.items():
-        sizes[find(a)] = sizes.get(find(a), 0) + 1
+        uf.union(a, b)
+        starts.append(a)
+    sizes = Counter(uf.find(a) for a in starts)
     if sorted(sizes.values()) != sorted(t.boundary_marks):
         raise TriangulationError("boundary cycle sizes do not match the component data")
 
@@ -293,7 +284,7 @@ def validate(t: Triangulation) -> None:
 
 
 # ---------------------------------------------------------------------------
-# adjacency matrix and signature
+# adjacency matrix
 
 
 def adjacency_matrix(t: Triangulation) -> Matrix:
@@ -318,16 +309,6 @@ def adjacency_matrix(t: Triangulation) -> Matrix:
                     b[j - 1][k - 1] += 1
                     b[k - 1][j - 1] -= 1
     return as_matrix(b)
-
-
-def signature(t: Triangulation) -> Dict[int, int]:
-    """Per-puncture tag census: 1 all plain, 0 mixed pair, -1 all notched."""
-    out = {pid: 1 for pid in range(1, len(punctures(t)) + 1)}
-    for pid in t.notched:
-        out[pid] = -1
-    for r in folded_sides(t):
-        out[puncture_id(t, enclosed_puncture(t, r))] = 0
-    return out
 
 
 # ---------------------------------------------------------------------------

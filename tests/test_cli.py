@@ -224,6 +224,24 @@ def test_bad_flip_word(capsys):
     assert "whitespace-separated integers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mutate", "--triangulation", "annulus"],
+        ["verify-keylemma", "--triangulation", "annulus", "--curve", "annulus-core"],
+        ["verify-shear", "--triangulation", "annulus", "--curve", "annulus-core"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("flips", ["", "  "], ids=["empty", "blank"])
+def test_empty_flip_word_is_a_user_error(capsys, argv, flips):
+    # a verify command that checks nothing must not report success
+    code, out, err = run(capsys, *argv, "--flips", flips)
+    assert code == 2
+    assert out == ""
+    assert "flip word is empty" in err
+
+
 def test_unsupported_flip_label(capsys):
     code, _, err = run(capsys, "mutate", "--triangulation", "annulus", "--flips", "9")
     assert code == 2

@@ -123,6 +123,14 @@ def test_arc_sweep_reaches_both_twist_directions():
     assert all(r.passed for r in arcs)
 
 
+def test_arc_check_sides_are_one_laurent_polynomial():
+    # a cluster variable is a Laurent polynomial, so a passing arc check
+    # prints the same text on both sides
+    arcs = [r for r in run_corpus(CorpusConfig(arc_depth=6)) if r.identity == "arc-vs-cluster"]
+    assert len(arcs) == 62
+    assert all(r.passed and r.lhs == r.rhs for r in arcs)
+
+
 def test_deeper_words_reach_new_cases():
     shallow = run_corpus(CorpusConfig(surfaces=("annulus",), arc_surfaces=()))
     deep = run_corpus(

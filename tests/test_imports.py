@@ -1,5 +1,6 @@
-"""AST scans: every imported name is used, in the package and its tests, and
-every private module-level helper of the package has a caller."""
+"""AST scans: every imported name is used, in the package and its tests,
+every private module-level helper of the package has a caller, and every
+public one has a caller outside the tests or is exported."""
 
 import ast
 from collections import Counter
@@ -66,3 +67,35 @@ def test_no_orphaned_private_helpers():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
     orphans = _orphans(trees)
     assert not orphans, "private helper never referenced:\n" + "\n".join(orphans)
+
+
+# Public names that only tests call, each kept on purpose.
+TEST_ONLY_PUBLIC = {
+    "brute_force_sum": "matching-enumeration reference the transfer scan is compared against",
+    "gamma_transform": "shear transport law the extended-matrix mutation is compared against",
+    "lp_parse": "inverse of lp_format, for writing expected values as text",
+    "format_curve": "inverse of parse_curve, for round-trip tests",
+}
+
+
+def test_no_test_only_public_functions():
+    package = sorted((ROOT / "src" / "bangles").rglob("*.py"))
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    exported = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported.update(elt.value for elt in node.value.elts)
+    unused = []
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = node.name
+            if everywhere[name] == _names(node)[name] and name not in exported | TEST_ONLY_PUBLIC.keys():
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert not unused, "public function or class only tests call:\n" + "\n".join(unused)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bangles.mutation import (
+    Seed,
     as_matrix,
     gamma_transform,
     gvec_mutate_with_h,
@@ -17,12 +18,17 @@ from bangles.mutation import (
     yseed_mutate,
 )
 from bangles.poly import (
-    lp_divexact,
+    InexactDivisionError,
     lp_parse,
+    lp_scale,
+    lp_var,
+    rf_add,
     rf_eq,
     rf_from_poly,
     rf_inv,
     rf_mul,
+    rf_one,
+    rf_pow,
     rf_var,
     var_names,
 )
@@ -102,43 +108,83 @@ def test_yseed_decoupled():
 # seed mutation
 
 
+def _rational_seed_mutate(b, x, k):
+    """The exchange over unreduced rationals, kept as an oracle."""
+    n = len(b)
+    plus = minus = rf_one(n)
+    for j in range(n):
+        if b[j][k] > 0:
+            plus = rf_mul(plus, rf_pow(x[j], b[j][k]))
+        elif b[j][k] < 0:
+            minus = rf_mul(minus, rf_pow(x[j], -b[j][k]))
+    x = list(x)
+    x[k] = rf_mul(rf_add(plus, minus), rf_inv(x[k]))
+    return matrix_mutate(b, k), tuple(x)
+
+
+def _assert_matches_rational_oracle(b, word):
+    s = initial_seed(b)
+    ob, ox = s.b, tuple(rf_var(s.n, i) for i in range(s.n))
+    for k in word:
+        s = seed_mutate(s, k)
+        ob, ox = _rational_seed_mutate(ob, ox, k)
+        assert s.b == ob
+        for v, want in zip(s.x, ox):
+            assert rf_eq(rf_from_poly(v), want)
+
+
 def test_seed_mutate_a2():
     s = seed_mutate(initial_seed(A2_B), 0)
     names = var_names("x", 2)
-    want = rf_mul(rf_from_poly(lp_parse("1 + x2", names)), rf_inv(rf_var(2, 0)))
-    assert rf_eq(s.x[0], want)
-    assert rf_eq(s.x[1], rf_var(2, 1))
+    assert s.x == (lp_parse("x1^-1 + x1^-1*x2", names), lp_var(2, 1))
     assert s.b == matrix_mutate(A2_B, 0)
 
 
 def test_seed_mutate_decoupled_doubles():
     zero = as_matrix([[0, 0], [0, 0]])
     s = seed_mutate(initial_seed(zero), 0)
-    want = rf_mul(rf_from_poly(lp_parse("2", ["x1", "x2"])), rf_inv(rf_var(2, 0)))
-    assert rf_eq(s.x[0], want)
+    assert s.x[0] == lp_parse("2*x1^-1", ["x1", "x2"])
 
 
 def test_seed_mutate_involution():
     s0 = initial_seed(A3_B)
     s2 = seed_mutate(seed_mutate(s0, 1), 1)
     assert s2.b == s0.b
-    for a, b in zip(s2.x, s0.x):
-        assert rf_eq(a, b)
+    assert s2.x == s0.x
 
 
 def test_cluster_variables_are_laurent():
-    # every variable along these words must clear its denominator exactly
+    # seed_mutate divides exactly (it raises if a variable is not Laurent);
+    # each variable must equal the rational exchange's value
     words = [
         (A2_B, [0, 1, 0, 1, 0, 1]),
         (ANNULUS_B, [0, 1, 0, 1, 0, 1]),
         (A3_B, [1, 0, 2, 1, 0, 2]),
     ]
     for b, word in words:
-        s = initial_seed(b)
-        for k in word:
-            s = seed_mutate(s, k)
-            for v in s.x:
-                lp_divexact(v.num, v.den)  # raises if not Laurent
+        _assert_matches_rational_oracle(b, word)
+    s = seed_mutate(initial_seed(ANNULUS_B), 0)
+    assert s.x[0] == lp_parse("x1^-1 + x1^-1*x2^2", var_names("x", 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_seed_mutate_matches_rational_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = data.draw(st.integers(-2, 2))
+            rows[j][i] = -rows[i][j]
+    word = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    _assert_matches_rational_oracle(as_matrix(rows), word)
+
+
+def test_seed_mutate_rejects_a_non_laurent_exchange():
+    # (1 + x2) / (2*x1) has no integer Laurent form
+    s = Seed(A2_B, (lp_scale(lp_var(2, 0), 2), lp_var(2, 1)))
+    with pytest.raises(InexactDivisionError):
+        seed_mutate(s, 0)
 
 
 # ---------------------------------------------------------------------------

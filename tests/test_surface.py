@@ -23,7 +23,6 @@ from bangles.surface import (
     parse_triangulation,
     pi_map,
     punctures,
-    signature,
     tag_switch,
     validate,
     vertex_ref,
@@ -144,7 +143,6 @@ def test_boundary_flip_rejected():
 def test_square_flip_chain_to_self_folded():
     t4, steps = flip_word(SQUARE, [1, 3, 2])
     assert folded_sides(t4) == {4: 2}
-    assert signature(t4) == {1: 0}
     assert steps[-1].quad is not None and not steps[-1].quad.transportable
     assert pi_map(t4)[4] == 2
     # the loop and its folded side share rows up to sign structure
@@ -161,7 +159,6 @@ def test_flip_of_loop_returns():
 def test_flip_of_folded_side_gives_all_notched():
     t5, steps = flip_word(SQUARE, [1, 3, 2, 4])
     assert t5.notched == frozenset({1})
-    assert signature(t5) == {1: -1}
     assert not folded_sides(t5)
     assert steps[-1].quad is None
 
