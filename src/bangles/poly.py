@@ -159,10 +159,12 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     Long division on graded-lex leading terms.  In the Laurent ring every
     monomial divides every other, so each step cancels the remainder's
     leading term; for exact quotients the number of steps equals the number
-    of quotient terms.  A leading coefficient that does not divide raises
-    InexactDivisionError, and so does a blown step budget: an inexact
-    division that never clears its remainder, or an exact quotient with
-    more than DIVEXACT_MAX_STEPS terms.
+    of quotient terms.  Graded lex is translation-invariant on Z^n, so an
+    exact quotient's terms all sit at or above lowest(p)/lowest(q).
+    InexactDivisionError is raised by a quotient term below that bound, by
+    a leading coefficient that does not divide, and by a blown step budget:
+    an inexact division that never clears its remainder nor falls below
+    the bound, or an exact quotient with more than DIVEXACT_MAX_STEPS terms.
     """
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
@@ -170,6 +172,8 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     if not p:
         return {}
     eq, cq = lp_leading(q)
+    floor = tuple(x - y for x, y in zip(min(p, key=grlex_key), min(q, key=grlex_key)))
+    floor_key = grlex_key(floor)
     quot: Poly = {}
     rem = dict(p)
     steps = 0
@@ -182,8 +186,16 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
         if leftover:
             raise InexactDivisionError(f"leading coefficient {cr} not divisible by {cq}")
         e = tuple(x - y for x, y in zip(er, eq))
+        if grlex_key(e) < floor_key:
+            raise InexactDivisionError(f"quotient term {e} below the lowest possible term {floor}")
         quot[e] = c
-        rem = lp_sub(rem, lp_mono_mul(q, e, c))
+        for eq_i, cq_i in q.items():  # rem -= c * vars^e * q, in place
+            k = tuple(x + y for x, y in zip(eq_i, e))
+            v = rem.get(k, 0) - c * cq_i
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
     return quot
 
 

@@ -14,8 +14,12 @@ winds above the minimal one.  All invariants here (F-polynomial, g- and
 h-vectors, the curve's Laurent expansions) are read off the bivariate
 generating sum W over matchings.  One transfer scan computes W, for snakes
 and bands alike; the graph caches W and each read off it, so each is
-computed once and freed with the graph.  `brute_force_sum` rebuilds W from
-an independent backtracking matcher.
+computed once and freed with the graph.  The scan works on Python ints: its
+frontiers are vertex bitmasks, and each 2n-exponent weight is packed into
+one int, in signed fields whose width is derived from the graph's edge
+weights, then unpacked to exponent tuples once at the end.
+`brute_force_sum` rebuilds W from an independent backtracking matcher that
+keeps its own tuple arithmetic.
 """
 
 from __future__ import annotations
@@ -290,54 +294,113 @@ def _scan(g: SnakeGraph) -> Poly:
 
     Sums the weights (2n-exponent -> count) of the good matchings.  A band's
     seam copies are scanned without their x-weight, and a taken copy leaves
-    its own id in the frontier.  A band matching takes ι, ω or both (both
+    its own bit in the frontier.  A band matching takes ι, ω or both (both
     is the seam edge itself), and only the last adds the seam's x-weight,
     once.
+
+    The scan runs on ints.  A frontier is a bitmask over the graph's
+    vertices and the two seam copies, so membership, union and retirement
+    are `&`, `|` and `& ~`.  A weight is packed into one int with one
+    signed field per exponent (`_pack`), so adding an edge's weight is one
+    int add.  The field width comes from the graph (`_field_width`), wide
+    enough that no partial sum carries into its neighbour.  The sums are
+    unpacked to exponent tuples once, at the end.
     """
     n = g.surface.n_arcs
     seam = (g.iota, g.omega)  # (None, None) for a snake
+    width = _field_width(g)
+    bit: Dict[object, int] = {}
     last_use: Dict[Vertex, int] = {}
     for idx, eid in enumerate(g.edges):
         for v in g.edges[eid].ends:
+            bit.setdefault(v, 1 << len(bit))
             last_use[v] = idx
+    for eid in seam if g.band else ():
+        bit[eid] = 1 << len(bit)
     zero_x = (0,) * n
 
-    # state: frozenset of covered-but-still-open vertices and taken seam
-    # copies -> weight sum
-    states: Dict[FrozenSet, Poly] = {frozenset(): {(0,) * (2 * n): 1}}
+    # per edge: its end bits, the bits a matching that takes it sets, its
+    # packed weight, and the bits of the vertices no later edge touches
+    plan = []
     for idx, eid in enumerate(g.edges):
         e = g.edges[eid]
-        u, w = e.ends
+        ends = bit[e.ends[0]] | bit[e.ends[1]]
         if eid in seam:
-            ew, taken = zero_x + e.y_vec, {u, w, eid}
+            weight, taken = zero_x + e.y_vec, ends | bit[eid]
         else:
-            ew, taken = e.x_vec + e.y_vec, {u, w}
-        nxt: Dict[FrozenSet, Poly] = {}
+            weight, taken = e.x_vec + e.y_vec, ends
+        retire = sum(bit[v] for v in e.ends if last_use[v] == idx)
+        plan.append((ends, taken, _pack(weight, width), retire))
+
+    # state: bitmask of covered-but-still-open vertices and taken seam
+    # copies -> (packed weight -> count); a frontier that leaves a retired
+    # vertex uncovered dies
+    states: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    for ends, taken, weight, retire in plan:
+        nxt: Dict[int, Dict[int, int]] = {}
         for cover, value in states.items():
-            _merge(nxt.setdefault(cover, {}), value)
-            if u in cover or w in cover:
-                continue
-            shifted = {_add_exps(key, ew): cnt for key, cnt in value.items()}
-            _merge(nxt.setdefault(cover | taken, {}), shifted)
-        # retire vertices with no later edges: they must be covered by now
-        retire = {v for v in (u, w) if last_use[v] == idx}
-        states = {}
-        for cover, value in nxt.items():
-            if not retire - cover:
-                _merge(states.setdefault(cover - retire, {}), value)
-    if not g.band:
-        return states.get(frozenset(), {})
-    iota, omega = frozenset({g.iota}), frozenset({g.omega})
-    seam_x = g.edges[g.iota].x_vec + zero_x
-    out = {_add_exps(key, seam_x): cnt for key, cnt in states.get(iota | omega, {}).items()}
-    for alone in (iota, omega):
-        _merge(out, states.get(alone, {}))
+            if not cover & ends:
+                key = (cover | taken) & ~retire
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = {p + weight: cnt for p, cnt in value.items()}
+                else:
+                    get = acc.get
+                    for p, cnt in value.items():
+                        p += weight
+                        acc[p] = get(p, 0) + cnt
+            if not retire & ~cover:
+                key = cover & ~retire
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = value  # no later read: `states` is dropped
+                else:
+                    get = acc.get
+                    for p, cnt in value.items():
+                        acc[p] = get(p, 0) + cnt
+        states = nxt
+
+    if g.band:
+        iota, omega = bit[g.iota], bit[g.omega]
+        seam_x = _pack(g.edges[g.iota].x_vec + zero_x, width)
+        parts = [(iota | omega, seam_x), (iota, 0), (omega, 0)]
+    else:
+        parts = [(0, 0)]
+    total: Dict[int, int] = {}
+    for cover, shift in parts:
+        for p, cnt in states.get(cover, {}).items():
+            p += shift
+            total[p] = total.get(p, 0) + cnt
+    return {_unpack(p, 2 * n, width): cnt for p, cnt in total.items()}
+
+
+def _field_width(g: SnakeGraph) -> int:
+    """Bits per packed exponent.  Every partial weight in a scan sums the
+    weights of a subset of g's edges, so no exponent's magnitude exceeds the
+    sum of that coordinate's magnitudes over all edges; a sign bit and a
+    spare bit on top keep each field from carrying into the next."""
+    columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
+    return max(sum(map(abs, col)) for col in columns).bit_length() + 2
+
+
+def _pack(vec: Sequence[int], width: int) -> int:
+    """Exponent vector -> one int, coordinate i in bits [i*width, (i+1)*width)
+    as a signed field.  Linear: packing a sum of vectors gives the sum of
+    their packed ints."""
+    out = 0
+    for i, x in enumerate(vec):
+        out += x << (i * width)
     return out
 
 
-def _merge(acc: Poly, part: Poly) -> None:
-    for key, cnt in part.items():
-        acc[key] = acc.get(key, 0) + cnt
+def _unpack(p: int, n: int, width: int) -> Tuple[int, ...]:
+    """Inverse of `_pack` for n fields in [-2^(width-1), 2^(width-1)).
+
+    Adding 2^(width-1) to every field makes each one non-negative, so the
+    fields are plain bit slices."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    p += half * (((1 << (n * width)) - 1) // mask)
+    return tuple([((p >> shift) & mask) - half for shift in range(0, n * width, width)])
 
 
 def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bangles import poly
 from bangles.poly import (
     ArityError,
     InexactDivisionError,
@@ -206,6 +207,15 @@ def test_divexact_telescoping_quotient():
 def test_divexact_rejects_inexact():
     with pytest.raises(InexactDivisionError):
         lp_divexact(P("1 + y1 + y2"), P("1 + y1"))
+
+
+def test_divexact_stops_below_the_lowest_quotient_term(monkeypatch):
+    # unit leading coefficients: only the grlex floor lowest(p)/lowest(q)
+    # catches this before the step budget
+    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 10)
+    x2 = var_names("x", 2)
+    with pytest.raises(InexactDivisionError, match="below the lowest possible term"):
+        lp_divexact(P("1 + x2", x2), P("1 + x1", x2))
 
 
 def test_divexact_by_monomial_shifts():

@@ -5,15 +5,18 @@ import itertools
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bangles import snakegraph
 from bangles.curve import arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
+    lp_const,
     lp_mul,
     lp_one,
     lp_parse,
+    lp_sub,
     lp_var,
     var_names,
 )
@@ -191,10 +194,77 @@ def test_torus_band_zigzags():
     assert all(a != b for a, b in zip(dirs, dirs[1:]))
 
 
-def test_dp_matches_brute_force_on_fixture_bands():
+# largest k-fold band graph per closed fixture that brute force enumerates in
+# well under a second (annulus 8-fold: 2207 matchings)
+BRUTE_FORCE_KMAX = {"annulus": 8, "annulus2": 4, "torus-boundary": 3}
+
+
+def k_fold_fixtures(kmax):
     for name, t, c in closed_fixtures():
-        g = build_band_graph(t, c)
-        assert g.w == brute_force_sum(g), name
+        for k in range(1, kmax[name] + 1):
+            yield name, k, build_band_graph(t, closed_curve(c.steps * k))
+
+
+def test_dp_matches_brute_force_on_fixture_bands():
+    for name, k, g in k_fold_fixtures(BRUTE_FORCE_KMAX):
+        assert g.w == brute_force_sum(g), (name, k)
+
+
+def test_k_fold_annulus_core_is_chebyshev():
+    # msw(k-fold) = T_k(msw(1-fold)), T_0 = 2, T_1 = x, T_k = x*T_{k-1} - T_{k-2};
+    # the 12-fold core has the widest packed fields of the corpus bracelets
+    x = msw_function(ANNULUS, CORE)
+    cheb = [lp_const(2, 2), x]
+    for _ in range(2, 13):
+        cheb.append(lp_sub(lp_mul(x, cheb[-1]), cheb[-2]))
+    for k in range(1, 13):
+        assert build_band_graph(ANNULUS, closed_curve(CORE.steps * k)).msw == cheb[k], k
+
+
+# field widths `_scan` derives for the k-fold fixtures up to k = 12
+WIDTHS = sorted(
+    {snakegraph._field_width(g) for *_, g in k_fold_fixtures(dict.fromkeys(CLOSED_CURVES, 12))}
+)
+
+
+@st.composite
+def packable(draw):
+    """(width, one vector with full-range fields, vectors whose sum still
+    fits): fields at a derived width, negative ones included."""
+    width = draw(st.sampled_from(WIDTHS))
+    n, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    full = 2 ** (width - 1) - 1
+    vec = draw(st.tuples(*[st.integers(-full, full)] * n))
+    part = st.tuples(*[st.integers(-(full // count), full // count)] * n)
+    return width, vec, draw(st.lists(part, min_size=count, max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packable())
+def test_packing_round_trips_and_adds(case):
+    width, vec, parts = case
+    n = len(vec)
+    assert snakegraph._unpack(snakegraph._pack(vec, width), n, width) == vec
+    total = tuple(map(sum, zip(*parts)))
+    packed = sum(snakegraph._pack(v, width) for v in parts)
+    assert snakegraph._pack(total, width) == packed
+    assert snakegraph._unpack(packed, n, width) == total
+
+
+def test_brute_force_shares_no_scan_code(monkeypatch):
+    t = load_surface("torus-boundary")
+    c = parse_curve(t, load_curve_text("torus-weave"))
+    expected = build_band_graph(t, c).w
+
+    def boom(*args):
+        raise AssertionError("the oracle reached the transfer scan")
+
+    for name in ("_scan", "_field_width", "_pack", "_unpack"):
+        monkeypatch.setattr(snakegraph, name, boom)
+    g = build_band_graph(t, c)
+    assert brute_force_sum(g) == expected
+    with pytest.raises(AssertionError, match="transfer scan"):
+        g.w
 
 
 def test_dp_matches_brute_force_on_transported_arcs():
