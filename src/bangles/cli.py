@@ -30,7 +30,6 @@ from .surface import (
     Triangulation,
     TriangulationError,
     UnsupportedFlipError,
-    adjacency_matrix,
     flip,
     format_triangulation,
     parse_triangulation,
@@ -128,7 +127,7 @@ def cmd_mutate(args) -> int:
     word = _parse_word(args.flips)
     for k in word:
         t = flip(t, k).triangulation
-        print(f"flip {k}: B = {adjacency_matrix(t)}")
+        print(f"flip {k}: B = {t.adjacency}")
     print(format_triangulation(t), end="")
     return 0
 

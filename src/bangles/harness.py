@@ -46,7 +46,7 @@ from .poly import (
 )
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
 from .snakegraph import build_band_graph, msw_function
-from .surface import Triangulation, adjacency_matrix, canonical_form, flip, triangle_order
+from .surface import Triangulation, canonical_form, flip, triangle_order
 
 IDENTITIES = (
     "keylemma-F",
@@ -103,7 +103,7 @@ def _key_lemma_reports(
     """Compare the (F, g, h) of a band graph before and after the flip at k."""
     (f1, gv1, hv1), (f2, gv2, hv2) = before, after
     n = t.n_arcs
-    b = adjacency_matrix(t)
+    b = t.adjacency
     ynames = var_names("y", n)
 
     # F identity, negative powers cross-multiplied:
@@ -195,7 +195,7 @@ def verify_arc_bangle(
     """
     case = case or f"arc={arc} word={list(flip_word)}"
     cur, quads = t, []
-    seed = initial_seed(adjacency_matrix(t))
+    seed = initial_seed(t.adjacency)
     for k in flip_word:
         res = _require_transportable(cur, k)
         quads.append(res.quad)
@@ -368,7 +368,7 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
     t0 = load_surface(name)
     n = t0.n_arcs
     backs = tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1))
-    start = (initial_seed(adjacency_matrix(t0)), (), backs)
+    start = (initial_seed(t0.adjacency), (), backs)
     checked: Set[Curve] = set()
     cluster = lambda t, state: frozenset(state[2])
     for _, (seed, _, backs), _, word, _ in _walk(t0, start, depth, _flip_cluster, cluster):

@@ -21,7 +21,6 @@ from typing import List, Sequence, Tuple
 from .poly import (
     Poly,
     PosRational,
-    lp_arity,
     lp_add,
     lp_divexact,
     lp_mul,
@@ -115,7 +114,7 @@ def yseed_mutate(y: Sequence[PosRational], b: Matrix, k: int) -> Tuple[PosRation
     n = len(b)
     _check_index(n, k)
     yk = y[k]
-    one_plus = rf_add(rf_one(lp_arity(yk.num)), yk)
+    one_plus = rf_add(rf_one(yk.nvars), yk)
     out: List[PosRational] = []
     for j in range(n):
         if j == k:

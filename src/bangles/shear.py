@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .curve import Curve, _landing, open_curve, transport_curve, validate_curve
 from .mutation import Matrix, matrix_mutate
-from .surface import Triangulation, adjacency_matrix, flip
+from .surface import Triangulation, flip
 
 ShearVector = Tuple[int, ...]
 
@@ -160,7 +160,7 @@ def elementary_laminate(t: Triangulation, j: int, turns: int = 2) -> Curve:
 
 def shear_matrix(t: Triangulation, lam: Curve) -> Matrix:
     """[-B(T)] stacked over the shear row of the laminate."""
-    b = adjacency_matrix(t)
+    b = t.adjacency
     rows = [tuple(-x for x in row) for row in b]
     rows.append(dual_shear(t, lam))
     return tuple(rows)

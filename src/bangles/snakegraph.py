@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import _polypure
 from .curve import Curve, _landing, crossing_monomial, validate_curve
 from .poly import (
     Poly,
@@ -37,7 +38,7 @@ from .poly import (
     lp_var,
     trop_eval,
 )
-from .surface import Triangulation, adjacency_matrix, folded_sides
+from .surface import Triangulation, folded_sides
 
 Vertex = Tuple[int, int]
 EdgeId = Tuple[Vertex, Vertex]  # sorted endpoint pair; the band seam is "seam"
@@ -128,7 +129,7 @@ class SnakeGraph:
     @cached_property
     def h_vector(self) -> Tuple[int, ...]:
         """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
-        rows = enumerate(adjacency_matrix(self.surface))
+        rows = enumerate(self.surface.adjacency)
         dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
         return tuple(trop_eval(self.f_poly, c) for c in dirs)
 
@@ -301,10 +302,10 @@ def _scan(g: SnakeGraph) -> Poly:
     The scan runs on ints.  A frontier is a bitmask over the graph's
     vertices and the two seam copies, so membership, union and retirement
     are `&`, `|` and `& ~`.  A weight is packed into one int with one
-    signed field per exponent (`_pack`), so adding an edge's weight is one
-    int add.  The field width comes from the graph (`_field_width`), wide
-    enough that no partial sum carries into its neighbour.  The sums are
-    unpacked to exponent tuples once, at the end.
+    signed field per exponent (`_polypure._pack`), so adding an edge's
+    weight is one int add.  The field width comes from the graph
+    (`_field_width`), wide enough that no partial sum carries into its
+    neighbour.  The sums are unpacked to exponent tuples once, at the end.
     """
     n = g.surface.n_arcs
     seam = (g.iota, g.omega)  # (None, None) for a snake
@@ -330,7 +331,7 @@ def _scan(g: SnakeGraph) -> Poly:
         else:
             weight, taken = e.x_vec + e.y_vec, ends
         retire = sum(bit[v] for v in e.ends if last_use[v] == idx)
-        plan.append((ends, taken, _pack(weight, width), retire))
+        plan.append((ends, taken, _polypure._pack(weight, width), retire))
 
     # state: bitmask of covered-but-still-open vertices and taken seam
     # copies -> (packed weight -> count); a frontier that leaves a retired
@@ -362,7 +363,7 @@ def _scan(g: SnakeGraph) -> Poly:
 
     if g.band:
         iota, omega = bit[g.iota], bit[g.omega]
-        seam_x = _pack(g.edges[g.iota].x_vec + zero_x, width)
+        seam_x = _polypure._pack(g.edges[g.iota].x_vec + zero_x, width)
         parts = [(iota | omega, seam_x), (iota, 0), (omega, 0)]
     else:
         parts = [(0, 0)]
@@ -371,7 +372,7 @@ def _scan(g: SnakeGraph) -> Poly:
         for p, cnt in states.get(cover, {}).items():
             p += shift
             total[p] = total.get(p, 0) + cnt
-    return {_unpack(p, 2 * n, width): cnt for p, cnt in total.items()}
+    return {_polypure._unpack(p, 2 * n, width): cnt for p, cnt in total.items()}
 
 
 def _field_width(g: SnakeGraph) -> int:
@@ -381,26 +382,6 @@ def _field_width(g: SnakeGraph) -> int:
     spare bit on top keep each field from carrying into the next."""
     columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
     return max(sum(map(abs, col)) for col in columns).bit_length() + 2
-
-
-def _pack(vec: Sequence[int], width: int) -> int:
-    """Exponent vector -> one int, coordinate i in bits [i*width, (i+1)*width)
-    as a signed field.  Linear: packing a sum of vectors gives the sum of
-    their packed ints."""
-    out = 0
-    for i, x in enumerate(vec):
-        out += x << (i * width)
-    return out
-
-
-def _unpack(p: int, n: int, width: int) -> Tuple[int, ...]:
-    """Inverse of `_pack` for n fields in [-2^(width-1), 2^(width-1)).
-
-    Adding 2^(width-1) to every field makes each one non-negative, so the
-    fields are plain bit slices."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    p += half * (((1 << (n * width)) - 1) // mask)
-    return tuple([((p >> shift) & mask) - half for shift in range(0, n * width, width)])
 
 
 def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:

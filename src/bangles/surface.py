@@ -111,6 +111,11 @@ class Triangulation:
             seen[orbit] = "marked" if on_boundary else "puncture"
         return tuple(sorted(seen.items()))
 
+    @cached_property
+    def adjacency(self) -> Matrix:
+        """B(T), computed once per triangulation by `adjacency_matrix`."""
+        return adjacency_matrix(self)
+
 
 # ---------------------------------------------------------------------------
 # derived combinatorics

@@ -19,8 +19,8 @@ from bangles.mutation import (
 )
 from bangles.poly import (
     InexactDivisionError,
+    lp_monomial,
     lp_parse,
-    lp_scale,
     lp_var,
     rf_add,
     rf_eq,
@@ -182,7 +182,7 @@ def test_seed_mutate_matches_rational_oracle(data):
 
 def test_seed_mutate_rejects_a_non_laurent_exchange():
     # (1 + x2) / (2*x1) has no integer Laurent form
-    s = Seed(A2_B, (lp_scale(lp_var(2, 0), 2), lp_var(2, 1)))
+    s = Seed(A2_B, (lp_monomial((1, 0), 2), lp_var(2, 1)))
     with pytest.raises(InexactDivisionError):
         seed_mutate(s, 0)
 

@@ -1,15 +1,18 @@
 """Laurent polynomial arithmetic, tropical evaluation, rational equality."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bangles import poly
+from bangles import _polypure, poly
 from bangles.poly import (
     ArityError,
     InexactDivisionError,
     NotSubtractionFreeError,
     PosRational,
     lp_add,
+    lp_const,
     lp_divexact,
     lp_format,
     lp_mul,
@@ -17,9 +20,9 @@ from bangles.poly import (
     lp_one,
     lp_parse,
     lp_pow,
-    lp_scale,
     lp_sorted_terms,
     lp_substitute,
+    lp_var,
     rf_add,
     rf_eq,
     rf_from_poly,
@@ -218,6 +221,15 @@ def test_divexact_stops_below_the_lowest_quotient_term(monkeypatch):
         lp_divexact(P("1 + x2", x2), P("1 + x1", x2))
 
 
+def test_divexact_stops_outside_the_box_of_possible_terms(monkeypatch):
+    # the quotient terms x1*x3*(x3/x2)^k never fall below the grlex floor,
+    # but x2 leaves [min_2(p) - min_2(q), max_2(p) - max_2(q)] = [1, 0]
+    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 10)
+    x3 = var_names("x", 3)
+    with pytest.raises(InexactDivisionError, match="outside the box"):
+        lp_divexact(P("x1*x2*x3 + x2*x3", x3), P("x2 + x3", x3))
+
+
 def test_divexact_by_monomial_shifts():
     p = P("y1 + y1^2*y2")
     assert lp_divexact(p, P("y1")) == P("1 + y1*y2")
@@ -297,7 +309,7 @@ def _substitute_ref(p, args):
     """Term-by-term substitution with rf_mul/rf_pow/rf_add, as an oracle."""
     out = None
     for e, c in p.items():
-        term = rf_from_poly(lp_scale(lp_one(len(args)), c))
+        term = rf_from_poly(lp_const(len(args), c))
         for i, a in enumerate(args):
             if e[i]:
                 term = rf_mul(term, rf_pow(a, e[i]))
@@ -331,3 +343,125 @@ def test_large_coefficients_stay_exact():
 def test_sorted_terms_graded_lex():
     p = P("y1 + y2 + 1 + y1*y2")
     assert [e for e, _ in lp_sorted_terms(p)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# packed rationals against the tuple arithmetic on .num/.den
+
+# three variables, negative exponents, up to four terms per part
+exponents3 = st.tuples(*[st.integers(-3, 3)] * 3)
+parts3 = st.dictionaries(exponents3, st.integers(1, 5), min_size=1, max_size=4)
+rationals3 = st.builds(PosRational, parts3, parts3)
+
+
+def _parts(r):
+    return r.num, r.den
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals3, rationals3, st.integers(-3, 3))
+def test_packed_rationals_match_tuple_arithmetic(a, b, k):
+    assert _parts(rf_mul(a, b)) == (lp_mul(a.num, b.num), lp_mul(a.den, b.den))
+    cross = lp_add(lp_mul(a.num, b.den), lp_mul(b.num, a.den))
+    assert _parts(rf_add(a, b)) == (cross, lp_mul(a.den, b.den))
+    assert _parts(rf_inv(a)) == (a.den, a.num)
+    top, bottom = (a.num, a.den) if k >= 0 else (a.den, a.num)
+    assert _parts(rf_pow(a, k)) == (lp_pow(top, abs(k)), lp_pow(bottom, abs(k)))
+    assert rf_eq(a, b) == (lp_mul(a.num, b.den) == lp_mul(b.num, a.den))
+    assert rf_eq(a, rf_mul(a, rf_mul(b, rf_inv(b))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts3, st.integers(0, 2))
+def test_packed_constructors_match_tuple_values(p, i):
+    assert _parts(rf_from_poly(p)) == (p, lp_one(3))
+    assert _parts(rf_one(3)) == (lp_one(3), lp_one(3))
+    assert _parts(rf_var(3, i)) == (lp_var(3, i), lp_one(3))
+
+
+signed_parts3 = st.dictionaries(exponents3, coeffs, min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_parts3, signed_parts3)
+def test_packed_rational_round_trips(num, den):
+    r = PosRational(num, den)
+    assert (r.num, r.den) == (num, den)
+    assert r == PosRational(dict(num), dict(den))
+    assert pickle.loads(pickle.dumps(r)) == r
+
+
+def _tuple_substitute(p, args):
+    """lp_substitute's common-denominator sum on the tuple-keyed parts."""
+    n = len(args)
+    lo = [max(0, -min(e[i] for e in p)) for i in range(n)]
+    hi = [max(0, max(e[i] for e in p)) for i in range(n)]
+    bases = [a.num for a in args] + [a.den for a in args]
+
+    def times(out, exps):
+        for base, k in zip(bases, exps):
+            out = lp_mul(out, lp_pow(base, k))
+        return out
+
+    m = args[0].nvars
+    num = {}
+    for e, c in p.items():
+        num = lp_add(num, times(lp_const(m, c), [x + s for x, s in zip(e, lo)] + [s - x for x, s in zip(e, hi)]))
+    return num, times(lp_one(m), lo + hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutables, rationals3, rationals3)
+def test_packed_substitute_matches_tuple_reference(p, a, b):
+    assert _parts(lp_substitute(p, [a, b])) == _tuple_substitute(p, [a, b])
+
+
+def test_exponent_bound_at_the_field_limit_raises_before_computing():
+    top = poly._FIELD_LIMIT - 1
+    y1, y2 = rf_var(2, 0), rf_var(2, 1)
+    # the widest exponents that fit come back exactly, both signs
+    edge = PosRational({(top, -top): 1, (0, 0): 1}, lp_one(2))
+    assert edge.num == {(top, -top): 1, (0, 0): 1}
+    assert rf_pow(y1, top).num == {(top, 0): 1}
+    assert lp_substitute({(0, -top): 1}, [y1, y2]).den == {(0, top): 1}
+    with pytest.raises(OverflowError):
+        PosRational({(0, -top - 1): 1}, lp_one(2))
+    # one more in any product would reach the limit; huge powers would
+    # take forever to compute, so these raise before any arithmetic
+    for reach in (
+        lambda: rf_mul(edge, y2),
+        lambda: rf_add(edge, y2),
+        lambda: rf_eq(edge, y2),
+        lambda: rf_mul(rf_pow(y1, top), y1),
+        lambda: lp_substitute({(0, -top - 1): 1}, [y1, y2]),
+        lambda: rf_pow(y1, 10**12),
+        lambda: rf_pow(y1, -(10**12)),
+        lambda: lp_substitute({(10**12, 0): 1}, [y1, y2]),
+    ):
+        with pytest.raises(OverflowError, match="field limit"):
+            reach()
+
+
+@st.composite
+def packable(draw):
+    """(width, one vector with full-range fields, vectors whose sum still
+    fits): widths from the scan's narrowest up past the rationals', negative
+    fields included."""
+    width = draw(st.integers(2, 2 * poly.FIELD_WIDTH))
+    n, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    full = 2 ** (width - 1) - 1
+    vec = draw(st.tuples(*[st.integers(-full, full)] * n))
+    part = st.tuples(*[st.integers(-(full // count), full // count)] * n)
+    return width, vec, draw(st.lists(part, min_size=count, max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packable())
+def test_packing_round_trips_and_adds(case):
+    width, vec, parts = case
+    n = len(vec)
+    assert _polypure._unpack(_polypure._pack(vec, width), n, width) == vec
+    total = tuple(map(sum, zip(*parts)))
+    packed = sum(_polypure._pack(v, width) for v in parts)
+    assert _polypure._pack(total, width) == packed
+    assert _polypure._unpack(packed, n, width) == total

@@ -5,9 +5,8 @@ import itertools
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from bangles import snakegraph
+from bangles import _polypure, snakegraph
 from bangles.curve import arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.mutation import initial_seed, seed_mutate
@@ -221,36 +220,6 @@ def test_k_fold_annulus_core_is_chebyshev():
         assert build_band_graph(ANNULUS, closed_curve(CORE.steps * k)).msw == cheb[k], k
 
 
-# field widths `_scan` derives for the k-fold fixtures up to k = 12
-WIDTHS = sorted(
-    {snakegraph._field_width(g) for *_, g in k_fold_fixtures(dict.fromkeys(CLOSED_CURVES, 12))}
-)
-
-
-@st.composite
-def packable(draw):
-    """(width, one vector with full-range fields, vectors whose sum still
-    fits): fields at a derived width, negative ones included."""
-    width = draw(st.sampled_from(WIDTHS))
-    n, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    full = 2 ** (width - 1) - 1
-    vec = draw(st.tuples(*[st.integers(-full, full)] * n))
-    part = st.tuples(*[st.integers(-(full // count), full // count)] * n)
-    return width, vec, draw(st.lists(part, min_size=count, max_size=count))
-
-
-@settings(max_examples=200, deadline=None)
-@given(packable())
-def test_packing_round_trips_and_adds(case):
-    width, vec, parts = case
-    n = len(vec)
-    assert snakegraph._unpack(snakegraph._pack(vec, width), n, width) == vec
-    total = tuple(map(sum, zip(*parts)))
-    packed = sum(snakegraph._pack(v, width) for v in parts)
-    assert snakegraph._pack(total, width) == packed
-    assert snakegraph._unpack(packed, n, width) == total
-
-
 def test_brute_force_shares_no_scan_code(monkeypatch):
     t = load_surface("torus-boundary")
     c = parse_curve(t, load_curve_text("torus-weave"))
@@ -259,8 +228,10 @@ def test_brute_force_shares_no_scan_code(monkeypatch):
     def boom(*args):
         raise AssertionError("the oracle reached the transfer scan")
 
-    for name in ("_scan", "_field_width", "_pack", "_unpack"):
+    for name in ("_scan", "_field_width"):
         monkeypatch.setattr(snakegraph, name, boom)
+    for name in ("_pack", "_unpack"):  # the scan reads them off `_polypure`
+        monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
     assert brute_force_sum(g) == expected
     with pytest.raises(AssertionError, match="transfer scan"):

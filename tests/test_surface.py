@@ -129,6 +129,17 @@ def test_flip_compatibility_sweep():
                 assert adjacency_matrix(t2) == matrix_mutate(b, k - 1), (name, word, k)
 
 
+def test_cached_adjacency_matches_a_fresh_computation_along_flip_words():
+    for name in SURFACES:
+        t0 = load_surface(name)
+        _, steps = flip_word(t0, list(range(1, t0.n_arcs + 1)) * 2)
+        for t in [t0] + [step.triangulation for step in steps]:
+            b = t.adjacency
+            assert b == adjacency_matrix(t), name
+            assert t.adjacency is b
+            assert isinstance(b, tuple) and all(isinstance(row, tuple) for row in b)
+
+
 def test_boundary_flip_rejected():
     with pytest.raises(UnsupportedFlipError):
         flip(ANNULUS, 3)
