@@ -9,7 +9,10 @@ d covers exactly the checks reachable by words of length <= d.  The walker
 flips each state once per arc and hands out every flip it took, with the
 child state and its key; the key-lemma sweep checks each such flip edge,
 builds each state's band graph once and keeps only its (F, g, h), until
-the sweep returns.
+the sweep returns.  Its F identity clears the (1+y_k) denominators of the
+one-step Y-seed and compares two Laurent polynomials; like every check it
+is exact.  A passing keylemma-F report carries no sides, since only a
+failing line prints them.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
@@ -24,26 +27,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
-from .mutation import (
-    Seed,
-    gvec_mutate_with_h,
-    initial_seed,
-    initial_y,
-    seed_mutate,
-    yseed_mutate,
-)
-from .poly import (
-    PosRational,
-    lp_format,
-    lp_substitute,
-    rf_add,
-    rf_eq,
-    rf_from_poly,
-    rf_mul,
-    rf_one,
-    rf_pow,
-    var_names,
-)
+from .mutation import Seed, gvec_mutate_with_h, initial_seed, seed_mutate, yseed_mutate
+from .poly import Poly, lp_add, lp_format, lp_mono_mul, lp_mul, lp_one, lp_pow, lp_var, var_names
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
 from .snakegraph import build_band_graph, msw_function
 from .surface import Triangulation, canonical_form, flip, triangle_order
@@ -78,10 +63,6 @@ def _error_report(case: str, identity: str, exc: Exception) -> VerificationRepor
     return VerificationReport(case, identity, False, type(exc).__name__, str(exc))
 
 
-def _rf_text(v: PosRational, names: Sequence[str]) -> str:
-    return f"({lp_format(v.num, names)}) / ({lp_format(v.den, names)})"
-
-
 def _require_transportable(t: Triangulation, k: int):
     res = flip(t, k)
     if res.quad is None:
@@ -104,36 +85,49 @@ def _key_lemma_reports(
     (f1, gv1, hv1), (f2, gv2, hv2) = before, after
     n = t.n_arcs
     b = t.adjacency
-    ynames = var_names("y", n)
+    hk, hk2 = hv1[k - 1], hv2[k - 1]
 
-    # F identity, negative powers cross-multiplied:
-    #   F(y) * (1+y'_k)^{-h'_k}  ==  F'(y') * (1+y_k)^{-h_k}
-    # F at the initial Y-seed is F itself; only F' is substituted.
-    ys = initial_y(n)
-    yp = yseed_mutate(ys, b, k - 1)
-    one = rf_one(n)
-    lhs = rf_mul(rf_from_poly(f1), rf_pow(rf_add(one, yp[k - 1]), -hv2[k - 1]))
-    rhs = rf_mul(lp_substitute(f2, yp), rf_pow(rf_add(one, ys[k - 1]), -hv1[k - 1]))
-    reports = [
-        VerificationReport(
-            case,
-            "keylemma-F",
-            rf_eq(lhs, rhs),
-            _rf_text(lhs, ynames),
-            _rf_text(rhs, ynames),
-        )
-    ]
+    # F identity  F(y) * (1+y'_k)^(-h'_k)  ==  F'(y') * (1+y_k)^(-h_k),
+    # y the initial Y-seed and y'_j = y^(a_j) * (1+y_k)^(p_j).  As
+    # 1+y'_k = y_k^-1 * (1+y_k), the left side is F * y_k^(h'_k) *
+    # (1+y_k)^(-h'_k), and a term c * y^e of F' becomes
+    # c * y^(sum e_j a_j) * (1+y_k)^(sum e_j p_j).  Both sides times
+    # (1+y_k)^N, N >= 0 the least that leaves no negative power, are
+    # Laurent polynomials, equal exactly when the two sides are.
+    groups: Dict[int, Poly] = {}  # power of (1+y_k) -> its terms of F'(y')
+    yp = yseed_mutate(b, k - 1)
+    for e, c in f2.items():
+        mono, power = [0] * n, 0
+        for ej, (a, p) in zip(e, yp):
+            if ej:
+                mono = [m + ej * x for m, x in zip(mono, a)]
+                power += ej * p
+        # the a_j are a basis of Z^n, so no two terms of F' meet
+        groups.setdefault(power, {})[tuple(mono)] = c
+    big_n = max([0, hk2] + [hk - q for q in groups])
+    one_plus = lp_add(lp_one(n), lp_var(n, k - 1))
+    powers = {m: lp_pow(one_plus, m) for m in {big_n - hk2} | {big_n + q - hk for q in groups}}
+    shift = [0] * n
+    shift[k - 1] = hk2
+    lhs = lp_mul(lp_mono_mul(f1, shift), powers[big_n - hk2])
+    rhs: Poly = {}
+    for q, part in groups.items():
+        rhs = lp_add(rhs, lp_mul(part, powers[big_n + q - hk]))
+    # only a failing line prints its sides, so only a failure formats them
+    ok_f = lhs == rhs
+    sides = () if ok_f else tuple(lp_format(side, var_names("y", n)) for side in (lhs, rhs))
+    reports = [VerificationReport(case, "keylemma-F", ok_f, *sides)]
 
     # g rules: g_k = h_k - h'_k and the full mutated vector
-    rule = gvec_mutate_with_h(gv1, hv1[k - 1], b, k - 1)
-    ok_g = gv1[k - 1] == hv1[k - 1] - hv2[k - 1] and gv2 == rule
+    rule = gvec_mutate_with_h(gv1, hk, b, k - 1)
+    ok_g = gv1[k - 1] == hk - hk2 and gv2 == rule
     reports.append(
         VerificationReport(
             case,
             "keylemma-g",
             ok_g,
             f"g={gv1} g'={gv2}",
-            f"rule={rule} h_k-h'_k={hv1[k - 1] - hv2[k - 1]}",
+            f"rule={rule} h_k-h'_k={hk - hk2}",
         )
     )
 

@@ -4,8 +4,9 @@ Matrices are tuples of tuples of ints (rows), mutation indices are 0-based.
 Cluster variables are Laurent polynomials in the initial variables, never
 abstract symbols, so they compare with `==` against matching expansions.
 Each exchange divides exactly: a mutation that leaves the Laurent ring
-raises InexactDivisionError.  Y-seed values are rational, not Laurent,
-so Y-seeds stay subtraction-free rationals.
+raises InexactDivisionError.  A Y-seed one mutation from the initial
+one is kept as exponents: y'_j = y^(a_j) * (1+y_k)^(p_j), so its values
+need no rational arithmetic.
 
 Coefficient regime: seeds are coefficient-free (y = 1).  Principal
 coefficients are not produced by a 2n x n seed recursion: where they are
@@ -16,24 +17,9 @@ keeping each matching's height as a y-monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .poly import (
-    Poly,
-    PosRational,
-    lp_add,
-    lp_divexact,
-    lp_mul,
-    lp_one,
-    lp_pow,
-    lp_var,
-    rf_add,
-    rf_inv,
-    rf_mul,
-    rf_one,
-    rf_pow,
-    rf_var,
-)
+from .poly import Exponent, Poly, lp_add, lp_divexact, lp_mul, lp_one, lp_pow, lp_var
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -109,25 +95,22 @@ def gvec_mutate_with_h(g: Sequence[int], h_k: int, b: Matrix, k: int) -> Tuple[i
 # Y-seeds
 
 
-def yseed_mutate(y: Sequence[PosRational], b: Matrix, k: int) -> Tuple[PosRational, ...]:
-    """y'_k = 1/y_k; y'_j = y_j * y_k^{[b_kj]+} * (1+y_k)^{-b_kj}."""
+def yseed_mutate(b: Matrix, k: int) -> Tuple[Tuple[Exponent, int], ...]:
+    """The Y-seed one mutation at k from the initial one, as pairs (a_j, p_j)
+    with y'_j = y^(a_j) * (1+y_k)^(p_j): y'_k = 1/y_k, and
+    y'_j = y_j * y_k^[b_kj]+ * (1+y_k)^(-b_kj) for j != k."""
     n = len(b)
     _check_index(n, k)
-    yk = y[k]
-    one_plus = rf_add(rf_one(yk.nvars), yk)
-    out: List[PosRational] = []
+    out = []
     for j in range(n):
+        a = [0] * n
         if j == k:
-            out.append(rf_inv(yk))
+            a[k] = -1
+            out.append((tuple(a), 0))
         else:
-            v = rf_mul(y[j], rf_pow(yk, max(0, b[k][j])))
-            v = rf_mul(v, rf_pow(one_plus, -b[k][j]))
-            out.append(v)
+            a[j], a[k] = 1, max(0, b[k][j])
+            out.append((tuple(a), -b[k][j]))
     return tuple(out)
-
-
-def initial_y(n: int) -> Tuple[PosRational, ...]:
-    return tuple(rf_var(n, i) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

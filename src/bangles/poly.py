@@ -1,4 +1,4 @@
-"""Exact multivariate Laurent polynomials and subtraction-free rationals.
+"""Exact multivariate Laurent polynomials.
 
 Representation: a polynomial is a dict mapping exponent tuples (length =
 number of variables, negative entries allowed) to nonzero int coefficients.
@@ -9,30 +9,17 @@ Term order is graded lexicographic (total degree first, then the exponent
 tuple); it fixes printing, equality of rendered forms, and the leading term
 used by exact division.
 
-Rationals are unreduced num/den pairs compared by cross-multiplication
-(`rf_eq`); no gcd is ever computed.  They serve only values that really are
-rational (Y-seeds and the key-lemma F identity); cluster variables are
-Laurent polynomials.
+Every value the checks compare is a Laurent polynomial: cluster variables
+by the Laurent phenomenon, and the key-lemma F identity once its
+denominators, a monomial times a power of (1+y_k), are cleared.  No
+rational function is ever formed.
 
-Rationals are kept packed: each part keys its terms by one int, one signed
-FIELD_WIDTH-bit field per exponent, so a product adds ints, not tuples.
-Every rf_* operation and `lp_substitute` works on the packed parts and
-hands packed parts on; `.num` and `.den` unpack only when read.  Each
-rational carries a bound on its exponent magnitudes, derived per operation
-(products add bounds, powers multiply them), and an operation whose bound
-would reach the field limit raises OverflowError before computing, so no
-field ever carries into its neighbour.  `Poly` stays tuple-keyed: its
-products are mostly one term by a few, where packing and unpacking each
-operand would cost more than the int adds save.  Rationals are a closed
-family, so their values stay packed from one operation to the next.
-
-The inner loops (term merge, product accumulation, and the packed product)
-live in `_polypure`, with the shared `_pack`/`_unpack` encoding.
+The inner loops (term merge and product accumulation) live in `_polypure`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import _polypure as _kernel
 
@@ -124,7 +111,7 @@ def lp_mono_mul(p: Poly, e: Sequence[int], c: int = 1) -> Poly:
 
 def lp_pow(p: Poly, k: int) -> Poly:
     if k < 0:
-        raise ValueError("negative power of a polynomial; use rf_pow")
+        raise ValueError("negative power of a polynomial")
     n = lp_arity(p)
     out = lp_one(n if n is not None else 0)
     base = p
@@ -242,196 +229,6 @@ def trop_eval(p: Poly, c: Sequence[int]) -> int:
     if any(len(e) != len(cv) for e in p):
         raise ArityError("weight vector arity mismatch")
     return min(sum(x * y for x, y in zip(e, cv)) for e in p)
-
-
-# ---------------------------------------------------------------------------
-# subtraction-free rationals, packed
-
-# Bits per exponent field of a packed rational.  Every exponent of a
-# rational stays below _FIELD_LIMIT in magnitude, so no field can carry
-# into its neighbour.
-FIELD_WIDTH = 16
-_FIELD_LIMIT = 1 << (FIELD_WIDTH - 1)
-
-
-def _bounded(bound: int) -> int:
-    """The exponent bound of a result about to be computed, checked first:
-    OverflowError once it reaches the field limit, so nothing ever wraps."""
-    if bound >= _FIELD_LIMIT:
-        raise OverflowError(f"exponent bound {bound} reaches the packed field limit {_FIELD_LIMIT}")
-    return bound
-
-
-def _pack_part(p: Poly) -> dict:
-    return {_kernel._pack(e, FIELD_WIDTH): c for e, c in p.items()}
-
-
-def _unpack_part(p: dict, nvars: int) -> Poly:
-    return {_kernel._unpack(k, nvars, FIELD_WIDTH): c for k, c in p.items()}
-
-
-class PosRational:
-    """Unreduced fraction of Laurent polynomials; equality via rf_eq.
-
-    Both parts are held packed, `nvars` fields per key, and `bound` caps
-    the magnitude of every exponent in them.  `num` and `den` unpack to
-    tuple-keyed Polys on each read.  `==` is structural: the same parts,
-    term for term.  Instances are immutable.
-    """
-
-    __slots__ = ("nvars", "bound", "_num", "_den")
-
-    def __new__(cls, num: Poly, den: Poly) -> PosRational:
-        _check_arity(num, den)
-        n = lp_arity(num)
-        bound = max((abs(x) for part in (num, den) for e in part for x in e), default=0)
-        return _rational(n, _bounded(bound), _pack_part(num), _pack_part(den))
-
-    @property
-    def num(self) -> Poly:
-        return _unpack_part(self._num, self.nvars)
-
-    @property
-    def den(self) -> Poly:
-        return _unpack_part(self._den, self.nvars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PosRational is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PosRational):
-            return NotImplemented
-        return (self.nvars, self._num, self._den) == (other.nvars, other._num, other._den)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"PosRational(num={self.num!r}, den={self.den!r})"
-
-    def __reduce__(self):
-        return PosRational, (self.num, self.den)
-
-
-def _rational(nvars: int, bound: int, num: dict, den: dict) -> PosRational:
-    """A PosRational from packed parts and a bound on their exponents."""
-    if not num or not den:
-        raise ZeroDivisionError("PosRational parts must be nonzero")
-    r = object.__new__(PosRational)
-    put = object.__setattr__
-    put(r, "nvars", nvars)
-    put(r, "bound", bound)
-    put(r, "_num", num)
-    put(r, "_den", den)
-    return r
-
-
-def _common_arity(a: PosRational, b: PosRational) -> int:
-    if a.nvars != b.nvars:
-        raise ArityError(f"arity mismatch: {a.nvars} vs {b.nvars}")
-    return a.nvars
-
-
-def _pow_packed(p: dict, k: int) -> dict:
-    out = {0: 1}
-    while k:
-        if k & 1:
-            out = _kernel.mul_packed(out, p)
-        k >>= 1
-        if k:
-            p = _kernel.mul_packed(p, p)
-    return out
-
-
-def rf_from_poly(p: Poly) -> PosRational:
-    n = lp_arity(p)
-    return PosRational(p, lp_one(n if n is not None else 0))
-
-
-def rf_one(nvars: int) -> PosRational:
-    return _rational(nvars, 0, {0: 1}, {0: 1})
-
-
-def rf_var(nvars: int, i: int) -> PosRational:
-    if not 0 <= i < nvars:
-        raise IndexError(f"variable {i} out of range for arity {nvars}")
-    return _rational(nvars, 1, {1 << (i * FIELD_WIDTH): 1}, {0: 1})
-
-
-def rf_mul(a: PosRational, b: PosRational) -> PosRational:
-    n = _common_arity(a, b)
-    bound = _bounded(a.bound + b.bound)
-    return _rational(n, bound, _kernel.mul_packed(a._num, b._num), _kernel.mul_packed(a._den, b._den))
-
-
-def rf_inv(a: PosRational) -> PosRational:
-    return _rational(a.nvars, a.bound, a._den, a._num)
-
-
-def rf_add(a: PosRational, b: PosRational) -> PosRational:
-    n = _common_arity(a, b)
-    bound = _bounded(a.bound + b.bound)
-    num = _kernel.mul_packed(b._num, a._den, _kernel.mul_packed(a._num, b._den))
-    return _rational(n, bound, num, _kernel.mul_packed(a._den, b._den))
-
-
-def rf_pow(a: PosRational, k: int) -> PosRational:
-    if k < 0:
-        return rf_pow(rf_inv(a), -k)
-    return _rational(a.nvars, _bounded(a.bound * k), _pow_packed(a._num, k), _pow_packed(a._den, k))
-
-
-def rf_eq(a: PosRational, b: PosRational) -> bool:
-    _common_arity(a, b)
-    _bounded(a.bound + b.bound)
-    return _kernel.mul_packed(a._num, b._den) == _kernel.mul_packed(b._num, a._den)
-
-
-def lp_substitute(p: Poly, args: Sequence[PosRational]) -> PosRational:
-    """Substitute args[i] = num_i/den_i for variable i; result stays unreduced.
-
-    With hi_i the largest positive exponent of variable i in p and lo_i the
-    magnitude of its most negative one (0 if there is none), the result is
-    N / D over the one common denominator D = prod num_i^lo_i * den_i^hi_i.
-    Each term c * vars^e adds c * prod num_i^(e_i+lo_i) * den_i^(hi_i-e_i)
-    to N; both exponents are >= 0, so N is a plain polynomial (no gcd), and
-    no exponent of N or D exceeds sum_i (lo_i + hi_i) * bound_i.
-    Each power is built once per call and factors equal to 1 are skipped.
-    A result that cancels to zero raises ZeroDivisionError.
-    """
-    n = lp_arity(p)
-    if n is None:
-        raise ValueError("cannot substitute into the zero polynomial (arity unknown)")
-    if len(args) != n:
-        raise ArityError(f"expected {n} substitution values, got {len(args)}")
-    if not args:
-        return rf_from_poly(p)
-    nvars = args[0].nvars
-    for a in args:
-        _common_arity(args[0], a)
-    lo = [max(0, -min(e[i] for e in p)) for i in range(n)]
-    hi = [max(0, max(e[i] for e in p)) for i in range(n)]
-    bound = _bounded(sum((l + h) * a.bound for l, h, a in zip(lo, hi, args)))
-    one = {0: 1}
-    # ladders[j] = [b, b^2, ...] for b = num_j (j < n) or den_(j-n), grown
-    # on demand; None marks a base equal to 1
-    ladders = [[b] if b != one else None for b in [a._num for a in args] + [a._den for a in args]]
-
-    def times(term: dict, exps: Sequence[int], into: Optional[dict] = None) -> dict:
-        """term * prod_j ladders[j]^exps[j], added into `into` when given."""
-        powers = []
-        for ladder, k in zip(ladders, exps):
-            if k and ladder:
-                while len(ladder) < k:
-                    ladder.append(_kernel.mul_packed(ladder[-1], ladder[0]))
-                powers.append(ladder[k - 1])
-        for power in powers[:-1]:
-            term = _kernel.mul_packed(term, power)
-        return _kernel.mul_packed(term, powers[-1] if powers else one, into)
-
-    num: dict = {}
-    for e, c in p.items():
-        times({0: c}, [x + s for x, s in zip(e, lo)] + [s - x for x, s in zip(e, hi)], num)
-    return _rational(nvars, bound, num, times(one, lo + hi))
 
 
 # ---------------------------------------------------------------------------

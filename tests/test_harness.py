@@ -1,7 +1,7 @@
 import pytest
 
 import bangles.harness as harness
-from bangles.curve import parse_curve
+from bangles.curve import parse_curve, transport_curve
 from bangles.fixtures import load_curve_text, load_surface
 from bangles.harness import (
     IDENTITIES,
@@ -41,6 +41,32 @@ def test_key_lemma_on_annulus():
     h_report = reports[2]
     assert "h=(0, -1)" in h_report.lhs
     assert "h'=(-1, 0)" in h_report.lhs
+
+
+def test_key_lemma_f_fails_on_a_perturbed_side():
+    # negative control: the annulus core across flip 1, with F' given one
+    # extra y1 term, then with h'_1 shifted by 1
+    t, c = _annulus_core()
+    res = harness._require_transportable(t, 1)
+    before = harness._band_reads(t, c)
+    f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
+    extra = dict(f2)
+    extra[(1, 0)] += 1
+
+    def report(after):
+        return {r.identity: r for r in harness._key_lemma_reports(t, 1, before, after, "annulus:flip=1")}
+
+    assert all(r.passed for r in report((f2, g2, h2)).values())
+    wrong_f = report((extra, g2, h2))
+    assert wrong_f["keylemma-g"].passed and wrong_f["keylemma-h"].passed
+    # F * y1^(h'_1) * (1+y1)^(N-h'_1) against the cleared F'(y'), N = 0
+    assert wrong_f["keylemma-F"].line() == (
+        "[FAIL] keylemma-F :: annulus:flip=1\n"
+        "  lhs: y1^-1 + y1^-1*y2 + 1 + 2*y2 + y1*y2\n"
+        "  rhs: 2*y1^-1 + y1^-1*y2 + 1 + 2*y2 + y1*y2"
+    )
+    assert not report((f2, g2, (h2[0] + 1, h2[1])))["keylemma-F"].passed
+    assert not report((f2, g2, (h2[0] - 1, h2[1])))["keylemma-F"].passed
 
 
 def test_arc_check_with_empty_word():
@@ -165,7 +191,7 @@ def _fail_first_call(monkeypatch, name, exc):
     [
         (
             CorpusConfig(surfaces=("annulus",), keylemma_depth=2, arc_surfaces=()),
-            "lp_substitute",
+            "yseed_mutate",
             InexactDivisionError("remainder left"),
             "keylemma-F",
             "annulus:annulus-core:word=[1]",
