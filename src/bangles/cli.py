@@ -25,7 +25,7 @@ from .harness import (
 )
 from .poly import lp_format, lp_one, var_names, xy_names
 from .shear import ShearError, dual_shear
-from .snakegraph import SnakeGraph, SnakeGraphError, curve_expansion, curve_graph
+from .snakegraph import SnakeGraph, SnakeGraphError, curve_graph, msw_function, principal_msw
 from .surface import (
     Triangulation,
     TriangulationError,
@@ -116,9 +116,12 @@ def cmd_compute(args) -> int:
     print(f"F = {lp_format(f, var_names('y', n))}")
     print(f"g = {gv}")
     print(f"h = {hv}")
-    principal = args.coefficients == "principal"
-    names = xy_names(n) if principal else var_names("x", n)
-    print(f"MSW = {lp_format(curve_expansion(t, c, g, principal), names)}")
+    # g is held, so the expansion is read off this same graph
+    if args.coefficients == "principal":
+        msw, names = principal_msw(t, c), xy_names(n)
+    else:
+        msw, names = msw_function(t, c), var_names("x", n)
+    print(f"MSW = {lp_format(msw, names)}")
     return 0
 
 

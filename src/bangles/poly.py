@@ -215,20 +215,29 @@ def assert_subtraction_free(p: Poly) -> None:
         raise NotSubtractionFreeError("polynomial has a negative coefficient")
 
 
-def trop_eval(p: Poly, c: Sequence[int]) -> int:
-    """min over exponent vectors e of p of the dot product c . e.
+def trop_eval_many(p: Poly, dirs: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """For each weight vector c in dirs, min over exponent vectors e of p of
+    the dot product c . e.
 
     This is evaluation in the tropical semifield Trop(u) at u^{c_i}: the sum
     of two powers of u is the power with the smaller exponent, so a
-    subtraction-free p evaluates to u^(the returned integer).
+    subtraction-free p evaluates to u^(the integer read for c).  Each c is
+    read through its nonzero entries only, against p's exponent columns.
     """
     if not p:
         raise ValueError("tropical evaluation of zero polynomial")
     assert_subtraction_free(p)
-    cv = tuple(c)
-    if any(len(e) != len(cv) for e in p):
+    cols = list(zip(*p))
+    if any(len(e) != len(cols) for e in p) or any(len(c) != len(cols) for c in dirs):
         raise ArityError("weight vector arity mismatch")
-    return min(sum(x * y for x, y in zip(e, cv)) for e in p)
+    out = []
+    for c in dirs:
+        sums = [0] * len(p)
+        for x, col in zip(c, cols):
+            if x:
+                sums = [s + x * v for s, v in zip(sums, col)]
+        out.append(min(sums))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

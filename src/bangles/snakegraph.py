@@ -14,7 +14,10 @@ winds above the minimal one.  All invariants here (F-polynomial, g- and
 h-vectors, the curve's Laurent expansions) are read off the bivariate
 generating sum W over matchings.  One transfer scan computes W, for snakes
 and bands alike; the graph caches W and each read off it, so each is
-computed once and freed with the graph.  The scan works on Python ints: its
+computed once and freed with the graph.  One live graph is kept per
+(triangulation, curve) value: while any caller holds the graph of (t, c),
+every build or read of an equal (t, c) returns that same graph, and the
+graph is freed with its last holder.  The scan works on Python ints: its
 frontiers are vertex bitmasks, and each 2n-exponent weight is packed into
 one int, in signed fields whose width is derived from the graph's edge
 weights, then unpacked to exponent tuples once at the end.
@@ -24,6 +27,7 @@ keeps its own tuple arithmetic.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -36,7 +40,7 @@ from .poly import (
     lp_mul,
     lp_one,
     lp_var,
-    trop_eval,
+    trop_eval_many,
 )
 from .surface import Triangulation, folded_sides
 
@@ -131,7 +135,7 @@ class SnakeGraph:
         """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
         rows = enumerate(self.surface.adjacency)
         dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
-        return tuple(trop_eval(self.f_poly, c) for c in dirs)
+        return trop_eval_many(self.f_poly, dirs)
 
     @cached_property
     def msw(self) -> Poly:
@@ -278,12 +282,27 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
     )
 
 
+# (t, c, band) -> the live graph _build(t, c, band).  Triangulation and Curve
+# are frozen dataclasses, equal exactly when their fields are, and _build reads
+# nothing else, so equal keys give equal graphs.  Values are weak: an entry
+# goes when the last holder of its graph drops it.
+_live_graphs: weakref.WeakValueDictionary[tuple, SnakeGraph] = weakref.WeakValueDictionary()
+
+
+def _graph(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
+    key = (t, c, band)
+    g = _live_graphs.get(key)
+    if g is None:
+        g = _live_graphs[key] = _build(t, c, band)
+    return g
+
+
 def build_snake_graph(t: Triangulation, c: Curve) -> SnakeGraph:
-    return _build(t, c, band=False)
+    return _graph(t, c, band=False)
 
 
 def build_band_graph(t: Triangulation, c: Curve) -> SnakeGraph:
-    return _build(t, c, band=True)
+    return _graph(t, c, band=True)
 
 
 # ---------------------------------------------------------------------------
@@ -442,22 +461,20 @@ def curve_graph(t: Triangulation, c: Curve) -> Optional[SnakeGraph]:
     return build_band_graph(t, c) if c.closed else build_snake_graph(t, c)
 
 
-def curve_expansion(t: Triangulation, c: Curve, g: Optional[SnakeGraph], principal: bool) -> Poly:
-    """c's Laurent expansion read off g = curve_graph(t, c), in x1..xn, or in
-    x1..xn then y1..yn when principal; an arc of t is its own variable."""
-    if g is None:
-        return lp_var(2 * t.n_arcs if principal else t.n_arcs, c.arc - 1)
-    return g.principal_msw if principal else g.msw
-
-
 def msw_function(t: Triangulation, c: Curve) -> Poly:
-    """Laurent expansion of a curve: matching sum over crossing monomial."""
-    return curve_expansion(t, c, curve_graph(t, c), principal=False)
+    """Laurent expansion of a curve: matching sum over crossing monomial; an
+    arc of t is its own variable.  This is the shared graph's `msw`, which
+    callers must not mutate."""
+    g = curve_graph(t, c)
+    return lp_var(t.n_arcs, c.arc - 1) if g is None else g.msw
 
 
 def principal_msw(t: Triangulation, c: Curve) -> Poly:
-    """Matching sum with heights kept: variables x1..xn then y1..yn."""
-    return curve_expansion(t, c, curve_graph(t, c), principal=True)
+    """Matching sum with heights kept: variables x1..xn then y1..yn; an arc
+    of t is its own variable.  This is the shared graph's `principal_msw`,
+    which callers must not mutate."""
+    g = curve_graph(t, c)
+    return lp_var(2 * t.n_arcs, c.arc - 1) if g is None else g.principal_msw
 
 
 def bangle_of_lamination(t: Triangulation, curves: Sequence[Curve]) -> Poly:

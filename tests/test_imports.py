@@ -1,6 +1,7 @@
 """AST scans: every imported name is used, in the package and its tests,
-every private module-level helper of the package has a caller, and every
-public one has a caller outside the tests or is exported."""
+every private module-level helper of the package has a caller, every
+public one has a caller outside the tests or is exported, and the package
+keeps no unbounded function caches."""
 
 import ast
 from collections import Counter
@@ -99,3 +100,41 @@ def test_no_test_only_public_functions():
             if everywhere[name] == _names(node)[name] and name not in exported | TEST_ONLY_PUBLIC.keys():
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert not unused, "public function or class only tests call:\n" + "\n".join(unused)
+
+
+def _function_caches(tree: ast.Module):
+    """Lines that import or name functools.lru_cache or functools.cache."""
+    banned = {"lru_cache", "cache"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, alias.name) for alias in node.names if alias.name in banned]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in banned
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            out.append((node.lineno, f"functools.{node.attr}"))
+    return out
+
+
+def test_no_function_caches():
+    """A value is cached on the object that owns it (`cached_property`) or in
+    `snakegraph`'s weak map of live graphs, so it is freed with its owner and
+    a long sweep's memory stays bounded; a function cache would outlive it."""
+    found = []
+    for path in sorted((ROOT / "src" / "bangles").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in _function_caches(tree)]
+    assert not found, "function cache in the package:\n" + "\n".join(found)
+
+
+def test_function_cache_guard_sees_both_spellings():
+    src = (
+        "import functools\n"
+        "from functools import cache, cached_property\n"
+        "@functools.lru_cache(8)\n"
+        "def f(): pass\n"
+    )
+    assert _function_caches(ast.parse(src)) == [(2, "cache"), (3, "functools.lru_cache")]

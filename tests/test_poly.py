@@ -17,7 +17,7 @@ from bangles.poly import (
     lp_parse,
     lp_pow,
     lp_sorted_terms,
-    trop_eval,
+    trop_eval_many,
     var_names,
 )
 
@@ -78,23 +78,30 @@ def test_pow_small_cases():
 
 
 def test_trop_three_term_const():
-    assert trop_eval(P("1 + y2 + y1*y2"), (-1, 2)) == 0
+    assert trop_eval_many(P("1 + y2 + y1*y2"), [(-1, 2)]) == (0,)
 
 
 def test_trop_three_term_negative():
-    assert trop_eval(P("1 + y1 + y1*y2"), (-1, 0)) == -1
+    assert trop_eval_many(P("1 + y1 + y1*y2"), [(-1, 0)]) == (-1,)
 
 
 def test_trop_constant_poly():
-    assert trop_eval(lp_one(2), (7, -9)) == 0
-    assert trop_eval(lp_one(2), (0, 0)) == 0
+    assert trop_eval_many(lp_one(2), [(7, -9), (0, 0)]) == (0, 0)
+
+
+def test_trop_reads_every_direction_in_one_call():
+    p = P("1 + y2 + y1*y2")
+    assert trop_eval_many(p, [(-1, 2), (0, -1), (1, 0), (0, 0)]) == (0, -1, 0, 0)
+    assert trop_eval_many(p, []) == ()
 
 
 def test_trop_rejects_zero_and_negative_coeffs():
     with pytest.raises(ValueError):
-        trop_eval({}, (1,))
+        trop_eval_many({}, [(1,)])
     with pytest.raises(NotSubtractionFreeError):
-        trop_eval(P("1 - y1"), (1, 1))
+        trop_eval_many(P("1 - y1"), [(1, 1)])
+    with pytest.raises(ArityError):
+        trop_eval_many(P("1 + y1"), [(1, 1), (1,)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +203,11 @@ def test_division_inverts_multiplication(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pos_polys, pos_polys, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-def test_trop_is_a_semiring_morphism(p, q, c):
-    assert trop_eval(lp_mul(p, q), c) == trop_eval(p, c) + trop_eval(q, c)
-    assert trop_eval(lp_add(p, q), c) == min(trop_eval(p, c), trop_eval(q, c))
+@given(pos_polys, pos_polys, st.lists(st.tuples(*[st.integers(-3, 3)] * 2), max_size=3))
+def test_trop_is_a_semiring_morphism(p, q, dirs):
+    tp, tq = trop_eval_many(p, dirs), trop_eval_many(q, dirs)
+    assert trop_eval_many(lp_mul(p, q), dirs) == tuple(map(sum, zip(tp, tq)))
+    assert trop_eval_many(lp_add(p, q), dirs) == tuple(map(min, zip(tp, tq)))
 
 
 def test_large_coefficients_stay_exact():

@@ -9,6 +9,7 @@ import pytest
 from bangles import _polypure, snakegraph
 from bangles.curve import arc_curve, closed_curve, open_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
+from bangles.harness import CorpusConfig, run_corpus
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
     lp_const,
@@ -173,12 +174,53 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
     g = build_band_graph(t, c)
     snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w, g.msw, g.principal_msw
     assert len(calls) == 1  # one scan, shared by every reader
-    assert g.msw == msw_function(t, c) and g.principal_msw == principal_msw(t, c)
-    assert len(calls) == 3  # the two wrappers build and scan graphs of their own
+    assert msw_function(t, c) is g.msw and principal_msw(t, c) is g.principal_msw
+    assert len(calls) == 1  # while g is held, the wrappers read g itself
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
+    msw_function(t, c)
+    assert len(calls) == 2  # the map held no strong reference: a new graph
+
+
+def test_equal_values_share_one_live_graph():
+    t = load_surface("torus-boundary")
+    c = parse_curve(t, load_curve_text("torus-weave"))
+    t2 = load_surface("torus-boundary")
+    c2 = parse_curve(t2, load_curve_text("torus-weave"))
+    assert (t2, c2) == (t, c) and t2 is not t and c2 is not c
+    g = build_band_graph(t, c)
+    assert build_band_graph(t2, c2) is g
+    assert curve_graph(t2, c2) is g
+
+
+def test_unequal_values_get_their_own_graphs():
+    rotated = closed_curve(CORE.steps[1:] + CORE.steps[:1])
+    res = flip(ANNULUS, 1)
+    moved = transport_curve(CORE, res.quad)
+    assert rotated != CORE and res.triangulation != ANNULUS and moved == CORE
+    g = build_band_graph(ANNULUS, CORE)
+    others = [build_band_graph(ANNULUS, rotated), build_band_graph(res.triangulation, moved)]
+    assert len({id(x) for x in [g] + others}) == 3
+    for h in [g] + others:
+        assert h.w == brute_force_sum(h)
+    assert len({frozenset(h.w.items()) for h in [g] + others}) == 3
+
+
+def test_a_failed_build_raises_again():
+    for _ in range(2):
+        with pytest.raises(SnakeGraphError):
+            build_snake_graph(ANNULUS, CORE)
+    assert (ANNULUS, CORE, False) not in snakegraph._live_graphs
+
+
+def test_live_graphs_are_freed_after_a_sweep():
+    config = CorpusConfig(surfaces=("annulus", "torus-boundary"), arc_surfaces=("pentagon",))
+    reports = run_corpus(config)
+    assert reports and all(r.passed for r in reports)
+    gc.collect()
+    assert len(snakegraph._live_graphs) == 0
 
 
 def test_torus_band_zigzags():
