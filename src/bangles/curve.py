@@ -14,7 +14,7 @@ inserted for every passage that connects the two new triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .poly import Poly, lp_monomial, lp_one
 from .surface import Corner, QuadRecord, Triangulation
@@ -137,64 +137,11 @@ def crossing_monomial(t: Triangulation, c: Curve) -> Poly:
 # transport along a flip
 
 
-class _QuadView:
-    """Slot bookkeeping for one transport direction.
-
-    src side: where the curve currently lives; dst: after the rewrite.
-    Slots 0..3 are the quad sides e1..e4; the shared corners (the new
-    diagonal's endpoints on the dst side) admit a corner in both dst
-    triangles, the other two corners pin a unique dst triangle.
-    """
-
-    def __init__(self, q: QuadRecord, forward: bool):
-        self.k = q.arc
-        self.tris = (q.tri_a, q.tri_b)
-        ta, tb = q.tri_a, q.tri_b
-        (ka_t, ka), (kb_t, kb) = q.old_k_slots
-        old = {i: q.old_slots[i] for i in range(4)}
-        new = {i: q.new_slot(i) for i in range(4)}
-        old_corner = {
-            "P": ((ta, (ka + 1) % 3),),
-            "Q": ((ta, (ka + 2) % 3), (tb, kb)),
-            "R": ((tb, (kb + 1) % 3),),
-            "S": ((ta, ka), (tb, (kb + 2) % 3)),
-        }
-        new_corner = {
-            "P": ((ta, 2), (tb, 1)),
-            "Q": ((ta, 0),),
-            "R": ((ta, 1), (tb, 2)),
-            "S": ((tb, 0),),
-        }
-        src_slots, dst_slots = (old, new) if forward else (new, old)
-        src_c, dst_c = (old_corner, new_corner) if forward else (new_corner, old_corner)
-        self.slot_of: Dict[Tuple[int, int], int] = {}
-        for i in range(4):
-            ti, pos = src_slots[i]
-            label = q.sides[i]
-            key = (ti, label)
-            if key in self.slot_of:
-                raise TransportError(f"arc {label} bounds the quad twice in one triangle")
-            self.slot_of[key] = i
-        self.dst_tri = {i: dst_slots[i][0] for i in range(4)}
-        self.corner_name = {c: n for n, cs in src_c.items() for c in cs}
-        self.dst_corners = dst_c
-
-    def dst_corner(self, name: str, near_tri: int) -> Tuple[Corner, bool]:
-        """Corner for this vertex on the dst side, preferring the triangle the
-        adjacent curve piece lives in; True when an extra diagonal crossing is
-        needed to reach it."""
-        options = self.dst_corners[name]
-        for c in options:
-            if c[0] == near_tri:
-                return c, False
-        return options[0], True
-
-
 def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
     """Rewrite a curve across one flip (forward: old coords to new)."""
     if not q.transportable:
         raise TransportError(f"flip of arc {q.arc} involved tags or folded sides")
-    v = _QuadView(q, forward)
+    v = q.forward_view if forward else q.backward_view
     k = v.k
     if c.arc is not None:
         if c.arc != k:

@@ -12,7 +12,9 @@ builds each state's band graph once and keeps only its (F, g, h), until
 the sweep returns.  Its F identity clears the (1+y_k) denominators of the
 one-step Y-seed and compares two Laurent polynomials; like every check it
 is exact.  A passing keylemma-F report carries no sides, since only a
-failing line prints them.
+failing line prints them.  Walker states carry no seeds: the arc sweep
+keeps one seed per cluster reached and mutates it once, along the flip
+that first reaches that cluster.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
@@ -258,7 +260,10 @@ def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable
     flip (a TransportError skips the flip); states with equal key(t, state)
     are one.  edges lists (k, child triangulation, child state, child key)
     for every transportable flip out of a state above `depth`, and is empty
-    at `depth`.  Any other error of a flip or an advance ends the walk.
+    at `depth`.  The first edge, in yield order, to reach an unseen key
+    carries the child state that is yielded for it, so a caller can attach
+    per-state data (the arc sweep's seeds) along that edge alone.  Any
+    other error of a flip or an advance ends the walk.
     """
     k0 = key(t0, start)
     seen = {k0}
@@ -348,24 +353,32 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
 
 def _flip_cluster(state: tuple, quad) -> tuple:
     # only the flipped arc changes, so only it is pulled back to t0
-    seed, quads, backs = state
+    quads, backs = state
     k, quads = quad.arc, quads + (quad,)
     back = normalize_curve(_pull_back_arc(k, quads))
-    return seed_mutate(seed, k - 1), quads, backs[: k - 1] + (back,) + backs[k:]
+    return quads, backs[: k - 1] + (back,) + backs[k:]
 
 
 def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    # A state is a cluster: its seed, the flips that reach it, and its arcs
-    # pulled back to t0.  Triangulations that encode identically can still
-    # carry distinct arcs (twists), so clusters are keyed by the pulled-back
-    # arcs, and each arc is checked once, in the first cluster holding it.
+    # A state is a cluster: the flips that reach it and its arcs pulled back
+    # to t0.  Triangulations that encode identically can still carry
+    # distinct arcs (twists), so clusters are keyed by the pulled-back arcs,
+    # and each arc is checked once, in the first cluster holding it.
     t0 = load_surface(name)
     n = t0.n_arcs
     backs = tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1))
-    start = (initial_seed(t0.adjacency), (), backs)
+    start = ((), backs)
     checked: Set[Curve] = set()
-    cluster = lambda t, state: frozenset(state[2])
-    for _, (seed, _, backs), _, word, _ in _walk(t0, start, depth, _flip_cluster, cluster):
+    cluster = lambda t, state: frozenset(state[1])
+    # The seed of each cluster reached, by key; None once it is yielded.
+    # A seed is mutated along the edge that first reaches its cluster, the
+    # one the walker keeps, so its labels match that cluster's arcs.
+    seeds: Dict[frozenset, Optional[Seed]] = {cluster(t0, start): initial_seed(t0.adjacency)}
+    for _, (_, backs), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster):
+        seed, seeds[key] = seeds[key], None
+        for k, _, _, child in edges:
+            if child not in seeds:
+                seeds[child] = seed_mutate(seed, k - 1)
         for j, back in enumerate(backs, 1):
             if back in checked:
                 continue

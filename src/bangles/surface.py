@@ -346,6 +346,52 @@ def tag_switch(t: Triangulation, pid: int) -> Triangulation:
     )
 
 
+class _QuadView:
+    """Slot and corner tables of one quad for one transport direction.
+
+    src side: where the curve currently lives; dst: after the rewrite.
+    Slots 0..3 are the quad sides e1..e4; the shared corners (the new
+    diagonal's endpoints on the dst side) admit a corner in both dst
+    triangles, the other two corners pin a unique dst triangle.  Curves
+    cross only transportable quads, whose four triangles each have three
+    distinct sides, so (triangle, label) names each slot once.
+    """
+
+    def __init__(self, q: QuadRecord, forward: bool):
+        self.k = q.arc
+        ta, tb = self.tris = (q.tri_a, q.tri_b)
+        (_, ka), (_, kb) = q.old_k_slots
+        old, new = q.old_slots, [q.new_slot(i) for i in range(4)]
+        old_corner = {
+            "P": ((ta, (ka + 1) % 3),),
+            "Q": ((ta, (ka + 2) % 3), (tb, kb)),
+            "R": ((tb, (kb + 1) % 3),),
+            "S": ((ta, ka), (tb, (kb + 2) % 3)),
+        }
+        new_corner = {
+            "P": ((ta, 2), (tb, 1)),
+            "Q": ((ta, 0),),
+            "R": ((ta, 1), (tb, 2)),
+            "S": ((tb, 0),),
+        }
+        src_slots, dst_slots = (old, new) if forward else (new, old)
+        src_c, dst_c = (old_corner, new_corner) if forward else (new_corner, old_corner)
+        self.slot_of = {(src_slots[i][0], q.sides[i]): i for i in range(4)}
+        self.dst_tri = [tri for tri, _ in dst_slots]
+        self.corner_name = {c: n for n, cs in src_c.items() for c in cs}
+        self.dst_corners = dst_c
+
+    def dst_corner(self, name: str, near_tri: int) -> Tuple[Corner, bool]:
+        """Corner for this vertex on the dst side, preferring the triangle the
+        adjacent curve piece lives in; True when an extra diagonal crossing is
+        needed to reach it."""
+        options = self.dst_corners[name]
+        for c in options:
+            if c[0] == near_tri:
+                return c, False
+        return options[0], True
+
+
 @dataclass(frozen=True)
 class QuadRecord:
     """Geometry of one ideal flip, enough to rewrite curves.
@@ -368,6 +414,18 @@ class QuadRecord:
     def new_slot(self, i: int) -> Corner:
         # e1..e4 = quad side index 0..3 in the new storage
         return ((self.tri_a, 0), (self.tri_a, 1), (self.tri_b, 0), (self.tri_b, 1))[[3, 0, 1, 2][i]]
+
+    # Each direction's tables are built on first use and kept on the quad,
+    # so every state whose flip word runs through this quad shares them and
+    # they are freed with it.
+
+    @cached_property
+    def forward_view(self) -> _QuadView:
+        return _QuadView(self, True)
+
+    @cached_property
+    def backward_view(self) -> _QuadView:
+        return _QuadView(self, False)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Positioned curves: validation, crossing products, transport across flips."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from bangles.curve import (
     transport_curve,
     validate_curve,
 )
-from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
+from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from bangles.poly import lp_monomial, lp_one
 from bangles.surface import flip, flip_word
 
@@ -178,3 +179,40 @@ def test_transport_refuses_tagged_quads():
     assert res2.quad is not None and not res2.quad.transportable
     with pytest.raises(TransportError):
         transport_curve(arc_curve(1), res2.quad)
+
+
+def _view_cases():
+    """(surface, curve on it) for every closed fixture and label-only arc."""
+    for surface, t, c in closed_fixtures():
+        yield surface, t, c
+    for surface in SURFACES:
+        t = load_surface(surface)
+        for j in range(1, t.n_arcs + 1):
+            yield surface, t, arc_curve(j)
+
+
+@pytest.mark.parametrize("first", ["forward", "backward"])
+def test_shared_views_transport_like_fresh_ones(first):
+    # a quad keeps one view per direction; a transport through it must
+    # match the same transport through a fresh copy of the quad, whichever
+    # direction's view was built first, and carrying a curve there and
+    # back must return it
+    compared = 0
+    for surface, t, c in _view_cases():
+        for k in range(1, t.n_arcs + 1):
+            res = flip(t, k)
+            if res.quad is None or not res.quad.transportable:
+                continue
+            moved = transport_curve(c, replace(res.quad), True)
+            back = transport_curve(moved, replace(res.quad), False)
+            assert normalize_curve(back) == normalize_curve(c), (surface, c, k)
+            q = replace(res.quad)  # no view built yet
+            if first == "forward":
+                assert transport_curve(c, q, True) == moved, (surface, c, k)
+                assert transport_curve(moved, q, False) == back, (surface, c, k)
+            else:
+                assert transport_curve(moved, q, False) == back, (surface, c, k)
+                assert transport_curve(c, q, True) == moved, (surface, c, k)
+            assert "forward_view" in vars(q) and "backward_view" in vars(q)
+            compared += 1
+    assert compared == 126

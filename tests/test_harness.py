@@ -1,6 +1,12 @@
+import ast
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 import bangles.harness as harness
+import bangles.surface as surface
 from bangles.curve import parse_curve, transport_curve
 from bangles.fixtures import load_curve_text, load_surface
 from bangles.harness import (
@@ -295,3 +301,73 @@ def test_transport_error_in_walk_fails_only_its_surface(monkeypatch):
     assert annulus and not any(i.startswith("keylemma") for i in annulus)
     other = [r for r in reports if r.case.startswith("annulus2:")]
     assert any(r.identity == "keylemma-F" for r in other) and all(r.passed for r in other)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon", "annulus"])
+def test_arc_sweep_seeds_match_replayed_words(name):
+    # each cluster's seed is mutated once, along the flip that first reached
+    # it; replaying the report's own word from scratch must agree
+    out = []
+    harness._arc_sweep(name, 4, out)
+    assert out
+    t0 = load_surface(name)
+    for r in out:
+        arc, word = r.case.split(":", 1)[1].split(":word=")
+        replay = verify_arc_bangle(t0, int(arc[len("arc="):]), ast.literal_eval(word))
+        assert (replay.lhs, replay.rhs, replay.passed) == (r.lhs, r.rhs, True), r.case
+
+
+@pytest.mark.parametrize("name, clusters", [("pentagon", 5), ("annulus", 9)])
+def test_arc_sweep_mutates_once_per_new_cluster(monkeypatch, name, clusters):
+    mutations, yielded = [], []
+    real_mutate, real_walk = harness.seed_mutate, harness._walk
+
+    def mutate(seed, k):
+        mutations.append(k)
+        return real_mutate(seed, k)
+
+    def walk(*args):
+        for item in real_walk(*args):
+            yielded.append(item[2])
+            yield item
+
+    monkeypatch.setattr(harness, "seed_mutate", mutate)
+    monkeypatch.setattr(harness, "_walk", walk)
+    out = []
+    harness._arc_sweep(name, 4, out)
+    assert out and all(r.passed for r in out)
+    assert len(yielded) == len(set(yielded)) == clusters
+    assert len(mutations) == clusters - 1
+
+
+def test_sweeps_build_each_quad_view_once_per_direction(monkeypatch):
+    built = []  # (quad, forward); holding the quads keeps their ids apart
+    real = surface._QuadView
+
+    def recording(q, forward):
+        built.append((q, forward))
+        return real(q, forward)
+
+    monkeypatch.setattr(surface, "_QuadView", recording)
+    cfg = CorpusConfig(
+        surfaces=("annulus", "hexagon"), keylemma_depth=3, arc_depth=4, arc_surfaces=("hexagon",)
+    )
+    assert all(r.passed for r in run_corpus(cfg))
+    assert {forward for _, forward in built} == {True, False}
+    assert max(Counter((id(q), forward) for q, forward in built).values()) == 1
+
+
+def test_arc_sweep_quads_are_freed_after_the_sweep(monkeypatch):
+    refs = []
+    real = harness._flip_cluster
+
+    def recording(state, quad):
+        refs.append(weakref.ref(quad))
+        return real(state, quad)
+
+    monkeypatch.setattr(harness, "_flip_cluster", recording)
+    out = []
+    harness._arc_sweep("annulus", 4, out)
+    assert out and refs
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -1,7 +1,7 @@
 """AST scans: every imported name is used, in the package and its tests,
 every private module-level helper of the package has a caller, every
 public one has a caller outside the tests or is exported, and the package
-keeps no unbounded function caches."""
+keeps no unbounded function caches and no keys made of object ids."""
 
 import ast
 from collections import Counter
@@ -138,3 +138,31 @@ def test_function_cache_guard_sees_both_spellings():
         "def f(): pass\n"
     )
     assert _function_caches(ast.parse(src)) == [(2, "cache"), (3, "functools.lru_cache")]
+
+
+def _id_calls(tree: ast.Module):
+    """Lines that call the builtin id()."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    )
+
+
+def test_no_id_keys():
+    """Caches and dedup keys are keyed by value: an id is reused once its
+    object is freed, so an id key can match an object it never saw."""
+    found = []
+    for path in sorted((ROOT / "src" / "bangles").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(ROOT)}:{line}: id(...)" for line in _id_calls(tree)]
+    assert not found, "id() call in the package:\n" + "\n".join(found)
+
+
+def test_id_guard_sees_calls_not_names():
+    src = (
+        "seen = {id(x) for x in xs}\n"
+        "key = (self.id, ident)\n"
+        "cache[id(obj)] = obj\n"
+    )
+    assert _id_calls(ast.parse(src)) == [1, 3]
