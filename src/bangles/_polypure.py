@@ -4,6 +4,11 @@ A polynomial is a dict mapping exponent tuples (ints, negatives allowed) to
 nonzero int coefficients.  These loops dominate every verification run;
 `poly` calls them for every sum and product.
 
+`binomial_sum` multiplies terms by powers of (1 + v_k) without products:
+a term c * v^e times (1 + v_k)^m is c * C(m, j) at e + j*e_k, j = 0..m.
+Each row C(m, .) is built once per call from ints, C(m, j+1) = C(m, j) *
+(m-j) // (j+1), a division that is always exact.
+
 The transfer scan keys each weight by one int instead of a tuple: exponent
 i sits in bits [i*width, (i+1)*width) as a signed field (`_pack`), so
 adding two exponent vectors is one int add.  The encoding is linear and
@@ -13,7 +18,7 @@ stays exact while every field of every sum lies in [-2^(width-1),
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 def add_merge(a: dict, b: dict) -> dict:
@@ -45,6 +50,27 @@ def mul_accum(a: dict, b: dict) -> dict:
                 out[e] = s
             elif e in out:
                 del out[e]
+    return out
+
+
+def binomial_sum(terms: Iterable[Tuple[tuple, int, int]], k: int) -> dict:
+    """Sum of c * v^e * (1 + v_k)^m over (e, c, m) triples, zeros pruned."""
+    rows: dict = {}
+    out: dict = {}
+    for e, c, m in terms:
+        row = rows.get(m)
+        if row is None:
+            row = rows[m] = [1]
+            for j in range(m):
+                row.append(row[j] * (m - j) // (j + 1))
+        head, ek, tail = e[:k], e[k], e[k + 1 :]
+        for j, b in enumerate(row):
+            x = head + (ek + j,) + tail
+            s = out.get(x, 0) + c * b
+            if s:
+                out[x] = s
+            elif x in out:
+                del out[x]
     return out
 
 

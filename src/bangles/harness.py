@@ -10,9 +10,10 @@ flips each state once per arc and hands out every flip it took, with the
 child state and its key; the key-lemma sweep checks each such flip edge,
 builds each state's band graph once and keeps only its (F, g, h), until
 the sweep returns.  Its F identity clears the (1+y_k) denominators of the
-one-step Y-seed and compares two Laurent polynomials; like every check it
-is exact.  A passing keylemma-F report carries no sides, since only a
-failing line prints them.  Walker states carry no seeds: the arc sweep
+one-step Y-seed and compares two Laurent polynomials, each one binomial
+sum along y_k (`lp_binomial_sum`); like every check it is exact.  A
+passing keylemma-F report carries no sides, since only a failing line
+prints them.  Walker states carry no seeds: the arc sweep
 keeps one seed per cluster reached and mutates it once, along the flip
 that first reaches that cluster.
 A check that raises becomes failing reports under its own identities and
@@ -30,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from .mutation import Seed, gvec_mutate_with_h, initial_seed, seed_mutate, yseed_mutate
-from .poly import Poly, lp_add, lp_format, lp_mono_mul, lp_mul, lp_one, lp_pow, lp_var, var_names
+from .poly import lp_binomial_sum, lp_format, var_names
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
 from .snakegraph import build_band_graph, msw_function
 from .surface import Triangulation, canonical_form, flip, triangle_order
@@ -91,30 +92,26 @@ def _key_lemma_reports(
 
     # F identity  F(y) * (1+y'_k)^(-h'_k)  ==  F'(y') * (1+y_k)^(-h_k),
     # y the initial Y-seed and y'_j = y^(a_j) * (1+y_k)^(p_j).  As
-    # 1+y'_k = y_k^-1 * (1+y_k), the left side is F * y_k^(h'_k) *
-    # (1+y_k)^(-h'_k), and a term c * y^e of F' becomes
-    # c * y^(sum e_j a_j) * (1+y_k)^(sum e_j p_j).  Both sides times
-    # (1+y_k)^N, N >= 0 the least that leaves no negative power, are
-    # Laurent polynomials, equal exactly when the two sides are.
-    groups: Dict[int, Poly] = {}  # power of (1+y_k) -> its terms of F'(y')
+    # 1+y'_k = y_k^-1 * (1+y_k), a term c * y^e of F gives
+    # c * y^(e + h'_k e_k) * (1+y_k)^(-h'_k) on the left, and a term
+    # c * y^e of F' gives c * y^(sum e_j a_j) * (1+y_k)^(sum e_j p_j - h_k)
+    # on the right.  Times (1+y_k)^N, N >= 0 the least that leaves no
+    # negative power, each side is one binomial sum along y_k, a Laurent
+    # polynomial; the two are equal exactly when the sides are.
     yp = yseed_mutate(b, k - 1)
+    moved = []  # per term of F'(y'): y-monomial, coefficient, power of (1+y_k)
     for e, c in f2.items():
         mono, power = [0] * n, 0
         for ej, (a, p) in zip(e, yp):
             if ej:
                 mono = [m + ej * x for m, x in zip(mono, a)]
                 power += ej * p
-        # the a_j are a basis of Z^n, so no two terms of F' meet
-        groups.setdefault(power, {})[tuple(mono)] = c
-    big_n = max([0, hk2] + [hk - q for q in groups])
-    one_plus = lp_add(lp_one(n), lp_var(n, k - 1))
-    powers = {m: lp_pow(one_plus, m) for m in {big_n - hk2} | {big_n + q - hk for q in groups}}
-    shift = [0] * n
-    shift[k - 1] = hk2
-    lhs = lp_mul(lp_mono_mul(f1, shift), powers[big_n - hk2])
-    rhs: Poly = {}
-    for q, part in groups.items():
-        rhs = lp_add(rhs, lp_mul(part, powers[big_n + q - hk]))
+        moved.append((tuple(mono), c, power - hk))
+    big_n = max([0, hk2] + [-q for _, _, q in moved])
+    i = k - 1
+    shifted = ((e[:i] + (e[i] + hk2,) + e[i + 1 :], c, big_n - hk2) for e, c in f1.items())
+    lhs = lp_binomial_sum(shifted, i)
+    rhs = lp_binomial_sum(((e, c, big_n + q) for e, c, q in moved), i)
     # only a failing line prints its sides, so only a failure formats them
     ok_f = lhs == rhs
     sides = () if ok_f else tuple(lp_format(side, var_names("y", n)) for side in (lhs, rhs))

@@ -14,12 +14,14 @@ by the Laurent phenomenon, and the key-lemma F identity once its
 denominators, a monomial times a power of (1+y_k), are cleared.  No
 rational function is ever formed.
 
-The inner loops (term merge and product accumulation) live in `_polypure`.
+The inner loops live in `_polypure`: term merge, product accumulation, and
+`lp_binomial_sum`, which multiplies terms by powers of (1 + v_i) with
+binomial rows built from ints, not with products.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _polypure as _kernel
 
@@ -103,10 +105,29 @@ def lp_mul(p: Poly, q: Poly) -> Poly:
 
 def lp_mono_mul(p: Poly, e: Sequence[int], c: int = 1) -> Poly:
     """Multiply by the monomial c * vars^e (fast path, no dict churn)."""
+    et = tuple(e)
+    n = lp_arity(p)
+    if n is not None and len(et) != n:
+        raise ArityError(f"arity mismatch: {n} vs {len(et)}")
     if c == 0:
         return {}
-    et = tuple(e)
     return {tuple(x + y for x, y in zip(k, et)): c * v for k, v in p.items()}
+
+
+def lp_binomial_sum(terms: Iterable[Tuple[Exponent, int, int]], i: int) -> Poly:
+    """Sum of c * vars^e * (1 + variable_i)^m over (e, c, m) triples, m >= 0."""
+    terms = list(terms)
+    if not terms:
+        return {}
+    n = len(terms[0][0])
+    if not 0 <= i < n:
+        raise IndexError(f"variable {i} out of range for arity {n}")
+    for e, _, m in terms:
+        if len(e) != n:
+            raise ArityError(f"arity mismatch: {n} vs {len(e)}")
+        if m < 0:
+            raise ValueError("negative power of a polynomial")
+    return _kernel.binomial_sum(terms, i)
 
 
 def lp_pow(p: Poly, k: int) -> Poly:

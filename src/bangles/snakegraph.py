@@ -61,16 +61,18 @@ class Tile:
 
     def corner(self, which: str) -> Vertex:
         x, y = self.pos
-        return {"SW": (x, y), "SE": (x + 1, y), "NW": (x, y + 1), "NE": (x + 1, y + 1)}[which]
+        dx, dy = _CORNERS[which]
+        return (x + dx, y + dy)
 
     def edge_id(self, side: str) -> EdgeId:
         x, y = self.pos
-        return {
-            "S": ((x, y), (x + 1, y)),
-            "N": ((x, y + 1), (x + 1, y + 1)),
-            "W": ((x, y), (x, y + 1)),
-            "E": ((x + 1, y), (x + 1, y + 1)),
-        }[side]
+        (ax, ay), (bx, by) = _SIDES[side]
+        return ((x + ax, y + ay), (x + bx, y + by))
+
+
+# offsets from a tile's south-west corner to each corner and each side's ends
+_CORNERS = {"SW": (0, 0), "SE": (1, 0), "NW": (0, 1), "NE": (1, 1)}
+_SIDES = {"S": ((0, 0), (1, 0)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1)), "E": ((1, 0), (1, 1))}
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,12 @@ def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
     return (triple[i], triple[(i + 1) % 3], triple[(i + 2) % 3])
 
 
-def _label_x_vec(t: Triangulation, label: int) -> Tuple[int, ...]:
+def _label_x_vec(t: Triangulation, label: int, loops: Dict[int, int]) -> Tuple[int, ...]:
+    """x-weight of an edge label; loops maps each loop to its radius."""
     n = t.n_arcs
     v = [0] * n
     if t.is_boundary(label):
         return tuple(v)
-    folded = folded_sides(t)
-    loops = {loop: r for r, loop in folded.items()}
     if label in loops:
         # a loop stands for the pair of radii it encloses
         v[label - 1] += 1
@@ -245,14 +246,17 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
         )
 
     # assemble edges; a shared edge belongs to the earlier tile
+    loops = {loop: r for r, loop in folded_sides(t).items()}
+    labels = {label for tile in tiles for label in tile.compass}
+    x_vecs = {label: _label_x_vec(t, label, loops) for label in labels}
     edges: Dict[EdgeId, Edge] = {}
     col_tiles: Dict[int, List[Tile]] = {}
     for tile in tiles:
         col_tiles.setdefault(tile.pos[0], []).append(tile)
     for ti, tile in enumerate(tiles):
-        for side in ("S", "W", "E", "N"):
+        north, east, south, west = tile.compass
+        for side, label in (("S", south), ("W", west), ("E", east), ("N", north)):
             eid = tile.edge_id(side)
-            label = tile.compass[("N", "E", "S", "W").index(side)]
             if eid in edges:
                 if edges[eid].label != label:
                     raise SnakeGraphError(
@@ -266,7 +270,7 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
                 for other in col_tiles.get(min(x1, x2), []):
                     if other.pos[1] >= y1:
                         y_vec[other.diagonal - 1] -= sgn
-            edges[eid] = Edge(eid, label, _label_x_vec(t, label), tuple(y_vec))
+            edges[eid] = Edge(eid, label, x_vecs[label], tuple(y_vec))
 
     cross = crossing_monomial(t, c)
     (cross_vec,) = cross.keys()
@@ -552,12 +556,13 @@ def brute_force_matchings(g: SnakeGraph) -> List[FrozenSet]:
 def brute_force_sum(g: SnakeGraph) -> Poly:
     """W rebuilt from the brute-force matchings: x from the matched edge
     labels (the seam counted once), y from the lift to the cut graph."""
+    loops = {loop: r for r, loop in folded_sides(g.surface).items()}
     out: Poly = {}
     for m in brute_force_matchings(g):
         x = (0,) * g.surface.n_arcs
         for eid in m:
             label = g.edges[g.iota if eid == SEAM else eid].label
-            x = _add_exps(x, _label_x_vec(g.surface, label))
+            x = _add_exps(x, _label_x_vec(g.surface, label, loops))
         key = x + _matching_y(g, m)
         out[key] = out.get(key, 0) + 1
     return out

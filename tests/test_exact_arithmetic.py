@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bangles"
-EXACT_MODULES = ("poly", "_polypure", "mutation", "snakegraph", "shear")
+EXACT_MODULES = ("poly", "_polypure", "mutation", "snakegraph", "shear", "harness", "curve", "surface")
 BANNED_IMPORTS = {"fractions", "decimal", "math"}
 
 

@@ -20,7 +20,17 @@ from bangles.harness import (
     verify_key_lemma_word,
     verify_shear_flip,
 )
-from bangles.poly import InexactDivisionError
+from bangles.mutation import yseed_mutate
+from bangles.poly import (
+    InexactDivisionError,
+    lp_add,
+    lp_monomial,
+    lp_mono_mul,
+    lp_mul,
+    lp_one,
+    lp_pow,
+    lp_var,
+)
 
 
 def _annulus_core():
@@ -73,6 +83,55 @@ def test_key_lemma_f_fails_on_a_perturbed_side():
     )
     assert not report((f2, g2, (h2[0] + 1, h2[1])))["keylemma-F"].passed
     assert not report((f2, g2, (h2[0] - 1, h2[1])))["keylemma-F"].passed
+
+
+def _product_form_sides(t, k, before, after):
+    """Both cleared sides of the F identity, built from Laurent products:
+    F * y_k^(h'_k) * (1+y_k)^(N-h'_k), and the sum over the terms c * y^e
+    of F' of c * y^(sum e_j a_j) * (1+y_k)^(N + sum e_j p_j - h_k)."""
+    (f1, _, hv1), (f2, _, hv2) = before, after
+    n, i = t.n_arcs, k - 1
+    hk, hk2 = hv1[i], hv2[i]
+    moved = []  # (c * y^(sum e_j a_j), sum e_j p_j) per term of F'
+    for e, c in f2.items():
+        mono, power = lp_monomial((0,) * n, c), 0
+        for ej, (a, p) in zip(e, yseed_mutate(t.adjacency, i)):
+            mono = lp_mono_mul(mono, [ej * x for x in a])
+            power += ej * p
+        moved.append((mono, power))
+    big_n = max([0, hk2] + [hk - q for _, q in moved])
+    one_plus = lp_add(lp_one(n), lp_var(n, i))
+    lhs = lp_mul(lp_mul(f1, lp_var(n, i, hk2)), lp_pow(one_plus, big_n - hk2))
+    rhs = {}
+    for mono, q in moved:
+        rhs = lp_add(rhs, lp_mul(mono, lp_pow(one_plus, big_n + q - hk)))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("name", ["annulus", "annulus2", "torus-boundary"])
+def test_key_lemma_f_sides_match_the_product_form(monkeypatch, name):
+    # every flip edge of a depth-3 sweep: each binomial-sum side equals the
+    # same side built from products, and the F report passes
+    sides, calls = [], []
+    real_sum, real_reports = harness.lp_binomial_sum, harness._key_lemma_reports
+
+    def recording_sum(terms, i):
+        sides.append(real_sum(terms, i))
+        return sides[-1]
+
+    def recording_reports(t, k, before, after, case):
+        reports = real_reports(t, k, before, after, case)
+        calls.append((t, k, before, after, reports[0]))
+        return reports
+
+    monkeypatch.setattr(harness, "lp_binomial_sum", recording_sum)
+    monkeypatch.setattr(harness, "_key_lemma_reports", recording_reports)
+    out = []
+    harness._keylemma_sweep(name, 3, out)
+    assert calls and len(sides) == 2 * len(calls)
+    for (t, k, before, after, report), lhs, rhs in zip(calls, sides[::2], sides[1::2]):
+        assert report.identity == "keylemma-F" and report.passed, report.case
+        assert (lhs, rhs) == _product_form_sides(t, k, before, after), report.case
 
 
 def test_arc_check_with_empty_word():

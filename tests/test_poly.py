@@ -9,14 +9,17 @@ from bangles.poly import (
     InexactDivisionError,
     NotSubtractionFreeError,
     lp_add,
+    lp_binomial_sum,
     lp_divexact,
     lp_format,
+    lp_mono_mul,
     lp_mul,
     lp_neg,
     lp_one,
     lp_parse,
     lp_pow,
     lp_sorted_terms,
+    lp_var,
     trop_eval_many,
     var_names,
 )
@@ -65,6 +68,12 @@ def test_arity_mismatch_rejected():
         lp_add(P("y1"), lp_parse("u1", ["u1", "u2", "u3"]))
     with pytest.raises(ArityError):
         lp_mul(P("y1"), lp_parse("u1", ["u1", "u2", "u3"]))
+
+
+def test_mono_mul_rejects_an_exponent_of_another_arity():
+    with pytest.raises(ArityError):
+        lp_mono_mul({(1, 2, 3): 1}, (1, 1))
+    assert lp_mono_mul({}, (1, 1)) == {}
 
 
 def test_pow_small_cases():
@@ -244,3 +253,53 @@ def test_packing_round_trips_and_adds(case):
     packed = sum(_polypure._pack(v, width) for v in parts)
     assert _polypure._pack(total, width) == packed
     assert _polypure._unpack(packed, n, width) == total
+
+
+# ---------------------------------------------------------------------------
+# binomial sums: terms times powers of (1 + v_i), without products
+
+laurent3 = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), coeffs, max_size=6)
+
+
+def _times_binomial_power(p, i, m):
+    """p * (1 + v_i)^m as a product of polynomials: the oracle."""
+    return lp_mul(p, lp_pow(lp_add(lp_one(3), lp_var(3, i)), m))
+
+
+@given(laurent3, st.integers(0, 2), st.integers(0, 6))
+def test_binomial_sum_matches_the_product(p, i, m):
+    out = lp_binomial_sum([(e, c, m) for e, c in p.items()], i)
+    assert out == _times_binomial_power(p, i, m)
+    assert all(out.values())
+
+
+@given(laurent3, st.integers(0, 2), st.lists(st.integers(0, 6), min_size=6, max_size=6))
+def test_binomial_sum_takes_a_power_per_term(p, i, powers):
+    terms = [(e, c, m) for (e, c), m in zip(p.items(), powers)]
+    want = {}
+    for e, c, m in terms:
+        want = lp_add(want, _times_binomial_power({e: c}, i, m))
+    assert lp_binomial_sum(terms, i) == want
+
+
+def test_binomial_sum_drops_cancelled_terms():
+    # (1 + y1) - y1 = 1, and (1 + y2)^2 - (1 + y2)^2 = 0
+    assert lp_binomial_sum([((0, 0), 1, 1), ((1, 0), -1, 0)], 0) == {(0, 0): 1}
+    assert lp_binomial_sum([((0, -1), 1, 2), ((0, -1), -1, 2)], 1) == {}
+    # 2*y1^-1*(1 + y1) - (1 + y1)^2 * y1^-1 = y1^-1 - y1
+    assert lp_binomial_sum([((-1, 0), 2, 1), ((-1, 0), -1, 2)], 0) == P("y1^-1 - y1")
+
+
+@given(laurent3, st.integers(0, 2))
+def test_binomial_sum_at_power_zero_is_the_identity(p, i):
+    assert lp_binomial_sum([(e, c, 0) for e, c in p.items()], i) == p
+
+
+def test_binomial_sum_rejects_bad_terms():
+    with pytest.raises(ValueError):
+        lp_binomial_sum([((0, 0), 1, 2), ((1, 0), 1, -1)], 0)
+    with pytest.raises(ArityError):
+        lp_binomial_sum([((0, 0), 1, 1), ((0, 0, 0), 1, 1)], 0)
+    with pytest.raises(IndexError):
+        lp_binomial_sum([((0, 0), 1, 1)], 2)
+    assert lp_binomial_sum([], 0) == {}

@@ -35,7 +35,7 @@ from bangles.snakegraph import (
     snake_g_vector,
     snake_h_vector,
 )
-from bangles.surface import adjacency_matrix, flip
+from bangles.surface import adjacency_matrix, flip, flip_word, folded_sides
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
@@ -290,6 +290,20 @@ def test_dp_matches_brute_force_on_transported_arcs():
             back = transport_curve(arc_curve(k), res.quad, forward=False)
             g = build_snake_graph(t, back)
             assert g.w == brute_force_sum(g), (name, k)
+
+
+def test_loop_edge_weighs_the_loop_and_its_radius():
+    # the square flipped to a self-folded triangle (radius 4 inside loop 2);
+    # a curve across arc 1 into the loop's other triangle has an edge
+    # labelled by the loop, whose x-weight is x(loop) * x(radius)
+    t, _ = flip_word(load_surface("punctured-square"), [1, 3, 2])
+    ((radius, loop),) = folded_sides(t).items()
+    g = build_snake_graph(t, open_curve([(3, 1)], ((3, 0), (0, 0))))
+    loop_edges = [e for e in g.edges.values() if e.label == loop]
+    assert loop_edges
+    (want,) = lp_mul(lp_var(t.n_arcs, loop - 1), lp_var(t.n_arcs, radius - 1))
+    assert all(e.x_vec == want for e in loop_edges)
+    assert g.w == brute_force_sum(g)
 
 
 def test_F_constant_term_one_h_nonpositive():
