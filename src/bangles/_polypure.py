@@ -11,14 +11,18 @@ Each row C(m, .) is built once per call from ints, C(m, j+1) = C(m, j) *
 
 The transfer scan keys each weight by one int instead of a tuple: exponent
 i sits in bits [i*width, (i+1)*width) as a signed field (`_pack`), so
-adding two exponent vectors is one int add.  The encoding is linear and
-stays exact while every field of every sum lies in [-2^(width-1),
-2^(width-1)); keeping it there is the caller's job.
+adding two exponent vectors, or subtracting one from another, is one int
+operation.  The encoding is linear and stays exact while every field of
+every sum lies in [-2^(width-1), 2^(width-1)); keeping it there is the
+caller's job, and `_byte_width` gives the width for a bound.  Widths are
+whole bytes (8, 16, 32 or 64 bits), so `_unpack` splits a key in C, with
+`int.to_bytes` and `struct`, and never slices fields in Python.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+import struct
+from typing import Dict, Iterable, Sequence, Tuple
 
 
 def add_merge(a: dict, b: dict) -> dict:
@@ -84,11 +88,33 @@ def _pack(vec: Sequence[int], width: int) -> int:
     return out
 
 
-def _unpack(p: int, n: int, width: int) -> Tuple[int, ...]:
-    """Inverse of `_pack` for n fields in [-2^(width-1), 2^(width-1)).
+def _bias(n: int, width: int) -> int:
+    """2^(width-1) in each of n fields: adding it makes every in-range field
+    non-negative, so the fields above any bit boundary read off with a shift
+    and no borrow."""
+    return ((1 << (n * width)) - 1) // ((1 << width) - 1) << (width - 1)
 
-    Adding 2^(width-1) to every field makes each one non-negative, so the
-    fields are plain bit slices."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    p += half * (((1 << (n * width)) - 1) // mask)
-    return tuple([((p >> shift) & mask) - half for shift in range(0, n * width, width)])
+
+# `struct` formats of the signed fields, by width in bits
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _byte_width(bound: int) -> int:
+    """Narrowest field width in `_FORMATS` whose signed fields hold every
+    value in [-bound, bound]."""
+    for width in _FORMATS:
+        if bound < 1 << (width - 1):
+            return width
+    raise ValueError(f"exponents up to {bound} do not fit a 64-bit packed field")
+
+
+def _unpack(terms: Dict[int, int], n: int, width: int) -> Dict[Tuple[int, ...], int]:
+    """Inverse of `_pack` on the keys of {packed: count}, n fields each, every
+    field in [-2^(width-1), 2^(width-1)); width is a key of `_FORMATS`.
+
+    Adding 2^(width-1) to every field makes each one non-negative, so no
+    field borrows from the next; flipping each field's top bit back then
+    leaves it in two's complement, which `struct` reads."""
+    bias, size = _bias(n, width), n * width // 8
+    fields = struct.Struct(f"<{n}{_FORMATS[width]}").unpack
+    return {fields(((p + bias) ^ bias).to_bytes(size, "little")): c for p, c in terms.items()}

@@ -103,17 +103,6 @@ def lp_mul(p: Poly, q: Poly) -> Poly:
     return _kernel.mul_accum(p, q)
 
 
-def lp_mono_mul(p: Poly, e: Sequence[int], c: int = 1) -> Poly:
-    """Multiply by the monomial c * vars^e (fast path, no dict churn)."""
-    et = tuple(e)
-    n = lp_arity(p)
-    if n is not None and len(et) != n:
-        raise ArityError(f"arity mismatch: {n} vs {len(et)}")
-    if c == 0:
-        return {}
-    return {tuple(x + y for x, y in zip(k, et)): c * v for k, v in p.items()}
-
-
 def lp_binomial_sum(terms: Iterable[Tuple[Exponent, int, int]], i: int) -> Poly:
     """Sum of c * vars^e * (1 + variable_i)^m over (e, c, m) triples, m >= 0."""
     terms = list(terms)

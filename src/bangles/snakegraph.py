@@ -19,8 +19,12 @@ computed once and freed with the graph.  One live graph is kept per
 every build or read of an equal (t, c) returns that same graph, and the
 graph is freed with its last holder.  The scan works on Python ints: its
 frontiers are vertex bitmasks, and each 2n-exponent weight is packed into
-one int, in signed fields whose width is derived from the graph's edge
-weights, then unpacked to exponent tuples once at the end.
+one int, in byte-aligned signed fields whose width is derived from the
+graph.  A frontier keeps its terms under an offset, so taking an edge moves
+the offset and copies no term.  W stays packed: each read subtracts its
+shift (the floor, the crossing monomial, or both) from every key as one
+int, and unpacks only the fields it returns.  The tuple form `w` is built
+only when something reads it.
 `brute_force_sum` rebuilds W from an independent backtracking matcher that
 keeps its own tuple arithmetic.
 """
@@ -36,7 +40,6 @@ from . import _polypure
 from .curve import Curve, _landing, crossing_monomial, validate_curve
 from .poly import (
     Poly,
-    lp_mono_mul,
     lp_mul,
     lp_one,
     lp_var,
@@ -99,38 +102,62 @@ class SnakeGraph:
         return len(self.tiles)
 
     @cached_property
+    def _packed(self) -> Dict[int, int]:
+        """W with every 2n-exponent key packed into one int (`_scan`)."""
+        return _scan(self)
+
+    @cached_property
+    def _width(self) -> int:
+        """Bits per field of `_packed` (`_field_width`)."""
+        return _field_width(self)
+
+    @cached_property
     def w(self) -> Poly:
         """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
-        return _scan(self)
+        return _polypure._unpack(self._packed, 2 * self.surface.n_arcs, self._width)
+
+    def _fold(self, shift: Tuple[int, ...], heights: bool) -> Dict[int, int]:
+        """W's keys minus the 2n-vector shift, one int subtraction each, cut
+        to their n heights (or n x-degrees) and summed, still packed.  The
+        bias added with the shift makes every x-field non-negative, so the
+        heights are the bits above them, with no borrow."""
+        n, width = self.surface.n_arcs, self._width
+        low, bias = n * width, _polypure._bias(n, width)
+        less, mask = _polypure._pack(shift, width) - bias, (1 << low) - 1
+        out: Dict[int, int] = {}
+        for p, cnt in self._packed.items():
+            p -= less
+            p = p >> low if heights else (p & mask) - bias
+            out[p] = out.get(p, 0) + cnt
+        return out
 
     @cached_property
     def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """x-degrees and heights of the minimal matching, which must be the
         only matching at the least height in every direction."""
-        n = self.surface.n_arcs
-        ys = [key[n:] for key in self.w]
-        m0 = tuple(min(y[i] for y in ys) for i in range(n))
-        floor = [(key, cnt) for key, cnt in self.w.items() if key[n:] == m0]
-        if len(floor) != 1 or floor[0][1] != 1:
+        n, width = self.surface.n_arcs, self._width
+        zero = (0,) * n
+        heights = _polypure._unpack(self._fold(zero + zero, heights=True), n, width)
+        m0 = tuple(map(min, zip(*heights)))
+        if heights.get(m0) != 1:
             raise SnakeGraphError("height floor is not a single matching")
-        return floor[0][0][:n], m0
+        y0, bias = _polypure._pack(zero + m0, width), _polypure._bias(n, width)
+        floor = {p - y0: 1 for p in self._packed if (p - y0 + bias) >> (n * width) == 0}
+        (x0,) = _polypure._unpack(floor, n, width)
+        return x0, m0
 
     @cached_property
     def f_poly(self) -> Poly:
         """Height generating polynomial: constant term 1, coefficients count
         matchings at each normalized height."""
         n = self.surface.n_arcs
-        m0 = self._floor[1]
-        out: Poly = {}
-        for key, cnt in self.w.items():
-            ykey = _sub_exps(key[n:], m0)
-            out[ykey] = out.get(ykey, 0) + cnt
-        return out
+        f = self._fold((0,) * n + self._floor[1], heights=True)
+        return _polypure._unpack(f, n, self._width)
 
     @cached_property
     def g_vector(self) -> Tuple[int, ...]:
         """x-degrees of the minimal matching minus the crossing degrees."""
-        return _sub_exps(self._floor[0], self.cross_vec)
+        return tuple(x - c for x, c in zip(self._floor[0], self.cross_vec))
 
     @cached_property
     def h_vector(self) -> Tuple[int, ...]:
@@ -143,16 +170,16 @@ class SnakeGraph:
     def msw(self) -> Poly:
         """Laurent expansion: matching sum over the crossing monomial."""
         n = self.surface.n_arcs
-        xonly: Poly = {}
-        for key, cnt in self.w.items():
-            xonly[key[:n]] = xonly.get(key[:n], 0) + cnt
-        return lp_mono_mul(xonly, tuple(-e for e in self.cross_vec), 1)
+        xs = self._fold(self.cross_vec + (0,) * n, heights=False)
+        return _polypure._unpack(xs, n, self._width)
 
     @cached_property
     def principal_msw(self) -> Poly:
         """Matching sum with heights above the floor kept: variables x1..xn
         then y1..yn."""
-        return lp_mono_mul(self.w, tuple(-e for e in self.cross_vec + self._floor[1]), 1)
+        shift = _polypure._pack(self.cross_vec + self._floor[1], self._width)
+        shifted = {p - shift: cnt for p, cnt in self._packed.items()}
+        return _polypure._unpack(shifted, 2 * self.surface.n_arcs, self._width)
 
 
 def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
@@ -313,26 +340,35 @@ def build_band_graph(t: Triangulation, c: Curve) -> SnakeGraph:
 # matchings: transfer scan along the staircase
 
 
-def _scan(g: SnakeGraph) -> Poly:
+# a frontier's terms: (offset, {packed weight - offset: count}, owned), where
+# owned says that no other frontier holds the dict
+_State = Tuple[int, Dict[int, int], bool]
+
+
+def _scan(g: SnakeGraph) -> Dict[int, int]:
     """Walk the edges tile by tile, keeping only covered-vertex frontiers.
 
-    Sums the weights (2n-exponent -> count) of the good matchings.  A band's
-    seam copies are scanned without their x-weight, and a taken copy leaves
-    its own bit in the frontier.  A band matching takes ι, ω or both (both
-    is the seam edge itself), and only the last adds the seam's x-weight,
-    once.
+    Sums the weights (packed 2n-exponent -> count) of the good matchings.  A
+    band's seam copies are scanned without their x-weight, and a taken copy
+    leaves its own bit in the frontier.  A band matching takes ι, ω or both
+    (both is the seam edge itself), and only the last adds the seam's
+    x-weight, once.
 
     The scan runs on ints.  A frontier is a bitmask over the graph's
     vertices and the two seam copies, so membership, union and retirement
     are `&`, `|` and `& ~`.  A weight is packed into one int with one
     signed field per exponent (`_polypure._pack`), so adding an edge's
-    weight is one int add.  The field width comes from the graph
-    (`_field_width`), wide enough that no partial sum carries into its
-    neighbour.  The sums are unpacked to exponent tuples once, at the end.
+    weight is one int add.  The field width is the graph's (`_field_width`),
+    wide enough that no sum carries into its neighbour.  Each frontier holds
+    its terms as an offset and a {packed weight: count} dict, its weights
+    being the keys plus the offset: taking an edge moves the offset and
+    copies no term.  Terms are touched only where two frontiers meet
+    (`_merge`).  The sum stays packed; the reads on `SnakeGraph` unpack only
+    the fields they return.
     """
     n = g.surface.n_arcs
     seam = (g.iota, g.omega)  # (None, None) for a snake
-    width = _field_width(g)
+    width = g._width
     bit: Dict[object, int] = {}
     last_use: Dict[Vertex, int] = {}
     for idx, eid in enumerate(g.edges):
@@ -341,47 +377,45 @@ def _scan(g: SnakeGraph) -> Poly:
             last_use[v] = idx
     for eid in seam if g.band else ():
         bit[eid] = 1 << len(bit)
+    retires = [0] * len(g.edges)  # per edge: bits of the vertices no later edge touches
+    for v, idx in last_use.items():
+        retires[idx] |= bit[v]
     zero_x = (0,) * n
 
     # per edge: its end bits, the bits a matching that takes it sets, its
-    # packed weight, and the bits of the vertices no later edge touches
+    # packed weight, and its retired bits
     plan = []
-    for idx, eid in enumerate(g.edges):
-        e = g.edges[eid]
+    for (eid, e), retire in zip(g.edges.items(), retires):
         ends = bit[e.ends[0]] | bit[e.ends[1]]
         if eid in seam:
             weight, taken = zero_x + e.y_vec, ends | bit[eid]
         else:
             weight, taken = e.x_vec + e.y_vec, ends
-        retire = sum(bit[v] for v in e.ends if last_use[v] == idx)
         plan.append((ends, taken, _polypure._pack(weight, width), retire))
 
     # state: bitmask of covered-but-still-open vertices and taken seam
-    # copies -> (packed weight -> count); a frontier that leaves a retired
-    # vertex uncovered dies
-    states: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    # copies -> `_State`; a frontier that leaves a retired vertex uncovered
+    # dies.  A state that both takes and skips an edge hands one terms dict
+    # to two frontiers, so neither owns it, and `_merge` copies it before
+    # writing.
+    states: Dict[int, _State] = {0: (0, {0: 1}, True)}
     for ends, taken, weight, retire in plan:
-        nxt: Dict[int, Dict[int, int]] = {}
-        for cover, value in states.items():
-            if not cover & ends:
+        nxt: Dict[int, _State] = {}
+        for cover, (offset, terms, owned) in states.items():
+            take = not cover & ends
+            skip = not retire & ~cover
+            if take and skip:
+                owned = False
+            if take:
                 key = (cover | taken) & ~retire
-                acc = nxt.get(key)
-                if acc is None:
-                    nxt[key] = {p + weight: cnt for p, cnt in value.items()}
-                else:
-                    get = acc.get
-                    for p, cnt in value.items():
-                        p += weight
-                        acc[p] = get(p, 0) + cnt
-            if not retire & ~cover:
+                old = nxt.get(key)
+                new = (offset + weight, terms, owned)
+                nxt[key] = new if old is None else _merge(old, new)
+            if skip:
                 key = cover & ~retire
-                acc = nxt.get(key)
-                if acc is None:
-                    nxt[key] = value  # no later read: `states` is dropped
-                else:
-                    get = acc.get
-                    for p, cnt in value.items():
-                        acc[p] = get(p, 0) + cnt
+                old = nxt.get(key)
+                new = (offset, terms, owned)
+                nxt[key] = new if old is None else _merge(old, new)
         states = nxt
 
     if g.band:
@@ -392,19 +426,47 @@ def _scan(g: SnakeGraph) -> Poly:
         parts = [(0, 0)]
     total: Dict[int, int] = {}
     for cover, shift in parts:
-        for p, cnt in states.get(cover, {}).items():
-            p += shift
-            total[p] = total.get(p, 0) + cnt
-    return {_polypure._unpack(p, 2 * n, width): cnt for p, cnt in total.items()}
+        if cover in states:
+            offset, terms, _ = states[cover]
+            offset += shift
+            for p, cnt in terms.items():
+                p += offset
+                total[p] = total.get(p, 0) + cnt
+    return total
+
+
+def _merge(a: _State, b: _State) -> _State:
+    """The state of one frontier that two states reach: the smaller terms
+    dict is shifted into the larger, which is copied first unless owned."""
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    offset, terms, owned = a
+    if not owned:
+        terms = dict(terms)
+    get = terms.get
+    shift = b[0] - offset
+    for p, cnt in b[1].items():
+        p += shift
+        terms[p] = get(p, 0) + cnt
+    return offset, terms, True
 
 
 def _field_width(g: SnakeGraph) -> int:
-    """Bits per packed exponent.  Every partial weight in a scan sums the
-    weights of a subset of g's edges, so no exponent's magnitude exceeds the
-    sum of that coordinate's magnitudes over all edges; a sign bit and a
-    spare bit on top keep each field from carrying into the next."""
+    """Bits per packed exponent: the narrowest byte-aligned width
+    (`_polypure._byte_width`) that holds every packed value the scan and
+    the reads form.
+
+    Let S_i be the sum of field i's magnitudes over all edges.  Every
+    partial weight in a scan sums the weights of a subset of g's edges, so
+    its field i lies in [-S_i, S_i]; so does each term of W.  The reads
+    subtract two more things.  A height minus the floor's height is a
+    difference of two such sums, in [0, S_i].  An x-degree minus a
+    crossing count c_i lies in [-c_i, S_i], since both are non-negative,
+    and c_i can exceed S_i: a tile's diagonal need not label any edge.  So
+    the bound is the largest S_i or c_i."""
     columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
-    return max(sum(map(abs, col)) for col in columns).bit_length() + 2
+    bound = max([sum(map(abs, col)) for col in columns] + list(g.cross_vec))
+    return _polypure._byte_width(bound)
 
 
 def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -434,10 +496,6 @@ def _matching_y(g: SnakeGraph, m: FrozenSet) -> Tuple[int, ...]:
     for eid in m:
         acc = _add_exps(acc, g.edges[eid].y_vec)
     return acc
-
-
-def _sub_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

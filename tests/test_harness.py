@@ -25,7 +25,6 @@ from bangles.poly import (
     InexactDivisionError,
     lp_add,
     lp_monomial,
-    lp_mono_mul,
     lp_mul,
     lp_one,
     lp_pow,
@@ -96,7 +95,7 @@ def _product_form_sides(t, k, before, after):
     for e, c in f2.items():
         mono, power = lp_monomial((0,) * n, c), 0
         for ej, (a, p) in zip(e, yseed_mutate(t.adjacency, i)):
-            mono = lp_mono_mul(mono, [ej * x for x in a])
+            mono = lp_mul(mono, lp_monomial([ej * x for x in a]))
             power += ej * p
         moved.append((mono, power))
     big_n = max([0, hk2] + [hk - q for _, q in moved])

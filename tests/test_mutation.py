@@ -20,7 +20,6 @@ from bangles.poly import (
     InexactDivisionError,
     lp_add,
     lp_monomial,
-    lp_mono_mul,
     lp_mul,
     lp_one,
     lp_parse,
@@ -104,7 +103,7 @@ def test_yseed_rank2_example():
     assert y2p == ((0, 1), 2)
     names = var_names("y", 2)
     a, p = y2p
-    value = lp_mono_mul(lp_pow(lp_parse("1 + y1", names), p), a)
+    value = lp_mul(lp_pow(lp_parse("1 + y1", names), p), lp_monomial(a))
     assert value == lp_parse("y2 + 2*y1*y2 + y1^2*y2", names)
 
 

@@ -12,7 +12,7 @@ from bangles.poly import (
     lp_binomial_sum,
     lp_divexact,
     lp_format,
-    lp_mono_mul,
+    lp_monomial,
     lp_mul,
     lp_neg,
     lp_one,
@@ -72,8 +72,8 @@ def test_arity_mismatch_rejected():
 
 def test_mono_mul_rejects_an_exponent_of_another_arity():
     with pytest.raises(ArityError):
-        lp_mono_mul({(1, 2, 3): 1}, (1, 1))
-    assert lp_mono_mul({}, (1, 1)) == {}
+        lp_mul({(1, 2, 3): 1}, lp_monomial((1, 1)))
+    assert lp_mul({}, lp_monomial((1, 1))) == {}
 
 
 def test_pow_small_cases():
@@ -233,12 +233,13 @@ def test_sorted_terms_graded_lex():
 @st.composite
 def packable(draw):
     """(width, one vector with full-range fields, vectors whose sum still
-    fits): widths from the scan's narrowest up to 32, negative fields
-    included."""
-    width = draw(st.integers(2, 32))
+    fits): every byte-aligned width the scan packs into, negative fields
+    and both ends of the signed range included."""
+    width = draw(st.sampled_from([8, 16, 32, 64]))
     n, count = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    full = 2 ** (width - 1) - 1
-    vec = draw(st.tuples(*[st.integers(-full, full)] * n))
+    half = 2 ** (width - 1)
+    vec = draw(st.tuples(*[st.integers(-half, half - 1)] * n))
+    full = half - 1
     part = st.tuples(*[st.integers(-(full // count), full // count)] * n)
     return width, vec, draw(st.lists(part, min_size=count, max_size=count))
 
@@ -248,11 +249,19 @@ def packable(draw):
 def test_packing_round_trips_and_adds(case):
     width, vec, parts = case
     n = len(vec)
-    assert _polypure._unpack(_polypure._pack(vec, width), n, width) == vec
+    assert _polypure._unpack({_polypure._pack(vec, width): 1}, n, width) == {vec: 1}
     total = tuple(map(sum, zip(*parts)))
     packed = sum(_polypure._pack(v, width) for v in parts)
     assert _polypure._pack(total, width) == packed
-    assert _polypure._unpack(packed, n, width) == total
+    assert _polypure._unpack({packed: 3}, n, width) == {total: 3}
+
+
+def test_byte_width_raises_above_64_bits():
+    assert [_polypure._byte_width(b) for b in (0, 127, 128, 2**15, 2**31, 2**63 - 1)] == [
+        8, 8, 16, 32, 64, 64
+    ]
+    with pytest.raises(ValueError, match="64-bit"):
+        _polypure._byte_width(2**63)
 
 
 # ---------------------------------------------------------------------------

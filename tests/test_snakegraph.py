@@ -1,5 +1,6 @@
 """Snake/band graphs: tile layout, matchings, F/g/h data, bangle functions."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -13,11 +14,13 @@ from bangles.harness import CorpusConfig, run_corpus
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
     lp_const,
+    lp_monomial,
     lp_mul,
     lp_one,
     lp_parse,
     lp_sub,
     lp_var,
+    trop_eval_many,
     var_names,
 )
 from bangles.snakegraph import (
@@ -272,7 +275,7 @@ def test_brute_force_shares_no_scan_code(monkeypatch):
 
     for name in ("_scan", "_field_width"):
         monkeypatch.setattr(snakegraph, name, boom)
-    for name in ("_pack", "_unpack"):  # the scan reads them off `_polypure`
+    for name in ("_pack", "_unpack", "_byte_width"):  # read off `_polypure`
         monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
     assert brute_force_sum(g) == expected
@@ -280,7 +283,8 @@ def test_brute_force_shares_no_scan_code(monkeypatch):
         g.w
 
 
-def test_dp_matches_brute_force_on_transported_arcs():
+def transported_arcs():
+    """Snake graphs of each transportable flip's new diagonal, pulled back."""
     for name in ("pentagon", "hexagon", "punctured-square"):
         t = load_surface(name)
         for k in range(1, t.n_arcs + 1):
@@ -288,8 +292,124 @@ def test_dp_matches_brute_force_on_transported_arcs():
             if res.quad is None or not res.quad.transportable:
                 continue
             back = transport_curve(arc_curve(k), res.quad, forward=False)
-            g = build_snake_graph(t, back)
-            assert g.w == brute_force_sum(g), (name, k)
+            yield name, k, build_snake_graph(t, back)
+
+
+def test_dp_matches_brute_force_on_transported_arcs():
+    for name, k, g in transported_arcs():
+        assert g.w == brute_force_sum(g), (name, k)
+
+
+def tuple_reads(g):
+    """(F, g, h, msw, principal_msw) from `brute_force_sum(g)` by tuple
+    formulas: the floor is the least height in every direction, F and msw
+    slice each key and subtract it, principal_msw multiplies by a monomial."""
+    n = g.surface.n_arcs
+    w = brute_force_sum(g)
+    m0 = tuple(min(key[n + i] for key in w) for i in range(n))
+    (floor,) = [key for key in w if key[n:] == m0]
+    assert w[floor] == 1
+    f, msw = {}, {}
+    for key, cnt in w.items():
+        y = tuple(a - b for a, b in zip(key[n:], m0))
+        f[y] = f.get(y, 0) + cnt
+        x = tuple(a - b for a, b in zip(key[:n], g.cross_vec))
+        msw[x] = msw.get(x, 0) + cnt
+    gv = tuple(a - b for a, b in zip(floor[:n], g.cross_vec))
+    rows = enumerate(adjacency_matrix(g.surface))
+    dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
+    principal = lp_mul(w, lp_monomial(tuple(-e for e in g.cross_vec + m0)))
+    return f, gv, trop_eval_many(f, dirs), msw, principal
+
+
+def packed_reads(g):
+    return g.f_poly, g.g_vector, g.h_vector, g.msw, g.principal_msw
+
+
+def test_packed_reads_match_tuple_formulas():
+    kmax = {"annulus": 4, "annulus2": 4, "torus-boundary": 4}
+    graphs = list(k_fold_fixtures(kmax)) + list(transported_arcs())
+    assert len(graphs) == 12 + 9
+    for name, k, g in graphs:
+        assert packed_reads(g) == tuple_reads(g), (name, k)
+
+
+def single_tile_graph():
+    t = load_surface("pentagon")
+    return build_snake_graph(t, transport_curve(arc_curve(1), flip(t, 1).quad, forward=False))
+
+
+def test_crossing_vector_can_set_the_field_width():
+    # x1 labels no edge of the tile it is the diagonal of: its column sums to
+    # 0 while it is crossed once.  A graph that is crossed 300 times there
+    # needs 16-bit fields, which the edges alone would not ask for.
+    g = single_tile_graph()
+    assert g.cross_vec == (1, 0)
+    assert sum(e.x_vec[0] for e in g.edges.values()) == 0
+    assert snakegraph._field_width(g) == 8
+    crossed = dataclasses.replace(g, cross_vec=(300, 0))
+    assert snakegraph._field_width(crossed) == 16
+    assert packed_reads(crossed) == tuple_reads(crossed)
+    assert crossed.msw == {(-300, 0): 1, (-300, 1): 1}
+
+
+def test_fields_wider_than_64_bits_raise():
+    crossed = dataclasses.replace(single_tile_graph(), cross_vec=(2**63, 0))
+    with pytest.raises(ValueError, match="64-bit"):
+        crossed.msw
+
+
+def test_floor_must_be_one_matching():
+    # two matchings on the least height, then a least height no matching has
+    g = single_tile_graph()
+    for w in ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1}):
+        fake = dataclasses.replace(g)
+        fake.__dict__["_packed"] = {_polypure._pack(key, g._width): 1 for key in w}
+        assert fake.w == w
+        with pytest.raises(SnakeGraphError, match="height floor"):
+            fake.f_poly
+
+
+def test_reads_scan_once_and_leave_w_packed(monkeypatch):
+    t = load_surface("torus-boundary")
+    c = parse_curve(t, load_curve_text("torus-weave"))
+    scan = snakegraph._scan
+    calls = []
+
+    def counting_scan(g):
+        calls.append(g.d)
+        return scan(g)
+
+    monkeypatch.setattr(snakegraph, "_scan", counting_scan)
+    g = build_band_graph(t, closed_curve(c.steps * 2))
+    assert "_packed" not in g.__dict__  # a fresh graph
+    packed_reads(g)
+    assert len(calls) == 1
+    assert "w" not in g.__dict__  # no read unpacks the whole of W
+    assert g.w == brute_force_sum(g)
+    assert len(calls) == 1
+
+
+def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
+    # a frontier that both takes and skips an edge hands one terms dict to
+    # two states; merging a third state into one of them must not change
+    # the other
+    merge = snakegraph._merge
+    copied = []
+
+    def watching_merge(a, b):
+        unowned = [(terms, dict(terms)) for _, terms, owned in (a, b) if not owned]
+        out = merge(a, b)
+        assert all(terms == before for terms, before in unowned)
+        copied.append(out[1] is not a[1] and out[1] is not b[1])
+        return out
+
+    monkeypatch.setattr(snakegraph, "_merge", watching_merge)
+    t = load_surface("torus-boundary")
+    g = build_band_graph(t, parse_curve(t, load_curve_text("torus-weave")))
+    assert "_packed" not in g.__dict__
+    assert g.w == brute_force_sum(g)
+    assert any(copied)
 
 
 def test_loop_edge_weighs_the_loop_and_its_radius():
