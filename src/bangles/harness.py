@@ -26,6 +26,7 @@ Reports are deterministic: identical inputs give byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
@@ -97,18 +98,18 @@ def _key_lemma_reports(
     # c * y^e of F' gives c * y^(sum e_j a_j) * (1+y_k)^(sum e_j p_j - h_k)
     # on the right.  Times (1+y_k)^N, N >= 0 the least that leaves no
     # negative power, each side is one binomial sum along y_k, a Laurent
-    # polynomial; the two are equal exactly when the sides are.
-    yp = yseed_mutate(b, k - 1)
-    moved = []  # per term of F'(y'): y-monomial, coefficient, power of (1+y_k)
-    for e, c in f2.items():
-        mono, power = [0] * n, 0
-        for ej, (a, p) in zip(e, yp):
-            if ej:
-                mono = [m + ej * x for m, x in zip(mono, a)]
-                power += ej * p
-        moved.append((tuple(mono), c, power - hk))
-    big_n = max([0, hk2] + [-q for _, _, q in moved])
+    # polynomial; the two are equal exactly when the sides are.  Off entry
+    # k each a_j is the j-th unit vector, so sum e_j a_j is e with its k-th
+    # entry replaced by e's dot product with column k of the a_j.
     i = k - 1
+    yp = yseed_mutate(b, i)
+    col, ps = [a[i] for a, _ in yp], [p for _, p in yp]
+    # per term of F'(y'): y-monomial, coefficient, power of (1+y_k)
+    moved = [
+        (e[:i] + (sum(map(mul, e, col)),) + e[i + 1 :], c, sum(map(mul, e, ps)) - hk)
+        for e, c in f2.items()
+    ]
+    big_n = max([0, hk2] + [-q for _, _, q in moved])
     shifted = ((e[:i] + (e[i] + hk2,) + e[i + 1 :], c, big_n - hk2) for e, c in f1.items())
     lhs = lp_binomial_sum(shifted, i)
     rhs = lp_binomial_sum(((e, c, big_n + q) for e, c, q in moved), i)
@@ -349,29 +350,32 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
 
 
 def _flip_cluster(state: tuple, quad) -> tuple:
-    # only the flipped arc changes, so only it is pulled back to t0
-    quads, backs = state
-    k, quads = quad.arc, quads + (quad,)
-    back = normalize_curve(_pull_back_arc(k, quads))
-    return quads, backs[: k - 1] + (back,) + backs[k:]
+    # only the flipped arc changes, so only it is pulled back to t0; a flip
+    # that undoes the state's last one restores the arc that one replaced
+    quads, backs, replaced = state
+    k = quad.arc
+    undo = quads and quads[-1].arc == k
+    back = replaced if undo else normalize_curve(_pull_back_arc(k, quads + (quad,)))
+    return quads + (quad,), backs[: k - 1] + (back,) + backs[k:], backs[k - 1]
 
 
 def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    # A state is a cluster: the flips that reach it and its arcs pulled back
-    # to t0.  Triangulations that encode identically can still carry
-    # distinct arcs (twists), so clusters are keyed by the pulled-back arcs,
-    # and each arc is checked once, in the first cluster holding it.
+    # A state is a cluster: the flips that reach it, its arcs pulled back to
+    # t0, and the arc its last flip replaced.  Triangulations that encode
+    # identically can still carry distinct arcs (twists), so clusters are
+    # keyed by the pulled-back arcs, and each arc is checked once, in the
+    # first cluster holding it.
     t0 = load_surface(name)
     n = t0.n_arcs
     backs = tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1))
-    start = ((), backs)
+    start = ((), backs, None)
     checked: Set[Curve] = set()
     cluster = lambda t, state: frozenset(state[1])
     # The seed of each cluster reached, by key; None once it is yielded.
     # A seed is mutated along the edge that first reaches its cluster, the
     # one the walker keeps, so its labels match that cluster's arcs.
     seeds: Dict[frozenset, Optional[Seed]] = {cluster(t0, start): initial_seed(t0.adjacency)}
-    for _, (_, backs), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster):
+    for _, (_, backs, _), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster):
         seed, seeds[key] = seeds[key], None
         for k, _, _, child in edges:
             if child not in seeds:

@@ -17,16 +17,17 @@ and bands alike; the graph caches W and each read off it, so each is
 computed once and freed with the graph.  One live graph is kept per
 (triangulation, curve) value: while any caller holds the graph of (t, c),
 every build or read of an equal (t, c) returns that same graph, and the
-graph is freed with its last holder.  The scan works on Python ints: its
-frontiers are vertex bitmasks, and each 2n-exponent weight is packed into
-one int, in byte-aligned signed fields whose width is derived from the
-graph.  A frontier keeps its terms under an offset, so taking an edge moves
-the offset and copies no term.  W stays packed: each read subtracts its
-shift (the floor, the crossing monomial, or both) from every key as one
-int, and unpacks only the fields it returns.  The tuple form `w` is built
-only when something reads it.
-`brute_force_sum` rebuilds W from an independent backtracking matcher that
-keeps its own tuple arithmetic.
+graph is freed with its last holder.  One pass over the tiles lays the
+edges out, and the scan plan is read straight off that layout: vertex
+bitmasks for the frontiers, and each 2n-exponent weight packed into one
+int, in byte-aligned signed fields whose width the same pass bounds.  A
+frontier keeps its terms under an offset, so taking an edge moves the
+offset and copies no term.  W stays packed: each read subtracts its shift
+(the floor, the crossing monomial, or both) from every key as one int, and
+unpacks only the fields it returns.  The tuple form `w` and the `Edge`
+records are built only when read, by `brute_force_sum` or for inspection;
+that oracle rebuilds W from an independent backtracking matcher with its
+own tuple arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import _polypure
@@ -76,6 +78,9 @@ class Tile:
 # offsets from a tile's south-west corner to each corner and each side's ends
 _CORNERS = {"SW": (0, 0), "SE": (1, 0), "NW": (0, 1), "NE": (1, 1)}
 _SIDES = {"S": ((0, 0), (1, 0)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1)), "E": ((1, 0), (1, 1))}
+# per side: its ends among a tile's corners (SW, SE, NW, NE), its place in the
+# compass, its y-sign against the south side's (0: vertical), 1 if it tops the tile
+_SIDE = {"S": (0, 1, 2, 1, 0), "W": (0, 2, 3, 0, 0), "E": (1, 3, 1, 0, 0), "N": (2, 3, 0, -1, 1)}
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ class Edge:
 class SnakeGraph:
     surface: Triangulation
     tiles: Tuple[Tile, ...]
-    edges: Dict[EdgeId, Edge]  # in scan order: tile by tile
     band: bool
     iota: Optional[EdgeId]  # first tile's seam copy (bands only)
     omega: Optional[EdgeId]  # last tile's seam copy
@@ -100,6 +104,23 @@ class SnakeGraph:
     @property
     def d(self) -> int:
         return len(self.tiles)
+
+    @cached_property
+    def _layout(self) -> tuple:
+        return _lay_out(self)
+
+    @cached_property
+    def edges(self) -> Dict[EdgeId, Edge]:
+        """The edges in scan order as `Edge` records, for the brute-force
+        oracle and for inspection; the scan never builds them."""
+        out: Dict[EdgeId, Edge] = {}
+        slots, xvecs, _, _ = self._layout
+        for ti, side, label, _, _, _, sign, start, stop in slots:
+            above = [tile.diagonal for tile in self.tiles[start:stop]]
+            eid = self.tiles[ti].edge_id(side)
+            y = tuple(sign * above.count(j) for j in range(1, self.surface.n_arcs + 1))
+            out[eid] = Edge(eid, label, xvecs[label], y)
+        return out
 
     @cached_property
     def _packed(self) -> Dict[int, int]:
@@ -132,27 +153,28 @@ class SnakeGraph:
         return out
 
     @cached_property
-    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Dict[int, int]]:
         """x-degrees and heights of the minimal matching, which must be the
-        only matching at the least height in every direction."""
+        only matching at the least height in every direction, and W's
+        heights above it, packed: F's terms."""
         n, width = self.surface.n_arcs, self._width
         zero = (0,) * n
-        heights = _polypure._unpack(self._fold(zero + zero, heights=True), n, width)
-        m0 = tuple(map(min, zip(*heights)))
-        if heights.get(m0) != 1:
+        heights = self._fold(zero + zero, heights=True)
+        m0 = tuple(map(min, zip(*_polypure._unpack(heights, n, width))))
+        y0 = _polypure._pack(m0, width)
+        above = {p - y0: cnt for p, cnt in heights.items()}
+        if above.get(0) != 1:
             raise SnakeGraphError("height floor is not a single matching")
-        y0, bias = _polypure._pack(zero + m0, width), _polypure._bias(n, width)
+        y0, bias = y0 << (n * width), _polypure._bias(n, width)
         floor = {p - y0: 1 for p in self._packed if (p - y0 + bias) >> (n * width) == 0}
         (x0,) = _polypure._unpack(floor, n, width)
-        return x0, m0
+        return x0, m0, above
 
     @cached_property
     def f_poly(self) -> Poly:
         """Height generating polynomial: constant term 1, coefficients count
         matchings at each normalized height."""
-        n = self.surface.n_arcs
-        f = self._fold((0,) * n + self._floor[1], heights=True)
-        return _polypure._unpack(f, n, self._width)
+        return _polypure._unpack(self._floor[2], self.surface.n_arcs, self._width)
 
     @cached_property
     def g_vector(self) -> Tuple[int, ...]:
@@ -191,17 +213,13 @@ def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
 
 
 def _label_x_vec(t: Triangulation, label: int, loops: Dict[int, int]) -> Tuple[int, ...]:
-    """x-weight of an edge label; loops maps each loop to its radius."""
-    n = t.n_arcs
-    v = [0] * n
-    if t.is_boundary(label):
-        return tuple(v)
-    if label in loops:
-        # a loop stands for the pair of radii it encloses
+    """x-weight of an edge label; loops maps each loop to its radius, as a
+    loop stands for the pair of radii it encloses."""
+    v = [0] * t.n_arcs
+    if not t.is_boundary(label):
         v[label - 1] += 1
-        v[loops[label] - 1] += 1
-    else:
-        v[label - 1] += 1
+        if label in loops:
+            v[loops[label] - 1] += 1
     return tuple(v)
 
 
@@ -211,11 +229,10 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
         raise SnakeGraphError("closed curves give band graphs, open curves snake graphs")
     if not c.steps:
         raise SnakeGraphError("a label-only arc has no snake graph")
-    n = t.n_arcs
     d = len(c.steps)
 
     tiles: List[Tile] = []
-    pos = (0, 0)
+    pos, glued = (0, 0), None  # compass place and label of the side the last tile shares
     for i in range(1, d + 1):
         tri_before, a = c.steps[i - 1]
         landing = _landing(t, c.steps[i - 1])
@@ -225,6 +242,8 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
             compass = (s, s2, u, u2)  # N, E, S, W
         else:
             compass = (s2, s, u2, u)
+        if glued and compass[glued[0]] != glued[1]:
+            raise SnakeGraphError(f"glued edge labeled {glued[1]} and {compass[glued[0]]} at tile {i}")
         tiles.append(Tile(pos, a, compass))
         if i < d or band:
             nxt = c.steps[i % d]
@@ -237,24 +256,18 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
             if i < d:
                 north, east = compass[0], compass[1]
                 if ci == north:
-                    pos = (pos[0], pos[1] + 1)
+                    pos, glued = (pos[0], pos[1] + 1), (2, ci)
                 elif ci == east:
-                    pos = (pos[0] + 1, pos[1])
+                    pos, glued = (pos[0] + 1, pos[1]), (3, ci)
                 else:
                     raise SnakeGraphError(f"connector {ci} missing from tile {i}")
 
-    # seam slots for bands: the last connector shows up on the first tile's
-    # lower-left boundary and on the last tile's upper-right boundary
+    # seam slots for bands: the last connector, the seam label, shows up on
+    # the first tile's lower-left boundary and the last tile's upper-right one
     iota = omega = None
     seam_ident: Tuple[Tuple[Vertex, Vertex], ...] = ()
     if band:
-        landing = _landing(t, c.steps[-1])
-        a_last, a_first = c.steps[-1][1], c.steps[0][1]
-        third = [x for x in t.triangles[landing] if x != a_last and x != a_first]
-        if len(third) != 1:
-            raise SnakeGraphError("no unique seam label")
-        cd = third[0]
-        first, last = tiles[0], tiles[-1]
+        cd, first, last = ci, tiles[0], tiles[-1]
         if first.compass[2] == cd:
             iota, iota_diag = first.edge_id("S"), first.corner("SE")
         elif first.compass[3] == cd:
@@ -272,39 +285,11 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
             (last.corner("NE"), iota_diag),
         )
 
-    # assemble edges; a shared edge belongs to the earlier tile
-    loops = {loop: r for r, loop in folded_sides(t).items()}
-    labels = {label for tile in tiles for label in tile.compass}
-    x_vecs = {label: _label_x_vec(t, label, loops) for label in labels}
-    edges: Dict[EdgeId, Edge] = {}
-    col_tiles: Dict[int, List[Tile]] = {}
-    for tile in tiles:
-        col_tiles.setdefault(tile.pos[0], []).append(tile)
-    for ti, tile in enumerate(tiles):
-        north, east, south, west = tile.compass
-        for side, label in (("S", south), ("W", west), ("E", east), ("N", north)):
-            eid = tile.edge_id(side)
-            if eid in edges:
-                if edges[eid].label != label:
-                    raise SnakeGraphError(
-                        f"glued edge {eid} labeled {edges[eid].label} and {label}"
-                    )
-                continue
-            (x1, y1), (x2, y2) = eid
-            y_vec = [0] * n
-            if y1 == y2:  # horizontal edge: winding weight of its column
-                sgn = 1 if (x1 + y1) % 2 == 0 else -1
-                for other in col_tiles.get(min(x1, x2), []):
-                    if other.pos[1] >= y1:
-                        y_vec[other.diagonal - 1] -= sgn
-            edges[eid] = Edge(eid, label, x_vecs[label], tuple(y_vec))
-
     cross = crossing_monomial(t, c)
     (cross_vec,) = cross.keys()
     return SnakeGraph(
         surface=t,
         tiles=tuple(tiles),
-        edges=edges,
         band=band,
         iota=iota,
         omega=omega,
@@ -354,44 +339,26 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
     (both is the seam edge itself), and only the last adds the seam's
     x-weight, once.
 
-    The scan runs on ints.  A frontier is a bitmask over the graph's
-    vertices and the two seam copies, so membership, union and retirement
-    are `&`, `|` and `& ~`.  A weight is packed into one int with one
-    signed field per exponent (`_polypure._pack`), so adding an edge's
-    weight is one int add.  The field width is the graph's (`_field_width`),
-    wide enough that no sum carries into its neighbour.  Each frontier holds
-    its terms as an offset and a {packed weight: count} dict, its weights
-    being the keys plus the offset: taking an edge moves the offset and
-    copies no term.  Terms are touched only where two frontiers meet
-    (`_merge`).  The sum stays packed; the reads on `SnakeGraph` unpack only
-    the fields they return.
-    """
-    n = g.surface.n_arcs
-    seam = (g.iota, g.omega)  # (None, None) for a snake
-    width = g._width
-    bit: Dict[object, int] = {}
-    last_use: Dict[Vertex, int] = {}
-    for idx, eid in enumerate(g.edges):
-        for v in g.edges[eid].ends:
-            bit.setdefault(v, 1 << len(bit))
-            last_use[v] = idx
-    for eid in seam if g.band else ():
-        bit[eid] = 1 << len(bit)
-    retires = [0] * len(g.edges)  # per edge: bits of the vertices no later edge touches
-    for v, idx in last_use.items():
-        retires[idx] |= bit[v]
-    zero_x = (0,) * n
-
+    The plan is read off the layout (`_lay_out`).  A frontier is a bitmask
+    over the vertices and seam copies, so membership, union and retirement
+    are `&`, `|` and `& ~`.  A weight is one int with a signed field per
+    exponent (as `_polypure._pack`, `_field_width` bits wide), summed from
+    unit shifts, so taking an edge is one int add.  A frontier holds its
+    terms as an offset and a {packed weight: count} dict: taking an edge
+    moves the offset and copies no term, and terms move only where two
+    frontiers meet (`_merge`).  The sum stays packed."""
+    (slots, xvecs, _, seam), n = g._layout, g.surface.n_arcs
+    units = [1 << (i * g._width) for i in range(2 * n)]
+    xw = {label: sum(map(mul, xv, units)) for label, xv in xvecs.items()}
+    suffix = [0] * (g.d + 1)  # suffix[i]: the packed diagonals of tiles[i:]
+    for i in range(g.d - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + units[n + g.tiles[i].diagonal - 1]
     # per edge: its end bits, the bits a matching that takes it sets, its
-    # packed weight, and its retired bits
-    plan = []
-    for (eid, e), retire in zip(g.edges.items(), retires):
-        ends = bit[e.ends[0]] | bit[e.ends[1]]
-        if eid in seam:
-            weight, taken = zero_x + e.y_vec, ends | bit[eid]
-        else:
-            weight, taken = e.x_vec + e.y_vec, ends
-        plan.append((ends, taken, _polypure._pack(weight, width), retire))
+    # packed weight (a seam copy's has no x), and its retired bits
+    plan = [
+        (ends, ends | bit, (0 if bit else xw[label]) + sign * (suffix[start] - suffix[stop]), retire)
+        for _, _, label, ends, bit, retire, sign, start, stop in slots
+    ]
 
     # state: bitmask of covered-but-still-open vertices and taken seam
     # copies -> `_State`; a frontier that leaves a retired vertex uncovered
@@ -419,9 +386,8 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
         states = nxt
 
     if g.band:
-        iota, omega = bit[g.iota], bit[g.omega]
-        seam_x = _polypure._pack(g.edges[g.iota].x_vec + zero_x, width)
-        parts = [(iota | omega, seam_x), (iota, 0), (omega, 0)]
+        iota, omega, label = seam
+        parts = [(iota | omega, xw[label]), (iota, 0), (omega, 0)]
     else:
         parts = [(0, 0)]
     total: Dict[int, int] = {}
@@ -464,13 +430,55 @@ def _field_width(g: SnakeGraph) -> int:
     crossing count c_i lies in [-c_i, S_i], since both are non-negative,
     and c_i can exceed S_i: a tile's diagonal need not label any edge.  So
     the bound is the largest S_i or c_i."""
-    columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
-    bound = max([sum(map(abs, col)) for col in columns] + list(g.cross_vec))
-    return _polypure._byte_width(bound)
+    return _polypure._byte_width(max((g._layout[2],) + g.cross_vec))
 
 
-def _add_exps(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+def _lay_out(g: SnakeGraph) -> tuple:
+    """The edges laid out in one pass over the tiles, for the scan plan and
+    for `edges`: (slots, each label's x-weight, the largest S_i of
+    `_field_width`, and for a band the bits of ι and ω and the seam label).
+
+    A slot is [tile index, side, label, end bits, seam bit, retired bits,
+    sign, start, stop], one per edge in scan order.  A tile adds the sides
+    it does not share with the tile before it and, after the first, two
+    new corners, so vertex bits follow the order the scan meets them; ι
+    and ω take the next two bits.  A vertex retires at the last edge that
+    touches it.  A horizontal edge weighs sign times one y per diagonal of
+    tiles[start:stop], the tiles above it in its column, so a tile adds
+    one to S_i per horizontal edge below it there."""
+    t, tiles, d, n = g.surface, g.tiles, g.d, g.surface.n_arcs
+    ups = [b.pos[0] == a.pos[0] for a, b in zip(tiles, tiles[1:])]  # next tile above?
+    stop = [d] * d  # past the top tile of each tile's column
+    for i in range(d - 2, -1, -1):
+        stop[i] = stop[i + 1] if ups[i] else i + 1
+    sums, slots, last, counts = [0] * (2 * n), [], {}, {}
+    corners, fresh, rank, sides = (1, 2, 4, 8), 16, 0, "SWEN"  # SW, SE, NW, NE bits
+    for i, tile in enumerate(tiles):
+        if i:
+            c, up = corners, ups[i - 1]
+            corners = (c[2], c[3], fresh, fresh << 1) if up else (c[1], fresh, c[3], fresh << 1)
+            fresh, rank, sides = fresh << 2, rank + 1 if up else 0, "WEN" if up else "SEN"
+        sums[n + tile.diagonal - 1] += rank + 1
+        south = 1 if sum(tile.pos) % 2 else -1
+        for side in sides:
+            a, b, k, flip, h = _SIDE[side]
+            label = tile.compass[k]
+            counts[label] = counts.get(label, 0) + 1
+            last[corners[a]] = last[corners[b]] = len(slots)
+            slots.append([i, side, label, corners[a] | corners[b], 0, 0, south * flip, i + h, stop[i]])
+    for v, j in last.items():
+        slots[j][5] |= v
+    seam = None
+    if g.band:  # ι is the first tile's south or west side, ω the last tile's north or east
+        iota = slots[0 if tiles[0].edge_id("S") == g.iota else 1]
+        omega = slots[-1 if tiles[-1].edge_id("N") == g.omega else -2]
+        iota[4], omega[4] = fresh, fresh << 1
+        seam = (fresh, fresh << 1, iota[2])
+    loops = {loop: r for r, loop in folded_sides(t).items()}
+    xvecs = {label: _label_x_vec(t, label, loops) for label in counts}
+    for label, cnt in counts.items():
+        sums[:n] = [s + cnt * x for s, x in zip(sums, xvecs[label])]
+    return slots, xvecs, max(sums), seam
 
 
 def _lift_band_matching(g: SnakeGraph, m: FrozenSet) -> FrozenSet[EdgeId]:
@@ -486,16 +494,6 @@ def _lift_band_matching(g: SnakeGraph, m: FrozenSet) -> FrozenSet[EdgeId]:
     if not add:
         raise SnakeGraphError("matching does not come from a seam-consistent lift")
     return frozenset(m | add)
-
-
-def _matching_y(g: SnakeGraph, m: FrozenSet) -> Tuple[int, ...]:
-    n = g.surface.n_arcs
-    if g.band:
-        m = _lift_band_matching(g, m)
-    acc = (0,) * n
-    for eid in m:
-        acc = _add_exps(acc, g.edges[eid].y_vec)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +613,10 @@ def brute_force_sum(g: SnakeGraph) -> Poly:
     """W rebuilt from the brute-force matchings: x from the matched edge
     labels (the seam counted once), y from the lift to the cut graph."""
     loops = {loop: r for r, loop in folded_sides(g.surface).items()}
-    out: Poly = {}
+    zero, out = (0,) * g.surface.n_arcs, {}
     for m in brute_force_matchings(g):
-        x = (0,) * g.surface.n_arcs
-        for eid in m:
-            label = g.edges[g.iota if eid == SEAM else eid].label
-            x = _add_exps(x, _label_x_vec(g.surface, label, loops))
-        key = x + _matching_y(g, m)
+        xs = [_label_x_vec(g.surface, g.edges[g.iota if e == SEAM else e].label, loops) for e in m]
+        ys = [g.edges[e].y_vec for e in (_lift_band_matching(g, m) if g.band else m)]
+        key = tuple(map(sum, zip(zero, *xs))) + tuple(map(sum, zip(zero, *ys)))
         out[key] = out.get(key, 0) + 1
     return out

@@ -7,7 +7,7 @@ import pytest
 
 import bangles.harness as harness
 import bangles.surface as surface
-from bangles.curve import parse_curve, transport_curve
+from bangles.curve import normalize_curve, parse_curve, transport_curve
 from bangles.fixtures import load_curve_text, load_surface
 from bangles.harness import (
     IDENTITIES,
@@ -396,6 +396,41 @@ def test_arc_sweep_mutates_once_per_new_cluster(monkeypatch, name, clusters):
     assert out and all(r.passed for r in out)
     assert len(yielded) == len(set(yielded)) == clusters
     assert len(mutations) == clusters - 1
+
+
+@pytest.mark.parametrize("name, undone", [("pentagon", 4), ("hexagon", 13), ("annulus", 6)])
+def test_arc_sweep_undo_edges_restore_the_parent_cluster(monkeypatch, name, undone):
+    # an undo edge flips the arc its state was reached by (k == word[-1])
+    # and leads back to the parent's cluster.  The sweep restores the arc
+    # that flip replaced, with no transport; pulling the arc back through
+    # every quad, the slow way, must give the parent's key.
+    items, calls = [], []
+    real_walk, real_transport = harness._walk, harness.transport_curve
+
+    def walk(*args):
+        for item in real_walk(*args):
+            items.append(item)
+            yield item
+
+    def transport(*args, **kwargs):
+        calls.append(args)
+        return real_transport(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_walk", walk)
+    monkeypatch.setattr(harness, "transport_curve", transport)
+    out = []
+    harness._arc_sweep(name, 4, out)
+    assert out and all(r.passed for r in out)
+    states = {tuple(word): (backs, key) for _, (_, backs, _), key, word, _ in items}
+    edges = [(word, k, child, ck) for _, _, _, word, es in items for k, _, child, ck in es]
+    undo = [(word, k, child, ck) for word, k, child, ck in edges if word and k == word[-1]]
+    # only the other edges pull their arc back, through all their quads
+    assert len(calls) == sum(len(e[2][0]) for e in edges if e not in undo)
+    assert len(undo) == undone
+    for word, k, (quads, backs, _), key in undo:
+        assert (backs, key) == states[tuple(word[:-1])]
+        slow = normalize_curve(harness._pull_back_arc(k, quads))
+        assert key == frozenset(backs[: k - 1] + (slow,) + backs[k:])
 
 
 def test_sweeps_build_each_quad_view_once_per_direction(monkeypatch):

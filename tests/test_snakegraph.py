@@ -7,8 +7,15 @@ import weakref
 
 import pytest
 
-from bangles import _polypure, snakegraph
-from bangles.curve import arc_curve, closed_curve, open_curve, parse_curve, transport_curve
+from bangles import _polypure, harness, snakegraph
+from bangles.curve import (
+    TransportError,
+    arc_curve,
+    closed_curve,
+    open_curve,
+    parse_curve,
+    transport_curve,
+)
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.harness import CorpusConfig, run_corpus
 from bangles.mutation import initial_seed, seed_mutate
@@ -300,6 +307,99 @@ def test_dp_matches_brute_force_on_transported_arcs():
         assert g.w == brute_force_sum(g), (name, k)
 
 
+def criterion_4_arcs(monkeypatch):
+    """Snake graphs of every pulled-back arc that the acceptance criterion's
+    arc sweep checks (words to length 5), less the arcs of t0 itself."""
+    backs = []
+    real = harness._arc_report
+    record = lambda t, c, *rest: backs.append((t, c)) or real(t, c, *rest)
+    monkeypatch.setattr(harness, "_arc_report", record)
+    for name in ("pentagon", "hexagon", "heptagon", "octagon", "annulus"):
+        harness._arc_sweep(name, 5, [])
+    return [(t, c, build_snake_graph(t, c)) for t, c in backs if c.steps]
+
+
+def loop_arcs():
+    """Snake graphs with an edge labelled by a loop: on each triangulation
+    three flips from the punctured square that has a self-folded triangle,
+    the arcs one or two flips further, pulled back to it."""
+    t0 = load_surface("punctured-square")
+    seen = set()
+    for word in itertools.product(range(1, 5), repeat=3):
+        t, _ = flip_word(t0, list(word))
+        loops = set(folded_sides(t).values())
+        for more in itertools.product(range(1, 5), repeat=2) if loops else ():
+            for j in range(1, 5):
+                c = arc_curve(j)
+                try:
+                    cur, quads = t, []
+                    for k in more:
+                        res = harness._require_transportable(cur, k)
+                        cur, quads = res.triangulation, quads + [res.quad]
+                    for q in reversed(quads):
+                        c = transport_curve(c, q, forward=False)
+                except TransportError:
+                    continue
+                if c.steps and (t, c) not in seen:
+                    seen.add((t, c))
+                    g = build_snake_graph(t, c)
+                    if any(e.label in loops for e in g.edges.values()):
+                        yield word, more, j, g
+
+
+def test_plan_matches_brute_force_on_swept_and_loop_arcs(monkeypatch):
+    # the closed fixtures and their 2- and 3-fold curves are in
+    # test_dp_matches_brute_force_on_fixture_bands
+    swept = criterion_4_arcs(monkeypatch)
+    assert len(swept) == 60 - 16 and max(g.d for *_, g in swept) == 9
+    for t, c, g in swept:
+        assert g.w == brute_force_sum(g), c
+    looped = list(loop_arcs())
+    assert len(looped) == 50 and {g.d for *_, g in looped} == {1, 2}
+    for word, more, j, g in looped:
+        assert g.w == brute_force_sum(g), (word, more, j)
+
+
+def test_sweeps_never_build_edge_records(monkeypatch):
+    graphs = []
+    real = snakegraph._build
+
+    def keeping(t, c, band):
+        graphs.append(real(t, c, band))
+        return graphs[-1]
+
+    monkeypatch.setattr(snakegraph, "_build", keeping)
+    cfg = CorpusConfig(keylemma_depth=2, arc_depth=3, arc_surfaces=("pentagon", "annulus"))
+    assert all(r.passed for r in run_corpus(cfg))
+    assert {g.band for g in graphs} == {True, False}
+    assert all("_packed" in g.__dict__ and "edges" not in g.__dict__ for g in graphs)
+
+
+WEAVE = parse_curve(load_surface("torus-boundary"), load_curve_text("torus-weave"))
+
+
+@pytest.mark.parametrize(
+    "name, steps, error",
+    [
+        # the core starting in the other triangle on arc 1: tile 2's south
+        # side is not the connector tile 1 is glued to it by
+        ("annulus", ((1, 1), (1, 2)), "glued edge labeled 3 and 4 at tile 2"),
+        # the weave crossing arc 1 first: the last step lands in a
+        # triangle without arc 1, so no side connects the two tiles
+        ("torus-boundary", ((0, 1),) + WEAVE.steps[1:], r"\(4, 2, 5\) gives no unique connector"),
+        # the weave's last step crossing arc 3: the seam label is 1, which
+        # no side of the first tile carries
+        ("torus-boundary", WEAVE.steps[:-1] + ((0, 3),), "seam label 1 missing from the first tile"),
+    ],
+    ids=["glued-label", "connector", "seam-label"],
+)
+def test_build_rejects_steps_that_do_not_glue(monkeypatch, name, steps, error):
+    # curves validate_curve rejects, to reach the build's own checks
+    monkeypatch.setattr(snakegraph, "validate_curve", lambda t, c: None)
+    with pytest.raises(SnakeGraphError, match=error):
+        build_band_graph(load_surface(name), closed_curve(steps))
+
+
 def tuple_reads(g):
     """(F, g, h, msw, principal_msw) from `brute_force_sum(g)` by tuple
     formulas: the floor is the least height in every direction, F and msw
@@ -351,6 +451,18 @@ def test_crossing_vector_can_set_the_field_width():
     assert snakegraph._field_width(crossed) == 16
     assert packed_reads(crossed) == tuple_reads(crossed)
     assert crossed.msw == {(-300, 0): 1, (-300, 1): 1}
+
+
+def test_layout_bound_is_the_largest_edge_magnitude_sum():
+    # the layout counts each S_i from label counts and tile ranks in their
+    # columns; the Edge records give it edge by edge.  From the 11-fold
+    # annulus core on, a y-field sets 16-bit fields.
+    widths = {}
+    for name, k, g in k_fold_fixtures({"annulus": 12, "annulus2": 8, "torus-boundary": 6}):
+        columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
+        assert g._layout[2] == max(sum(map(abs, col)) for col in columns), (name, k)
+        widths[name, k] = g._width
+    assert widths["annulus", 11] == 16 and widths["annulus", 10] == 8
 
 
 def test_fields_wider_than_64_bits_raise():
