@@ -154,8 +154,8 @@ def cmd_verify_shear(args) -> int:
     reports = []
     for i, k in enumerate(word):
         print(f"step {i}: Sh = {dual_shear(t, c)}")
-        reports.append(verify_shear_flip(t, k, c, case=f"step {i + 1}: flip={k}"))
         res = flip(t, k)
+        reports.append(verify_shear_flip(t, k, c, res, f"step {i + 1}: flip={k}"))
         c = transport_curve(c, res.quad)
         t = res.triangulation
     print(f"step {len(word)}: Sh = {dual_shear(t, c)}")

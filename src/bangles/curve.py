@@ -115,12 +115,20 @@ def validate_curve(t: Triangulation, c: Curve) -> None:
                 raise CurveError(f"unknown end tag {tag!r}")
 
 
+def _reversed(c: Curve) -> Curve:
+    """An open curve run from its other end; each step starts where it lands."""
+    lands = [tri for tri, _ in c.steps[1:]] + [c.ends[1][0]]
+    steps = tuple((land, a) for land, (_, a) in zip(lands, c.steps))[::-1]
+    return replace(c, steps=steps, ends=c.ends[::-1], end_tags=c.end_tags[::-1])
+
+
 def normalize_curve(c: Curve) -> Curve:
-    """Closed curves: rotate the cyclic step list to its least form."""
-    if not c.closed or len(c.steps) < 2:
-        return c
+    """One key per curve: a closed curve rotates its cyclic step list to its
+    least form, an open one takes the lesser of its two orientations."""
+    if c.steps and not c.closed:
+        return min(c, _reversed(c), key=lambda o: (o.steps, o.ends, o.end_tags))
     rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
-    return replace(c, steps=min(rots))
+    return replace(c, steps=min(rots)) if rots else c
 
 
 def crossing_monomial(t: Triangulation, c: Curve) -> Poly:

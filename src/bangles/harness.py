@@ -5,17 +5,16 @@ returns VerificationReports.  Both flip sweeps use one breadth-first walker
 over exchange-graph states: a closed curve on a triangulation for the key
 lemma, a cluster of arcs pulled back to the start for the arc checks.  It
 yields each state once, under its shortest flip word, so a sweep of depth
-d covers exactly the checks reachable by words of length <= d.  The walker
-flips each state once per arc and hands out every flip it took, with the
-child state and its key; the key-lemma sweep checks each such flip edge,
-builds each state's band graph once and keeps only its (F, g, h), until
-the sweep returns.  Its F identity clears the (1+y_k) denominators of the
-one-step Y-seed and compares two Laurent polynomials, each one binomial
-sum along y_k (`lp_binomial_sum`); like every check it is exact.  A
-passing keylemma-F report carries no sides, since only a failing line
-prints them.  Walker states carry no seeds: the arc sweep
-keeps one seed per cluster reached and mutates it once, along the flip
-that first reaches that cluster.
+d covers exactly the checks reachable by words of length <= d, and hands
+out every flip it took, with the child state and its key.  The key-lemma
+sweep checks each such flip edge, builds each state's band graph once and
+keeps only its (F, g, h), until the sweep returns.  Its F identity clears
+the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
+polynomials, each one binomial sum along y_k (`lp_binomial_sum`); like
+every check it is exact, and a passing keylemma-F report carries no sides.
+The arc sweep looks a flip up before taking it, by the n-1 arcs it keeps,
+and takes only flips that reach a new cluster; it keeps one seed per
+cluster, mutated once along that flip.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
@@ -25,17 +24,18 @@ Reports are deterministic: identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
-from .mutation import Seed, gvec_mutate_with_h, initial_seed, seed_mutate, yseed_mutate
+from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, seed_mutate, yseed_mutate
 from .poly import lp_binomial_sum, lp_format, var_names
-from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides
+from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides, shear_matrix
 from .snakegraph import build_band_graph, msw_function
-from .surface import Triangulation, canonical_form, flip, triangle_order
+from .surface import FlipResult, Triangulation, canonical_form, flip, triangle_order
 
 IDENTITIES = (
     "keylemma-F",
@@ -199,14 +199,10 @@ def verify_arc_bangle(
 
 
 def verify_shear_flip(
-    t: Triangulation,
-    k: int,
-    lam: Curve,
-    moved: Optional[Curve] = None,
-    case: str = "",
+    t: Triangulation, k: int, lam: Curve, res: FlipResult, case: str = ""
 ) -> VerificationReport:
     case = case or f"flip={k}"
-    lhs, rhs = shear_flip_sides(t, k, lam, moved)
+    lhs, rhs = shear_flip_sides(t, k, lam, res)
     return VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs))
 
 
@@ -251,7 +247,9 @@ def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     return canonical_form(cur), normalize_curve(replace(curve, steps=steps))
 
 
-def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable) -> Iterator[tuple]:
+def _walk(
+    t0: Triangulation, start, depth: int, advance: Callable, key: Callable, skip: Optional[Callable] = None
+) -> Iterator[tuple]:
     """Yield (triangulation, state, key, flip word, edges) once per state
     reachable from (t0, start) by at most `depth` transportable flips, under
     its shortest flip word.  advance(state, quad) carries a state across a
@@ -260,8 +258,10 @@ def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable
     for every transportable flip out of a state above `depth`, and is empty
     at `depth`.  The first edge, in yield order, to reach an unseen key
     carries the child state that is yielded for it, so a caller can attach
-    per-state data (the arc sweep's seeds) along that edge alone.  Any
-    other error of a flip or an advance ends the walk.
+    per-state data (the arc sweep's seeds) along that edge alone.  A caller
+    that knows, before flipping, that the flip at k of a state reaches a
+    seen key passes skip(state, k), and that flip is neither taken nor
+    listed.  Any other error of a flip or an advance ends the walk.
     """
     k0 = key(t0, start)
     seen = {k0}
@@ -270,7 +270,8 @@ def _walk(t0: Triangulation, start, depth: int, advance: Callable, key: Callable
         nxt = []
         for cur, state, sk, word in frontier:
             edges = []
-            for k in range(1, cur.n_arcs + 1) if len(word) < depth else ():
+            ks = range(1, cur.n_arcs + 1) if len(word) < depth else ()
+            for k in ks if skip is None else [k for k in ks if not skip(state, k)]:
                 try:
                     res = _require_transportable(cur, k)
                     child = advance(state, res.quad)
@@ -322,64 +323,79 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
             out.append(verify_g_equals_shear(t, c, case))
         except Exception as exc:
             out.append(_error_report(case, "g-equals-shear", exc))
-        for k in range(1, n + 1):
-            case = f"{name}:{CLOSED_CURVES[name]}:flip={k}"
-            try:
-                out.append(verify_shear_flip(t, k, c, case=case))
-            except (TransportError, ShearError):
-                continue
-            except Exception as exc:
-                out.append(_error_report(case, "shear-flip", exc))
+    # each laminate of t, its shear row and each flip of t are built once;
+    # one mutation of the stacked [-B; Sh_1; ...] mutates every [-B; Sh_j]
+    lams = {}
+    for j in range(1, n + 1):
+        try:
+            lams[j] = elementary_laminate(t, j)
+        except ShearError:
+            continue
+    stacked = None
     for k in range(1, n + 1):
         res = flip(t, k)
+        if c is not None:
+            case = f"{name}:{CLOSED_CURVES[name]}:flip={k}"
+            try:
+                out.append(verify_shear_flip(t, k, c, res, case))
+            except (TransportError, ShearError):
+                pass
+            except Exception as exc:
+                out.append(_error_report(case, "shear-flip", exc))
         if res.quad is None:
             continue
-        for j in range(1, n + 1):
+        mutated = None
+        for row, (j, lam) in enumerate(lams.items(), n):
             if j == k:
                 continue
             case = f"{name}:laminate={j}:flip={k}"
             try:
-                lam = elementary_laminate(t, j)
                 lam2 = elementary_laminate(res.triangulation, j)
             except ShearError:
                 continue
             try:
-                out.append(verify_shear_flip(t, k, lam, moved=lam2, case=case))
+                stacked = stacked or shear_matrix(t, *lams.values())
+                mutated = mutated or matrix_mutate(stacked, k - 1)
+                lhs, rhs = mutated[:n] + mutated[row : row + 1], shear_matrix(res.triangulation, lam2)
+                out.append(VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs)))
             except Exception as exc:
                 out.append(_error_report(case, "shear-flip", exc))
 
 
 def _flip_cluster(state: tuple, quad) -> tuple:
-    # only the flipped arc changes, so only it is pulled back to t0; a flip
-    # that undoes the state's last one restores the arc that one replaced
-    quads, backs, replaced = state
-    k = quad.arc
-    undo = quads and quads[-1].arc == k
-    back = replaced if undo else normalize_curve(_pull_back_arc(k, quads + (quad,)))
-    return quads + (quad,), backs[: k - 1] + (back,) + backs[k:], backs[k - 1]
+    # only the flipped arc changes, so only it is pulled back to t0
+    quads, backs = state
+    quads, k = quads + (quad,), quad.arc
+    return quads, backs[: k - 1] + (normalize_curve(_pull_back_arc(k, quads)),) + backs[k:]
 
 
 def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    # A state is a cluster: the flips that reach it, its arcs pulled back to
-    # t0, and the arc its last flip replaced.  Triangulations that encode
-    # identically can still carry distinct arcs (twists), so clusters are
-    # keyed by the pulled-back arcs, and each arc is checked once, in the
-    # first cluster holding it.
+    # A state is a cluster: the flips that reach it and its arcs pulled back
+    # to t0.  Triangulations that encode identically can still carry
+    # distinct arcs (twists), so clusters are keyed by the pulled-back arcs,
+    # and each arc is checked once, in the first cluster holding it.
     t0 = load_surface(name)
     n = t0.n_arcs
-    backs = tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1))
-    start = ((), backs, None)
+    start = ((), tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1)))
     checked: Set[Curve] = set()
     cluster = lambda t, state: frozenset(state[1])
+    # Any n-1 arcs of a triangulation lie in exactly two (Fomin-Shapiro-
+    # Thurston), so once two reached clusters hold a cluster less its k-th
+    # arc, the flip at k reaches a seen key and the walker skips it.
+    held: Counter = Counter()  # reached clusters per (n-1)-subset of arcs
+    reach = lambda key: held.update(key - {arc} for arc in key)
+    seen_flip = lambda state, k: held[frozenset(state[1][: k - 1] + state[1][k:])] > 1
     # The seed of each cluster reached, by key; None once it is yielded.
-    # A seed is mutated along the edge that first reaches its cluster, the
-    # one the walker keeps, so its labels match that cluster's arcs.
-    seeds: Dict[frozenset, Optional[Seed]] = {cluster(t0, start): initial_seed(t0.adjacency)}
-    for _, (_, backs, _), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster):
+    # A seed is mutated along the edge that reaches its cluster, the one
+    # the walker keeps, so its labels match that cluster's arcs.
+    k0 = cluster(t0, start)
+    seeds: Dict[frozenset, Optional[Seed]] = {k0: initial_seed(t0.adjacency)}
+    reach(k0)
+    for _, (_, backs), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster, seen_flip):
         seed, seeds[key] = seeds[key], None
-        for k, _, _, child in edges:
-            if child not in seeds:
-                seeds[child] = seed_mutate(seed, k - 1)
+        for k, _, _, child in edges:  # each one reaches a new cluster
+            seeds[child] = seed_mutate(seed, k - 1)
+            reach(child)
         for j, back in enumerate(backs, 1):
             if back in checked:
                 continue

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .curve import Curve, _landing, open_curve, transport_curve, validate_curve
 from .mutation import Matrix, matrix_mutate
-from .surface import Triangulation, flip
+from .surface import FlipResult, Triangulation
 
 ShearVector = Tuple[int, ...]
 
@@ -158,24 +158,17 @@ def elementary_laminate(t: Triangulation, j: int, turns: int = 2) -> Curve:
 # transformation law under a flip
 
 
-def shear_matrix(t: Triangulation, lam: Curve) -> Matrix:
-    """[-B(T)] stacked over the shear row of the laminate."""
-    b = t.adjacency
-    rows = [tuple(-x for x in row) for row in b]
-    rows.append(dual_shear(t, lam))
-    return tuple(rows)
+def shear_matrix(t: Triangulation, *lams: Curve) -> Matrix:
+    """[-B(T)] stacked over the shear row of each laminate."""
+    rows = [tuple(-x for x in row) for row in t.adjacency]
+    return tuple(rows + [dual_shear(t, lam) for lam in lams])
 
 
-def shear_flip_sides(
-    t: Triangulation, k: int, lam: Curve, moved: Optional[Curve] = None
-) -> Tuple[Matrix, Matrix]:
+def shear_flip_sides(t: Triangulation, k: int, lam: Curve, res: FlipResult) -> Tuple[Matrix, Matrix]:
     """Both sides of the flip law: mutated [-B; Sh] vs. the matrix rebuilt
-    on the flipped triangulation with the laminate carried across."""
-    res = flip(t, k)
-    if moved is None:
-        if res.quad is None:
-            raise ShearError(f"flip at {k} has no transportable quadrilateral")
-        moved = transport_curve(lam, res.quad)
-    lhs = matrix_mutate(shear_matrix(t, lam), k - 1)
-    rhs = shear_matrix(res.triangulation, moved)
-    return lhs, rhs
+    on the flipped triangulation (res, the flip of t at k) with the
+    laminate carried across."""
+    if res.quad is None:
+        raise ShearError(f"flip at {k} has no transportable quadrilateral")
+    moved = transport_curve(lam, res.quad)
+    return matrix_mutate(shear_matrix(t, lam), k - 1), shear_matrix(res.triangulation, moved)

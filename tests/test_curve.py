@@ -7,6 +7,7 @@ import pytest
 
 from bangles.curve import (
     CurveError,
+    _reversed,
     TransportError,
     arc_curve,
     closed_curve,
@@ -103,6 +104,35 @@ def test_transport_round_trip_all_fixtures():
             back = transport_curve(moved, res.quad, forward=False)
             validate_curve(t, back)
             assert normalize_curve(back) == normalize_curve(c), (name, k)
+
+
+def _pulled_back_arcs():
+    """(surface, t0, curve) for each arc of a triangulation one or two
+    transportable flips from a fixture, pulled back to the fixture."""
+    for name in SURFACES:
+        t0 = load_surface(name)
+        arcs = range(1, t0.n_arcs + 1)
+        for word in itertools.chain.from_iterable(itertools.product(arcs, repeat=r) for r in (1, 2)):
+            t, steps = flip_word(t0, list(word))
+            if any(s.quad is None or not s.quad.transportable for s in steps):
+                continue
+            for j in arcs:
+                c = arc_curve(j)
+                for s in reversed(steps):
+                    c = transport_curve(c, s.quad, forward=False)
+                if c.steps:
+                    yield name, t0, c
+
+
+def test_an_open_curve_and_its_reversal_are_one_key():
+    seen = 0
+    for name, t, c in _pulled_back_arcs():
+        rev = _reversed(c)
+        validate_curve(t, rev)
+        assert _reversed(rev) == c, (name, c)
+        assert normalize_curve(rev) == normalize_curve(c) in (c, rev), (name, c)
+        seen += 1
+    assert seen > 100
 
 
 def test_transport_chains_along_words():

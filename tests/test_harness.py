@@ -150,8 +150,8 @@ def test_arc_check_after_flip():
 def test_shear_wrappers_on_annulus():
     t, c = _annulus_core()
     assert verify_g_equals_shear(t, c).passed
-    assert verify_shear_flip(t, 1, c).passed
-    assert verify_shear_flip(t, 2, c).passed
+    assert verify_shear_flip(t, 1, c, surface.flip(t, 1)).passed
+    assert verify_shear_flip(t, 2, c, surface.flip(t, 2)).passed
 
 
 def test_failure_line_carries_both_sides():
@@ -398,39 +398,82 @@ def test_arc_sweep_mutates_once_per_new_cluster(monkeypatch, name, clusters):
     assert len(mutations) == clusters - 1
 
 
-@pytest.mark.parametrize("name, undone", [("pentagon", 4), ("hexagon", 13), ("annulus", 6)])
-def test_arc_sweep_undo_edges_restore_the_parent_cluster(monkeypatch, name, undone):
-    # an undo edge flips the arc its state was reached by (k == word[-1])
-    # and leads back to the parent's cluster.  The sweep restores the arc
-    # that flip replaced, with no transport; pulling the arc back through
-    # every quad, the slow way, must give the parent's key.
-    items, calls = [], []
-    real_walk, real_transport = harness._walk, harness.transport_curve
+@pytest.mark.parametrize("name", ["pentagon", "hexagon", "heptagon", "octagon", "annulus"])
+def test_arc_sweep_flips_only_to_new_clusters(monkeypatch, name):
+    # a flip whose target cluster is already reached is skipped unflipped,
+    # so every flip the sweep takes reaches a new cluster
+    flips, yielded = [], []
+    real_flip, real_walk = harness.flip, harness._walk
 
     def walk(*args):
         for item in real_walk(*args):
+            yielded.append(item[2])
+            yield item
+
+    monkeypatch.setattr(harness, "flip", lambda t, k: flips.append(k) or real_flip(t, k))
+    monkeypatch.setattr(harness, "_walk", walk)
+    out = []
+    harness._arc_sweep(name, 6, out)
+    assert out and all(r.passed for r in out)
+    assert len(flips) == len(yielded) - 1
+
+
+@pytest.mark.parametrize(
+    "name, depth, skipped",
+    [
+        ("pentagon", 5, 6),
+        ("hexagon", 5, 29),
+        ("heptagon", 5, 127),
+        ("octagon", 5, 319),
+        ("annulus", 5, 8),
+        ("annulus2", 4, 81),
+        ("punctured-square", 6, 26),
+    ],
+)
+def test_arc_sweep_skips_only_flips_to_reached_clusters(monkeypatch, name, depth, skipped):
+    # The sweep skips the flip at k of a cluster C when another reached
+    # cluster holds C less its k-th arc.  That must be the one other
+    # reached cluster holding those arcs, and taking the flip the slow way,
+    # pulling its arc back through every quad, must reach it.
+    items, skips = [], []
+    real_walk = harness._walk
+
+    def walk(t0, start, depth, advance, key, skip):
+        def recording(state, k):
+            hit = skip(state, k)
+            if hit:
+                skips.append((state, k))
+            return hit
+
+        for item in real_walk(t0, start, depth, advance, key, recording):
             items.append(item)
             yield item
 
-    def transport(*args, **kwargs):
-        calls.append(args)
-        return real_transport(*args, **kwargs)
-
     monkeypatch.setattr(harness, "_walk", walk)
-    monkeypatch.setattr(harness, "transport_curve", transport)
     out = []
-    harness._arc_sweep(name, 4, out)
+    harness._arc_sweep(name, depth, out)
     assert out and all(r.passed for r in out)
-    states = {tuple(word): (backs, key) for _, (_, backs, _), key, word, _ in items}
-    edges = [(word, k, child, ck) for _, _, _, word, es in items for k, _, child, ck in es]
-    undo = [(word, k, child, ck) for word, k, child, ck in edges if word and k == word[-1]]
-    # only the other edges pull their arc back, through all their quads
-    assert len(calls) == sum(len(e[2][0]) for e in edges if e not in undo)
-    assert len(undo) == undone
-    for word, k, (quads, backs, _), key in undo:
-        assert (backs, key) == states[tuple(word[:-1])]
-        slow = normalize_curve(harness._pull_back_arc(k, quads))
-        assert key == frozenset(backs[: k - 1] + (slow,) + backs[k:])
+    # every reached cluster is yielded, with its triangulation
+    tri = {key: cur for cur, _, key, _, _ in items}
+    assert len(skips) == skipped
+    for (quads, backs), k in skips:
+        rest = frozenset(backs[: k - 1] + backs[k:])
+        (other,) = [key for key in tri if rest < key and key != frozenset(backs)]
+        res = harness._require_transportable(tri[frozenset(backs)], k)
+        slow = normalize_curve(harness._pull_back_arc(k, quads + (res.quad,)))
+        assert rest | {slow} == other
+
+
+@pytest.mark.parametrize("name, depth, checks", [("annulus2", 4, 24), ("punctured-square", 6, 12)])
+def test_arc_sweep_checks_each_arc_once(name, depth, checks):
+    # an arc pulled back in either orientation has one key, so it is
+    # checked once; with orientation-dependent keys these sweeps made 36
+    # and 17 checks of 24 and 12 distinct arcs
+    out = []
+    harness._arc_sweep(name, depth, out)
+    assert all(r.passed for r in out)
+    lhs = [r.lhs for r in out]
+    assert len(lhs) == len(set(lhs)) == checks
 
 
 def test_sweeps_build_each_quad_view_once_per_direction(monkeypatch):

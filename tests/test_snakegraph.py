@@ -10,6 +10,7 @@ import pytest
 from bangles import _polypure, harness, snakegraph
 from bangles.curve import (
     TransportError,
+    _reversed,
     arc_curve,
     closed_curve,
     open_curve,
@@ -317,6 +318,15 @@ def criterion_4_arcs(monkeypatch):
     for name in ("pentagon", "hexagon", "heptagon", "octagon", "annulus"):
         harness._arc_sweep(name, 5, [])
     return [(t, c, build_snake_graph(t, c)) for t, c in backs if c.steps]
+
+
+def test_reads_agree_on_a_swept_arc_and_its_reversal(monkeypatch):
+    # the arc sweep keys an arc by one of its two orientations; either one
+    # must give the same expansion and the same F, g and h
+    for t, c, g in criterion_4_arcs(monkeypatch):
+        rev = build_snake_graph(t, _reversed(c))
+        assert msw_function(t, _reversed(c)) == msw_function(t, c), c
+        assert (rev.f_poly, rev.g_vector, rev.h_vector) == (g.f_poly, g.g_vector, g.h_vector), c
 
 
 def loop_arcs():
