@@ -11,7 +11,6 @@ from .harness import VerificationReport, report_text, run_corpus
 from .mutation import initial_seed, matrix_mutate, seed_mutate, yseed_mutate
 from .shear import dual_shear, elementary_laminate
 from .snakegraph import (
-    bangle_of_lamination,
     build_band_graph,
     build_snake_graph,
     msw_function,
@@ -30,7 +29,6 @@ __all__ = [
     "__version__",
     "adjacency_matrix",
     "arc_curve",
-    "bangle_of_lamination",
     "build_band_graph",
     "build_snake_graph",
     "closed_curve",

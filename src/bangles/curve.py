@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .poly import Poly, lp_monomial, lp_one
 from .surface import Corner, QuadRecord, Triangulation
 
 Step = Tuple[int, int]  # (triangle index, arc label)
@@ -129,16 +128,6 @@ def normalize_curve(c: Curve) -> Curve:
         return min(c, _reversed(c), key=lambda o: (o.steps, o.ends, o.end_tags))
     rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
     return replace(c, steps=min(rots)) if rots else c
-
-
-def crossing_monomial(t: Triangulation, c: Curve) -> Poly:
-    """Product of one x variable per crossing."""
-    e = [0] * t.n_arcs
-    for _, arc in c.steps:
-        e[arc - 1] += 1
-    if not any(e):
-        return lp_one(t.n_arcs)
-    return lp_monomial(tuple(e), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +291,3 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
     c = open_curve(steps, corners, (end_refs[0][1], end_refs[1][1]))
     validate_curve(t, c)
     return c
-
-
-def format_curve(t: Triangulation, c: Curve) -> str:
-    from .surface import vertex_ref
-
-    lines = [f"curve closed={1 if c.closed else 0}"]
-    if c.arc is not None:
-        lines.append(f"arc {c.arc}")
-        return "\n".join(lines) + "\n"
-    body = [f"tri {tri + 1} cross {arc}" for tri, arc in c.steps]
-    if c.closed:
-        lines += body
-        return "\n".join(lines) + "\n"
-
-    orbit_of = t.corner_orbits
-
-    def end_line(which: int) -> str:
-        tri, pos = c.ends[which]
-        extra = ""
-        if sum(orbit_of[(tri, p)] == orbit_of[(tri, pos)] for p in range(3)) > 1:
-            extra = f" corner={pos}"  # vertex alone is ambiguous in this triangle
-        return f"end {vertex_ref(t, c.ends[which])} tag={c.end_tags[which]}{extra}"
-
-    lines.append(end_line(0))
-    lines += body
-    lines.append(end_line(1))
-    return "\n".join(lines) + "\n"

@@ -180,17 +180,18 @@ def _arc_report(
 
 
 def verify_arc_bangle(
-    t: Triangulation, arc: int, flip_word: Sequence[int], case: str = ""
+    t: Triangulation, arc: int, word: Sequence[int], case: str = ""
 ) -> VerificationReport:
     """Matching-sum expansion of an arc against the mutation engine.
 
-    flip_word (1-based) leads from t to the triangulation containing the
-    arc; the arc is pulled back step by step while the seed walks forward.
+    The flip word (1-based) leads from t to the triangulation containing
+    the arc; the arc is pulled back step by step while the seed walks
+    forward.
     """
-    case = case or f"arc={arc} word={list(flip_word)}"
+    case = case or f"arc={arc} word={list(word)}"
     cur, quads = t, []
     seed = initial_seed(t.adjacency)
-    for k in flip_word:
+    for k in word:
         res = _require_transportable(cur, k)
         quads.append(res.quad)
         cur = res.triangulation

@@ -64,10 +64,6 @@ def lp_var(nvars: int, i: int, power: int = 1) -> Poly:
     return {tuple(e): 1}
 
 
-def lp_monomial(e: Sequence[int], c: int = 1) -> Poly:
-    return {tuple(e): c} if c else {}
-
-
 def lp_arity(p: Poly) -> int | None:
     """Number of variables, or None for the zero polynomial."""
     for e in p:
@@ -283,94 +279,3 @@ def lp_format(p: Poly, names: Sequence[str]) -> str:
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
-
-
-def lp_parse(text: str, names: Sequence[str]) -> Poly:
-    """Parse the grammar produced by lp_format (sums of integer monomials)."""
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    tokens = _tokenize(text)
-    pos = 0
-    out: Poly = {}
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError("polynomial text ends mid-term")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    first = True
-    while peek() is not None:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-            first = False
-        if peek() is None:
-            raise ValueError("dangling sign in polynomial text")
-        coeff = sign
-        e = [0] * n
-        expect_factor = True
-        while expect_factor:
-            tok = take()
-            if tok.lstrip("-").isdigit():
-                coeff *= int(tok)
-            elif tok in index:
-                k = 1
-                if peek() == "^":
-                    take()
-                    k = int(take())
-                e[index[tok]] += k
-            else:
-                raise ValueError(f"unknown token {tok!r}")
-            if peek() == "*":
-                take()
-            else:
-                expect_factor = False
-        if peek() not in (None, "+", "-"):
-            raise ValueError(f"missing operator before {peek()!r}")
-        out = lp_add(out, lp_monomial(e, coeff))
-        first = False
-    if first:
-        raise ValueError("empty polynomial text")
-    return out
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^":
-            # a sign directly after ^ binds to the exponent number
-            if ch == "-" and tokens and tokens[-1] == "^" and i + 1 < len(text) and text[i + 1].isdigit():
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                tokens.append(ch)
-                i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r}")
-    return tokens

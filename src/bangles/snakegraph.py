@@ -36,17 +36,11 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import _polypure
-from .curve import Curve, _landing, crossing_monomial, validate_curve
-from .poly import (
-    Poly,
-    lp_mul,
-    lp_one,
-    lp_var,
-    trop_eval_many,
-)
+from .curve import Curve, _landing, validate_curve
+from .poly import Poly, lp_var, trop_eval_many
 from .surface import Triangulation, folded_sides
 
 Vertex = Tuple[int, int]
@@ -285,8 +279,9 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
             (last.corner("NE"), iota_diag),
         )
 
-    cross = crossing_monomial(t, c)
-    (cross_vec,) = cross.keys()
+    cross_vec = [0] * t.n_arcs  # one x variable per crossing
+    for _, arc in c.steps:
+        cross_vec[arc - 1] += 1
     return SnakeGraph(
         surface=t,
         tiles=tuple(tiles),
@@ -294,7 +289,7 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
         iota=iota,
         omega=omega,
         seam_ident=seam_ident,
-        cross_vec=cross_vec,
+        cross_vec=tuple(cross_vec),
     )
 
 
@@ -535,14 +530,6 @@ def principal_msw(t: Triangulation, c: Curve) -> Poly:
     which callers must not mutate."""
     g = curve_graph(t, c)
     return lp_var(2 * t.n_arcs, c.arc - 1) if g is None else g.principal_msw
-
-
-def bangle_of_lamination(t: Triangulation, curves: Sequence[Curve]) -> Poly:
-    """Product of the Laurent expansions of a family of curves."""
-    acc = lp_one(t.n_arcs)
-    for c in curves:
-        acc = lp_mul(acc, msw_function(t, c))
-    return acc
 
 
 # ---------------------------------------------------------------------------

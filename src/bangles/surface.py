@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .mutation import Matrix, as_matrix
 
@@ -173,15 +173,6 @@ def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
 def puncture_id(t: Triangulation, orbit: Tuple[Corner, ...]) -> int:
     """1-based id in the canonical (sorted) puncture order."""
     return punctures(t).index(orbit) + 1
-
-
-def vertex_ref(t: Triangulation, corner: Corner) -> str:
-    """`marked:<id>` / `puncture:<id>` for the vertex at a corner."""
-    orbit = t.corner_orbits[corner]
-    pts = punctures(t)
-    if orbit in pts:
-        return f"puncture:{pts.index(orbit) + 1}"
-    return f"marked:{marked_points(t).index(orbit) + 1}"
 
 
 def resolve_vertex_ref(t: Triangulation, ref: str) -> Tuple[Corner, ...]:
@@ -521,15 +512,6 @@ def flip(t: Triangulation, k: int) -> FlipResult:
     for pid in reversed(applied):
         out = tag_switch(out, _match_puncture(cur, out, pid, moved))
     return FlipResult(out, res.quad if not applied else None)
-
-
-def flip_word(t: Triangulation, word: Sequence[int]) -> Tuple[Triangulation, List[FlipResult]]:
-    steps: List[FlipResult] = []
-    for k in word:
-        r = flip(t, k)
-        steps.append(r)
-        t = r.triangulation
-    return t, steps
 
 
 def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:

@@ -2,7 +2,7 @@ import pytest
 
 from bangles import snakegraph
 from bangles.cli import main
-from bangles.curve import arc_curve, format_curve, parse_curve, transport_curve
+from bangles.curve import arc_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.poly import lp_format, var_names, xy_names
 from bangles.surface import flip
@@ -48,7 +48,9 @@ def test_compute_snake_from_file(tmp_path, capsys):
     res = flip(t, 1)
     back = transport_curve(arc_curve(1), res.quad, forward=False)
     curve_file = tmp_path / "c.curve"
-    curve_file.write_text(format_curve(t, back))
+    # the pulled-back flipped arc: across arc 1, from marked point 1 to 4
+    curve_file.write_text("curve closed=0\nend marked:1\ntri 1 cross 1\nend marked:4\n")
+    assert parse_curve(t, curve_file.read_text()) == back
     code, out, _ = run(
         capsys, "compute", "--triangulation", "pentagon", "--curve", str(curve_file)
     )
@@ -243,6 +245,27 @@ def test_empty_flip_word_is_a_user_error(capsys, argv, flips):
     assert code == 2
     assert out == ""
     assert "flip word is empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (
+            ["mutate", "--triangulation", "annulus", "--flips", "0"],
+            "flip word entries are 1-based arc labels",
+        ),
+        (
+            ["verify-arc", "--triangulation", "annulus", "--curve", "annulus-core"],
+            "verify-arc wants a label-only curve file",
+        ),
+    ],
+    ids=["zero-label", "closed-curve-arc"],
+)
+def test_bad_arguments_are_user_errors(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
 
 
 def test_unsupported_flip_label(capsys):

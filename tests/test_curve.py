@@ -1,6 +1,8 @@
-"""Positioned curves: validation, crossing products, transport across flips."""
+"""Positioned curves: text form, validation, crossing counts, transport
+across flips."""
 
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,16 +13,16 @@ from bangles.curve import (
     TransportError,
     arc_curve,
     closed_curve,
-    crossing_monomial,
-    format_curve,
     normalize_curve,
     parse_curve,
     transport_curve,
     validate_curve,
 )
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
-from bangles.poly import lp_monomial, lp_one
-from bangles.surface import flip, flip_word
+from bangles.snakegraph import build_band_graph, build_snake_graph
+from bangles.surface import TriangulationError, flip
+
+from flipwords import flip_word
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
@@ -43,8 +45,14 @@ def test_annulus_core_steps():
 
 
 def test_crossing_monomial():
-    assert crossing_monomial(ANNULUS, CORE) == lp_monomial((1, 1), 1)
-    assert crossing_monomial(ANNULUS, arc_curve(1)) == lp_one(2)
+    # a graph's crossing monomial has one x variable per crossing
+    assert build_band_graph(ANNULUS, CORE).cross_vec == (1, 1)
+    torus = load_surface("torus-boundary")
+    weave = parse_curve(torus, load_curve_text("torus-weave"))
+    assert build_band_graph(torus, weave).cross_vec == (2, 2, 2, 2, 0)
+    pentagon = load_surface("pentagon")
+    back = transport_curve(arc_curve(1), flip(pentagon, 1).quad, forward=False)
+    assert build_snake_graph(pentagon, back).cross_vec == (1, 0)
 
 
 def test_validation_rejects_bad_adjacency():
@@ -181,23 +189,100 @@ def test_flipped_arc_pulled_back():
     assert again == arc_curve(1)
 
 
+# the arc through the two corners flip(ANNULUS, 1) leaves untouched, on the
+# flipped annulus: each end corner needs corner=0, since its marked point
+# is at two corners of its triangle
+FLIPPED_ARC_TEXT = (
+    "curve closed=0\n"
+    "end marked:1 tag=plain corner=0\n"
+    "tri 1 cross 1\n"
+    "end marked:2 tag=plain corner=0\n"
+)
+
+
 def test_parse_format_round_trip_closed():
-    text = format_curve(ANNULUS, CORE)
-    assert parse_curve(ANNULUS, text) == CORE
+    text = "curve closed=1\ntri 1 cross 1\ntri 2 cross 2\n"
+    assert parse_curve(ANNULUS, text) == CORE == closed_curve([(0, 1), (1, 2)])
 
 
 def test_parse_format_round_trip_open():
     res = flip(ANNULUS, 1)
-    c = transport_curve(arc_curve(1), res.quad)
-    t2 = res.triangulation
-    text = format_curve(t2, c)
-    assert "end" in text
-    assert parse_curve(t2, text) == c
+    want = transport_curve(arc_curve(1), res.quad)
+    assert parse_curve(res.triangulation, FLIPPED_ARC_TEXT) == want
 
 
 def test_parse_arc_form():
     c = parse_curve(ANNULUS, "curve closed=0\narc 2\n")
     assert c == arc_curve(2)
+
+
+_PARSE_SURFACES = {
+    "annulus": ANNULUS,
+    "pentagon": load_surface("pentagon"),
+    "annulus-flip-1": flip(ANNULUS, 1).triangulation,
+    # a self-folded triangle: folded side 4 inside loop 2
+    "square-flip-132": flip_word(load_surface("punctured-square"), [1, 3, 2])[0],
+}
+
+
+@pytest.mark.parametrize(
+    "surface, text, exc, fragment",
+    [
+        ("annulus", "curve closed=1\nloop 1\n", CurveError, "unknown directive 'loop'"),
+        ("annulus", "curve closed=yes\n", CurveError, "line 1: cannot parse"),
+        ("annulus", "curve\n", CurveError, "line 1: cannot parse"),
+        ("annulus", "curve closed=1\ntri 1 cross\n", CurveError, "line 2: cannot parse"),
+        ("annulus", "tri 1 cross 1\n", CurveError, "missing curve header"),
+        ("annulus", "curve closed=1\narc 1\n", CurveError, "label-only curves cannot be closed"),
+        ("annulus", "curve closed=0\narc 1\nend marked:1\n", CurveError, "zero or two end lines"),
+        ("annulus", "curve closed=0\narc 3\n", CurveError, "no arc 3"),
+        (
+            "annulus",
+            "curve closed=1\nend marked:1\ntri 1 cross 1\ntri 2 cross 2\n",
+            CurveError,
+            "closed curves have no ends",
+        ),
+        ("annulus", "curve closed=1\n", CurveError, "at least one crossing or an arc label"),
+        ("annulus", "curve closed=1\ntri 3 cross 1\ntri 2 cross 2\n", CurveError, "no triangle 3"),
+        ("annulus", "curve closed=1\ntri 1 cross 3\ntri 2 cross 2\n", CurveError, "label 3 is not an arc"),
+        ("annulus", "curve closed=1\ntri 1 cross 1\n", CurveError, "crosses at least two arcs"),
+        (
+            "annulus",
+            "curve closed=1\ntri 1 cross 1\ntri 1 cross 2\n",
+            CurveError,
+            "step 1 lands in triangle 2, but the next step starts in 1",
+        ),
+        ("annulus", "curve closed=1\ntri 1 cross 1\ntri 2 cross 1\n", CurveError, "consecutive crossings"),
+        ("pentagon", "curve closed=1\ntri 1 cross 2\ntri 2 cross 1\n", CurveError, "arc 2 is not a side"),
+        ("square-flip-132", "curve closed=1\ntri 3 cross 4\ntri 1 cross 2\n", CurveError, "cannot be crossed"),
+        ("annulus-flip-1", FLIPPED_ARC_TEXT.replace("plain", "bent", 1), CurveError, "unknown end tag"),
+        ("annulus-flip-1", "curve closed=0\ntri 1 cross 1\n", CurveError, "need exactly two end lines"),
+        ("annulus-flip-1", "curve closed=0\nend marked:1\nend marked:2\n", CurveError, "use the arc form"),
+        (
+            "annulus-flip-1",
+            FLIPPED_ARC_TEXT.replace("corner=0", "corner=2", 1),
+            CurveError,
+            "end marked:1 is not at corner 2 of triangle 1",
+        ),
+        (
+            "annulus-flip-1",
+            FLIPPED_ARC_TEXT.replace(" corner=0", "", 1),
+            CurveError,
+            "end marked:1 does not pick a unique corner of triangle 1",
+        ),
+        (
+            "annulus-flip-1",
+            FLIPPED_ARC_TEXT.replace("marked:2", "marked:9"),
+            TriangulationError,
+            "unknown vertex reference 'marked:9'",
+        ),
+    ],
+)
+def test_parse_curve_rejects_malformed_text(surface, text, exc, fragment):
+    # every raise that curve text can reach; the rest of validate_curve
+    # guards curves built in code, which parse_curve never hands it
+    with pytest.raises(exc, match=re.escape(fragment)):
+        parse_curve(_PARSE_SURFACES[surface], text)
 
 
 def test_transport_refuses_tagged_quads():

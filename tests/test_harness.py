@@ -24,7 +24,6 @@ from bangles.mutation import yseed_mutate
 from bangles.poly import (
     InexactDivisionError,
     lp_add,
-    lp_monomial,
     lp_mul,
     lp_one,
     lp_pow,
@@ -93,9 +92,9 @@ def _product_form_sides(t, k, before, after):
     hk, hk2 = hv1[i], hv2[i]
     moved = []  # (c * y^(sum e_j a_j), sum e_j p_j) per term of F'
     for e, c in f2.items():
-        mono, power = lp_monomial((0,) * n, c), 0
+        mono, power = {(0,) * n: c}, 0
         for ej, (a, p) in zip(e, yseed_mutate(t.adjacency, i)):
-            mono = lp_mul(mono, lp_monomial([ej * x for x in a]))
+            mono = lp_mul(mono, {tuple(ej * x for x in a): 1})
             power += ej * p
         moved.append((mono, power))
     big_n = max([0, hk2] + [hk - q for _, q in moved])
@@ -274,8 +273,23 @@ def _fail_first_call(monkeypatch, name, exc):
             "shear-flip",
             "annulus:annulus-core:flip=1",
         ),
+        (
+            # a second surface, so another g-equals-shear check passes
+            CorpusConfig(surfaces=("annulus", "annulus2"), arc_surfaces=()),
+            "dual_shear",
+            ZeroDivisionError("zero part"),
+            "g-equals-shear",
+            "annulus:annulus-core",
+        ),
+        (
+            CorpusConfig(surfaces=("annulus",), arc_surfaces=()),
+            "matrix_mutate",
+            ZeroDivisionError("zero part"),
+            "shear-flip",
+            "annulus:laminate=2:flip=1",
+        ),
     ],
-    ids=["keylemma", "arc", "shear"],
+    ids=["keylemma", "arc", "shear", "g-equals-shear", "shear-laminate"],
 )
 def test_check_error_is_reported_and_sweep_continues(monkeypatch, cfg, name, exc, identity, case):
     clean = run_corpus(cfg)

@@ -1,7 +1,9 @@
 """AST scans: every imported name is used, in the package and its tests,
 every private module-level helper of the package has a caller, every
-public one has a caller outside the tests or is exported, and the package
-keeps no unbounded function caches and no keys made of object ids."""
+public one has a caller outside the tests or is exported, each name kept
+for tests only is a public function no program code calls, and the
+package keeps no unbounded function caches and no keys made of object
+ids."""
 
 import ast
 from collections import Counter
@@ -74,32 +76,66 @@ def test_no_orphaned_private_helpers():
 TEST_ONLY_PUBLIC = {
     "brute_force_sum": "matching-enumeration reference the transfer scan is compared against",
     "gamma_transform": "shear transport law the extended-matrix mutation is compared against",
-    "lp_parse": "inverse of lp_format, for writing expected values as text",
-    "format_curve": "inverse of parse_curve, for round-trip tests",
 }
+
+
+def _test_only_public(package, callers, kept):
+    """Problems with the package's public functions and classes, given the
+    parsed package modules, every parsed module the program runs (package
+    included), and the names kept for tests: a public name nothing outside
+    its own definition names, unless exported or kept; and a kept name that
+    is no public function of the package, or that the program now calls."""
+    everywhere = sum((_names(tree) for tree in callers.values()), Counter())
+    exported = set()
+    for tree in callers.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported.update(elt.value for elt in node.value.elts)
+    out, public = [], set()
+    for path, tree in package.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = node.name
+            public.add(name)
+            uncalled = everywhere[name] == _names(node)[name]
+            if name in kept and not uncalled:
+                out.append(f"{path}:{node.lineno}: {name} is kept for tests but has a program caller")
+            elif uncalled and name not in exported | kept:
+                out.append(f"{path}:{node.lineno}: {name} is public but only tests call it")
+    out += [f"{name} is kept for tests but is no public function" for name in sorted(kept - public)]
+    return out
 
 
 def test_no_test_only_public_functions():
     package = sorted((ROOT / "src" / "bangles").rglob("*.py"))
     callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
-    exported = set()
-    for tree in trees.values():
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                exported.update(elt.value for elt in node.value.elts)
-    unused = []
-    for path in package:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            name = node.name
-            if everywhere[name] == _names(node)[name] and name not in exported | TEST_ONLY_PUBLIC.keys():
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
-    assert not unused, "public function or class only tests call:\n" + "\n".join(unused)
+    problems = _test_only_public(
+        {path.relative_to(ROOT): trees[path] for path in package}, trees, TEST_ONLY_PUBLIC.keys()
+    )
+    assert not problems, "\n".join(problems)
+
+
+def test_test_only_guard_flags_stale_entries():
+    package = {
+        "pkg.py": ast.parse(
+            "def used(): pass\n"
+            "def lonely(): pass\n"
+            "def oracle(): pass\n"
+            "def adopted(): pass\n"
+            "def listed(): pass\n"
+            "__all__ = ['listed']\n"
+        )
+    }
+    program = {**package, "cli.py": ast.parse("used()\nadopted()\n")}
+    assert _test_only_public(package, program, {"oracle", "adopted", "gone"}) == [
+        "pkg.py:2: lonely is public but only tests call it",
+        "pkg.py:4: adopted is kept for tests but has a program caller",
+        "gone is kept for tests but is no public function",
+    ]
 
 
 def _function_caches(tree: ast.Module):

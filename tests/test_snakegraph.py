@@ -22,10 +22,8 @@ from bangles.harness import CorpusConfig, run_corpus
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
     lp_const,
-    lp_monomial,
+    lp_format,
     lp_mul,
-    lp_one,
-    lp_parse,
     lp_sub,
     lp_var,
     trop_eval_many,
@@ -34,7 +32,6 @@ from bangles.poly import (
 from bangles.snakegraph import (
     SEAM,
     SnakeGraphError,
-    bangle_of_lamination,
     brute_force_matchings,
     brute_force_sum,
     build_band_graph,
@@ -46,7 +43,9 @@ from bangles.snakegraph import (
     snake_g_vector,
     snake_h_vector,
 )
-from bangles.surface import adjacency_matrix, flip, flip_word, folded_sides
+from bangles.surface import adjacency_matrix, flip, folded_sides
+
+from flipwords import flip_word
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
@@ -89,7 +88,7 @@ def test_annulus_brute_force_agrees():
 
 def test_annulus_F_g_h():
     g = build_band_graph(ANNULUS, CORE)
-    assert snake_F_poly(g) == lp_parse("1 + y2 + y1*y2", Y2)
+    assert lp_format(snake_F_poly(g), Y2) == "1 + y2 + y1*y2"
     assert snake_g_vector(g) == (1, -1)
     assert snake_h_vector(g) == (0, -1)
 
@@ -98,7 +97,7 @@ def test_annulus_flipped_F_g_h():
     res = flip(ANNULUS, 1)
     moved = transport_curve(CORE, res.quad)
     g = build_band_graph(res.triangulation, moved)
-    assert snake_F_poly(g) == lp_parse("1 + y1 + y1*y2", Y2)
+    assert lp_format(snake_F_poly(g), Y2) == "1 + y1 + y1*y2"
     assert snake_g_vector(g) == (-1, 1)
     assert snake_h_vector(g) == (-1, 0)
 
@@ -124,7 +123,7 @@ def test_single_tile_graph():
     # height -1); the vertical pair carries x2
     assert g.w == {(0, 0, -1, 0): 1, (0, 1, 0, 0): 1}
     assert g.w == brute_force_sum(g)
-    assert snake_F_poly(g) == lp_parse("1 + y1", Y2)
+    assert lp_format(snake_F_poly(g), Y2) == "1 + y1"
     assert snake_g_vector(g) == (-1, 0)
     assert snake_h_vector(g) == (-1, 0)
     assert msw_function(t, back) == seed_mutate(initial_seed(adjacency_matrix(t)), 0).x[0]
@@ -147,17 +146,6 @@ def test_arc_msw_is_its_variable():
         assert msw_function(t, arc_curve(2)) == lp_var(t.n_arcs, 1)
         assert principal_msw(t, arc_curve(2)) == lp_var(2 * t.n_arcs, 1)
         assert curve_graph(t, arc_curve(2)) is None
-
-
-def test_bangle_products():
-    assert bangle_of_lamination(ANNULUS, []) == lp_one(2)
-    msw = msw_function(ANNULUS, CORE)
-    assert bangle_of_lamination(ANNULUS, [CORE, CORE]) == lp_mul(msw, msw)
-    mixed = bangle_of_lamination(ANNULUS, [CORE, arc_curve(1), arc_curve(1)])
-    assert mixed == lp_mul(msw, lp_var(2, 0, 2))
-    t = load_surface("hexagon")
-    got = bangle_of_lamination(t, [arc_curve(1), arc_curve(3)])
-    assert got == lp_mul(lp_var(t.n_arcs, 0), lp_var(t.n_arcs, 2))
 
 
 def test_band_rotation_invariance():
@@ -428,7 +416,7 @@ def tuple_reads(g):
     gv = tuple(a - b for a, b in zip(floor[:n], g.cross_vec))
     rows = enumerate(adjacency_matrix(g.surface))
     dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
-    principal = lp_mul(w, lp_monomial(tuple(-e for e in g.cross_vec + m0)))
+    principal = lp_mul(w, {tuple(-e for e in g.cross_vec + m0): 1})
     return f, gv, trop_eval_many(f, dirs), msw, principal
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -16,17 +17,18 @@ from bangles.surface import (
     arc_endpoints,
     canonical_form,
     flip,
-    flip_word,
     folded_sides,
     format_triangulation,
     marked_points,
     parse_triangulation,
     pi_map,
     punctures,
+    resolve_vertex_ref,
     tag_switch,
     validate,
-    vertex_ref,
 )
+
+from flipwords import flip_word
 
 ANNULUS = load_surface("annulus")
 SQUARE = load_surface("punctured-square")
@@ -247,6 +249,59 @@ def test_arc_count_must_match_surface():
         parse_triangulation(text)
 
 
+ANNULUS_BODY = "arcs 2\nboundary 2\ntriangle 2 1 3\ntriangle 2 1 4\n"
+ANNULUS_TEXT = "surface g=0 b=2 m=1,1 p=0\n" + ANNULUS_BODY
+SQUARE_BODY = "arcs 4\nboundary 4\ntriangle 5 2 1\ntriangle 6 3 2\ntriangle 7 4 3\ntriangle 8 1 4\n"
+# the punctured square after flips 1, 3, 2: folded side 4 inside loop 2,
+# whose end 1 is the puncture
+SELF_FOLDED_TEXT = (
+    "surface g=0 b=1 m=4 p=1\narcs 4\nboundary 4\n"
+    "triangle 1 3 2\ntriangle 6 7 3\ntriangle 4 4 2 selffolded=4\ntriangle 8 5 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("surface g=0 b=3 m=1,1 p=0\n" + ANNULUS_BODY, "b does not match the m list"),
+        (ANNULUS_TEXT + "triangle 1 2\n", "triangle needs three sides"),
+        (ANNULUS_TEXT.replace("2 1 3", "2 1 3 flat=1"), "unknown triangle option 'flat=1'"),
+        (ANNULUS_TEXT.replace("2 1 3", "2 1 3 selffolded=2"), "selffolded=2 does not match repeated side"),
+        (ANNULUS_TEXT + "tag 1 0 bent\n", "bad tag line"),
+        (ANNULUS_TEXT + "tag 1 2 plain\n", "bad tag line"),
+        (ANNULUS_TEXT + "polygon 5\n", "unknown directive 'polygon'"),
+        (ANNULUS_TEXT.replace("arcs 2", "arcs two"), "line 2: cannot parse"),
+        (ANNULUS_TEXT.replace(" p=0", ""), "line 1: cannot parse"),
+        (ANNULUS_TEXT + "tag 1\n", "line 6: cannot parse"),
+        (ANNULUS_BODY, "missing surface/arcs/boundary header"),
+        (ANNULUS_TEXT.replace("boundary 2", "boundary 3"), "boundary segment count must equal"),
+        ("surface g=1 b=0 m= p=1\narcs 3\nboundary 0\n", "closed surfaces are unsupported"),
+        ("surface g=0 b=1 m=0 p=2\narcs 3\nboundary 0\n", "each boundary component needs a marked point"),
+        ("surface g=0 b=1 m=3 p=0\narcs 0\nboundary 3\ntriangle 1 2 3\n", "degenerate disk"),
+        (ANNULUS_TEXT.replace("arcs 2", "arcs 3"), "arc count 3 does not match surface data (expected 2)"),
+        (ANNULUS_TEXT.replace("2 1 4", "2 2 4"), "arc 1 must occur exactly twice"),
+        (ANNULUS_TEXT.replace("2 1 4", "2 1 3"), "boundary segment 3 must occur exactly once"),
+        (ANNULUS_TEXT + "triangle 5 6 7\n", "unknown side label 5"),
+        ("surface g=0 b=2 m=2,2 p=0\n" + SQUARE_BODY, "found 1 punctures, header says 0"),
+        (
+            "surface g=0 b=1 m=5 p=0\narcs 2\nboundary 5\n"
+            "triangle 1 2 7\ntriangle 3 5 4\ntriangle 1 2 6\n",
+            "boundary cycle sizes do not match",
+        ),
+        ("surface g=0 b=1 m=4 p=1\n" + SQUARE_BODY + "tag 1 0 notched\n", "partial notching"),
+        (ANNULUS_TEXT + "tag 1 0 notched\n", "notched tag on a non-puncture end"),
+        (SELF_FOLDED_TEXT + "tag 4 1 notched\n", "cannot be both notched and carry a self-folded triangle"),
+    ],
+)
+def test_parse_triangulation_rejects_malformed_text(text, fragment):
+    # every raise that triangulation text can reach; validate's other
+    # checks (a label repeated in one triangle, the marked point count, the
+    # Euler characteristic, an unknown notched puncture) follow from the
+    # ones before them for any triangle list
+    with pytest.raises(TriangulationError, match=re.escape(fragment)):
+        parse_triangulation(text)
+
+
 # ---------------------------------------------------------------------------
 # endpoints and vertex references
 
@@ -254,14 +309,14 @@ def test_arc_count_must_match_surface():
 def test_annulus_endpoints():
     e0, e1 = arc_endpoints(ANNULUS, 1)
     assert e0 != e1  # the two boundary marked points
-    refs = {vertex_ref(ANNULUS, c) for c in ANNULUS.corner_orbits}
-    assert refs == {"marked:1", "marked:2"}
+    marked = {resolve_vertex_ref(ANNULUS, ref) for ref in ("marked:1", "marked:2")}
+    assert set(ANNULUS.corner_orbits.values()) == marked == {e0, e1}
 
 
 def test_square_radius_endpoints():
     for arc in range(1, 5):
-        kinds = {vertex_ref(SQUARE, orbit[0]).split(":")[0] for orbit in arc_endpoints(SQUARE, arc)}
-        assert kinds == {"marked", "puncture"}
+        ends = set(arc_endpoints(SQUARE, arc))
+        assert len(ends & set(marked_points(SQUARE))) == len(ends & set(punctures(SQUARE))) == 1
 
 
 def test_quad_record_slots_consistent():
