@@ -13,12 +13,15 @@ the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
 polynomials, each one binomial sum along y_k (`lp_binomial_sum`); like
 every check it is exact, and a passing keylemma-F report carries no sides.
 The arc sweep looks a flip up before taking it, by the n-1 arcs it keeps,
-and takes only flips that reach a new cluster; it keeps one seed per
-cluster, mutated once along that flip.
+and takes only flips that reach a new cluster.  It links each cluster to
+the one it was reached from, and builds a seed only for a cluster that
+holds an arc not yet checked, mutating down the links from the nearest
+seed built; each exchange is made at most once.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
-walk, and run_corpus records one corpus-load failure for that surface.
+walk, as does an exchange that raises, and run_corpus records one
+corpus-load failure for that surface next to the reports made before it.
 Reports are deterministic: identical inputs give byte-identical output.
 """
 
@@ -259,10 +262,10 @@ def _walk(
     for every transportable flip out of a state above `depth`, and is empty
     at `depth`.  The first edge, in yield order, to reach an unseen key
     carries the child state that is yielded for it, so a caller can attach
-    per-state data (the arc sweep's seeds) along that edge alone.  A caller
-    that knows, before flipping, that the flip at k of a state reaches a
-    seen key passes skip(state, k), and that flip is neither taken nor
-    listed.  Any other error of a flip or an advance ends the walk.
+    per-state data (the arc sweep's links to seeds) along that edge alone.
+    A caller that knows, before flipping, that the flip at k of a state
+    reaches a seen key passes skip(state, k), and that flip is neither
+    taken nor listed.  Any other error of a flip or an advance ends the walk.
     """
     k0 = key(t0, start)
     seen = {k0}
@@ -386,17 +389,30 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
     held: Counter = Counter()  # reached clusters per (n-1)-subset of arcs
     reach = lambda key: held.update(key - {arc} for arc in key)
     seen_flip = lambda state, k: held[frozenset(state[1][: k - 1] + state[1][k:])] > 1
-    # The seed of each cluster reached, by key; None once it is yielded.
-    # A seed is mutated along the edge that reaches its cluster, the one
-    # the walker keeps, so its labels match that cluster's arcs.
+    # Each reached cluster keeps a link (parent key, k) along the edge that
+    # reaches it, the one the walker keeps, so a seed mutated down the links
+    # has labels that match its cluster's arcs.  Seeds are built only for
+    # clusters holding an unchecked arc: from the nearest built ancestor,
+    # keeping each seed built on the way.
     k0 = cluster(t0, start)
-    seeds: Dict[frozenset, Optional[Seed]] = {k0: initial_seed(t0.adjacency)}
+    links: Dict[frozenset, Tuple[frozenset, int]] = {}
+    seeds: Dict[frozenset, Seed] = {k0: initial_seed(t0.adjacency)}
     reach(k0)
+
+    def seed_of(key: frozenset) -> Seed:
+        # recursion depth is at most the sweep's depth
+        if key not in seeds:
+            parent, k = links[key]
+            seeds[key] = seed_mutate(seed_of(parent), k - 1)
+        return seeds[key]
+
     for _, (_, backs), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster, seen_flip):
-        seed, seeds[key] = seeds[key], None
         for k, _, _, child in edges:  # each one reaches a new cluster
-            seeds[child] = seed_mutate(seed, k - 1)
+            links[child] = key, k
             reach(child)
+        if checked.issuperset(backs):
+            continue
+        seed = seed_of(key)
         for j, back in enumerate(backs, 1):
             if back in checked:
                 continue

@@ -17,6 +17,7 @@ keeping each matching's height as a y-monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Tuple
 
 from .poly import Exponent, Poly, lp_add, lp_divexact, lp_mul, lp_one, lp_pow, lp_var
@@ -140,13 +141,13 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     x'_k is an exact quotient (InexactDivisionError if it is not Laurent)."""
     n = s.n
     _check_index(n, k)
-    plus = minus = lp_one(n)
+    # each product starts from its first factor, not from the constant one
+    plus, minus = [], []
     for j in range(n):
         bjk = s.b[j][k]
-        if bjk > 0:
-            plus = lp_mul(plus, lp_pow(s.x[j], bjk))
-        elif bjk < 0:
-            minus = lp_mul(minus, lp_pow(s.x[j], -bjk))
+        if bjk:
+            (plus if bjk > 0 else minus).append(lp_pow(s.x[j], abs(bjk)))
+    plus, minus = (reduce(lp_mul, fs) if fs else lp_one(n) for fs in (plus, minus))
     new_xk = lp_divexact(lp_add(plus, minus), s.x[k])
     x = list(s.x)
     x[k] = new_xk

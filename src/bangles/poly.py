@@ -118,16 +118,19 @@ def lp_binomial_sum(terms: Iterable[Tuple[Exponent, int, int]], i: int) -> Poly:
 def lp_pow(p: Poly, k: int) -> Poly:
     if k < 0:
         raise ValueError("negative power of a polynomial")
-    n = lp_arity(p)
-    out = lp_one(n if n is not None else 0)
-    base = p
+    if k == 0:
+        n = lp_arity(p)
+        return lp_one(n if n is not None else 0)
+    # square up to the lowest set bit of k, then start from that power
+    while not k & 1:
+        p, k = lp_mul(p, p), k >> 1
+    out = dict(p)
+    k >>= 1
     while k:
+        p = lp_mul(p, p)
         if k & 1:
-            out = lp_mul(out, base)
-        base_needed = k >> 1
-        if base_needed:
-            base = lp_mul(base, base)
-        k = base_needed
+            out = lp_mul(out, p)
+        k >>= 1
     return out
 
 

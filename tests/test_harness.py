@@ -20,7 +20,7 @@ from bangles.harness import (
     verify_key_lemma_word,
     verify_shear_flip,
 )
-from bangles.mutation import yseed_mutate
+from bangles.mutation import initial_seed, yseed_mutate
 from bangles.poly import (
     InexactDivisionError,
     lp_add,
@@ -389,27 +389,48 @@ def test_arc_sweep_seeds_match_replayed_words(name):
         assert (replay.lhs, replay.rhs, replay.passed) == (r.lhs, r.rhs, True), r.case
 
 
-@pytest.mark.parametrize("name, clusters", [("pentagon", 5), ("annulus", 9)])
-def test_arc_sweep_mutates_once_per_new_cluster(monkeypatch, name, clusters):
-    mutations, yielded = [], []
+def _seed_print(seed) -> tuple:
+    return tuple(tuple(sorted(x.items())) for x in seed.x)
+
+
+@pytest.mark.parametrize(
+    "name, mutated",
+    [("pentagon", 3), ("hexagon", 6), ("heptagon", 10), ("octagon", 15), ("annulus", 12)],
+)
+def test_arc_sweep_mutates_once_per_checked_arc(monkeypatch, name, mutated):
+    # A seed is built only for a cluster with an arc left to check, or on
+    # the way to one: each exchange yields one new checked arc, so the sweep
+    # mutates once per arc check beyond the n initial arcs.
+    seeds, words = [], []
     real_mutate, real_walk = harness.seed_mutate, harness._walk
 
     def mutate(seed, k):
-        mutations.append(k)
-        return real_mutate(seed, k)
+        seeds.append(real_mutate(seed, k))
+        return seeds[-1]
 
     def walk(*args):
         for item in real_walk(*args):
-            yielded.append(item[2])
+            words.append(tuple(item[3]))
             yield item
 
     monkeypatch.setattr(harness, "seed_mutate", mutate)
     monkeypatch.setattr(harness, "_walk", walk)
     out = []
-    harness._arc_sweep(name, 4, out)
+    harness._arc_sweep(name, 6, out)
     assert out and all(r.passed for r in out)
-    assert len(yielded) == len(set(yielded)) == clusters
-    assert len(mutations) == clusters - 1
+    t0 = load_surface(name)
+    assert len(seeds) == len(out) - t0.n_arcs == mutated
+    # name each mutated seed by the word of the cluster whose replayed seed
+    # it equals; replays walk the walker's own word tree
+    replay = {(): initial_seed(t0.adjacency)}
+    for word in words[1:]:
+        replay[word] = real_mutate(replay[word[:-1]], word[-1] - 1)
+    by_print = {_seed_print(seed): word for word, seed in replay.items()}
+    assert len(by_print) == len(replay)
+    built = [by_print[_seed_print(seed)] for seed in seeds]
+    assert len(built) == len(set(built))
+    checking = {tuple(ast.literal_eval(r.case.split(":word=")[1])) for r in out}
+    assert all(any(w[: len(word)] == word for w in checking) for word in built)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon", "heptagon", "octagon", "annulus"])

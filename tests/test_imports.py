@@ -39,13 +39,51 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
+_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+)
+
+
+def _locals(scope):
+    """Names a function, lambda or comprehension binds itself: its parameters
+    and what its own body assigns or defines, less names declared global or
+    nonlocal.  An import binds a name to what it imports, so it is left out."""
+    bound, declared = set(), set()
+    if hasattr(scope, "args"):
+        a = scope.args
+        bound.update(arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg)
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
+            bound.add(sub.id)
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            bound.add(sub.name)
+        elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+            declared.update(sub.names)
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(sub.name)
+        if not isinstance(sub, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(sub))
+    return bound - declared
+
+
 def _names(node):
-    """Counts of every name and attribute referenced under node."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+    """Counts of every name and attribute referenced under node.  A name that
+    a function, lambda or comprehension around it binds as a parameter or
+    local is that local, not a reference to a module-level definition."""
+    counts = Counter()
+    todo = [(node, frozenset())]
+    while todo:
+        sub, hidden = todo.pop()
+        if isinstance(sub, _SCOPES):
+            hidden = hidden | _locals(sub)
+        if isinstance(sub, ast.Name) and sub.id not in hidden:
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        todo.extend((child, hidden) for child in ast.iter_child_nodes(sub))
+    return counts
 
 
 def _orphans(trees):
@@ -135,6 +173,37 @@ def test_test_only_guard_flags_stale_entries():
         "pkg.py:2: lonely is public but only tests call it",
         "pkg.py:4: adopted is kept for tests but has a program caller",
         "gone is kept for tests but is no public function",
+    ]
+
+
+def test_test_only_guard_ignores_same_named_locals():
+    # shadowed's only "callers" are a parameter, a local, a loop variable, a
+    # comprehension variable, a lambda parameter and a nested def of that
+    # name; a function-level import of imported is a real caller
+    package = {
+        "pkg.py": ast.parse(
+            "def shadowed(): pass\n"
+            "def imported(): pass\n"
+            "def user(shadowed):\n"
+            "    return shadowed\n"
+            "def other():\n"
+            "    shadowed = 1\n"
+            "    for shadowed in []: pass\n"
+            "    f = lambda shadowed: shadowed\n"
+            "    def inner():\n"
+            "        return shadowed\n"
+            "    return [shadowed for shadowed in ()], f, inner\n"
+            "def nested():\n"
+            "    def shadowed(): pass\n"
+            "    return shadowed()\n"
+            "def importer():\n"
+            "    from pkg import imported\n"
+            "    return imported()\n"
+        )
+    }
+    program = {**package, "cli.py": ast.parse("user(1)\nother()\nnested()\nimporter()\n")}
+    assert _test_only_public(package, program, set()) == [
+        "pkg.py:1: shadowed is public but only tests call it",
     ]
 
 

@@ -80,6 +80,17 @@ def test_pow_small_cases():
     assert fmt(lp_pow(p, 3)) == "1 + 3*y1 + 3*y1^2 + y1^3"
 
 
+def test_pow_matches_repeated_products():
+    # every power is a new dict, the first one included
+    p = {(0, 0): 1, (1, -1): 2, (0, 2): -1}
+    want = lp_one(2)
+    for k in range(10):
+        got = lp_pow(p, k)
+        assert got == want and got is not p
+        want = lp_mul(want, p)
+    assert lp_pow({}, 0) == lp_one(0) and lp_pow({}, 3) == {}
+
+
 # ---------------------------------------------------------------------------
 # tropical evaluation (min convention)
 
