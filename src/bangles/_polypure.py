@@ -10,19 +10,20 @@ Each row C(m, .) is built once per call from ints, C(m, j+1) = C(m, j) *
 (m-j) // (j+1), a division that is always exact.
 
 The transfer scan keys each weight by one int instead of a tuple: exponent
-i sits in bits [i*width, (i+1)*width) as a signed field (`_pack`), so
-adding two exponent vectors, or subtracting one from another, is one int
-operation.  The encoding is linear and stays exact while every field of
-every sum lies in [-2^(width-1), 2^(width-1)); keeping it there is the
-caller's job, and `_byte_width` gives the width for a bound.  Widths are
-whole bytes (8, 16, 32 or 64 bits), so `_unpack` splits a key in C, with
-`int.to_bytes` and `struct`, and never slices fields in Python.
+i sits in bits [i*width, (i+1)*width) as a signed field, so adding two
+exponent vectors is one int add.  The encoding is linear and stays exact
+while every field of every sum lies in [-2^(width-1), 2^(width-1));
+keeping it there is the caller's job, and `_byte_width` gives the width
+for a bound.  Widths are whole bytes (8, 16, 32 or 64 bits), so `_columns`
+unpacks all keys in C, with `int.to_bytes` and one signed `array`, and
+never slices fields in Python.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Iterable, Sequence, Tuple
+import sys
+from array import array
+from typing import Iterable, List, Tuple
 
 
 def add_merge(a: dict, b: dict) -> dict:
@@ -78,43 +79,36 @@ def binomial_sum(terms: Iterable[Tuple[tuple, int, int]], k: int) -> dict:
     return out
 
 
-def _pack(vec: Sequence[int], width: int) -> int:
-    """Exponent vector -> one int, coordinate i in bits [i*width, (i+1)*width)
-    as a signed field.  Linear: packing a sum of vectors gives the sum of
-    their packed ints."""
-    out = 0
-    for i, x in enumerate(vec):
-        out += x << (i * width)
-    return out
-
-
 def _bias(n: int, width: int) -> int:
     """2^(width-1) in each of n fields: adding it makes every in-range field
-    non-negative, so the fields above any bit boundary read off with a shift
-    and no borrow."""
+    non-negative, so no field borrows from the next."""
     return ((1 << (n * width)) - 1) // ((1 << width) - 1) << (width - 1)
 
 
-# `struct` formats of the signed fields, by width in bits
-_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+# `array` typecodes of the signed fields, by width in bits
+_TYPECODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 def _byte_width(bound: int) -> int:
-    """Narrowest field width in `_FORMATS` whose signed fields hold every
+    """Narrowest field width in `_TYPECODES` whose signed fields hold every
     value in [-bound, bound]."""
-    for width in _FORMATS:
+    for width in _TYPECODES:
         if bound < 1 << (width - 1):
             return width
     raise ValueError(f"exponents up to {bound} do not fit a 64-bit packed field")
 
 
-def _unpack(terms: Dict[int, int], n: int, width: int) -> Dict[Tuple[int, ...], int]:
-    """Inverse of `_pack` on the keys of {packed: count}, n fields each, every
-    field in [-2^(width-1), 2^(width-1)); width is a key of `_FORMATS`.
+def _columns(keys: Iterable[int], n: int, width: int) -> List[array]:
+    """The n columns of packed keys, n fields each, every field in
+    [-2^(width-1), 2^(width-1)); width is a key of `_TYPECODES`.  Column i
+    holds field i of each key, in the order of keys.
 
     Adding 2^(width-1) to every field makes each one non-negative, so no
     field borrows from the next; flipping each field's top bit back then
-    leaves it in two's complement, which `struct` reads."""
+    leaves it in two's complement, which one signed `array` reads for all
+    keys at once."""
     bias, size = _bias(n, width), n * width // 8
-    fields = struct.Struct(f"<{n}{_FORMATS[width]}").unpack
-    return {fields(((p + bias) ^ bias).to_bytes(size, "little")): c for p, c in terms.items()}
+    flat = array(_TYPECODES[width], b"".join([((p + bias) ^ bias).to_bytes(size, "little") for p in keys]))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    return [flat[i::n] for i in range(n)]

@@ -124,26 +124,13 @@ def _key_lemma_reports(
     # g rules: g_k = h_k - h'_k and the full mutated vector
     rule = gvec_mutate_with_h(gv1, hk, b, k - 1)
     ok_g = gv1[k - 1] == hk - hk2 and gv2 == rule
-    reports.append(
-        VerificationReport(
-            case,
-            "keylemma-g",
-            ok_g,
-            f"g={gv1} g'={gv2}",
-            f"rule={rule} h_k-h'_k={hk - hk2}",
-        )
-    )
+    sides = () if ok_g else (f"g={gv1} g'={gv2}", f"rule={rule} h_k-h'_k={hk - hk2}")
+    reports.append(VerificationReport(case, "keylemma-g", ok_g, *sides))
 
     floors = (tuple(min(0, x) for x in gv1), tuple(min(0, x) for x in gv2))
-    reports.append(
-        VerificationReport(
-            case,
-            "keylemma-h",
-            (hv1, hv2) == floors,
-            f"h={hv1} h'={hv2}",
-            f"min(0,g)={floors[0]} min(0,g')={floors[1]}",
-        )
-    )
+    ok_h = (hv1, hv2) == floors
+    sides = () if ok_h else (f"h={hv1} h'={hv2}", f"min(0,g)={floors[0]} min(0,g')={floors[1]}")
+    reports.append(VerificationReport(case, "keylemma-h", ok_h, *sides))
     return reports
 
 

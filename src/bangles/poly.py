@@ -21,6 +21,8 @@ binomial rows built from ints, not with products.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _polypure as _kernel
@@ -220,7 +222,7 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
 
 
 def assert_subtraction_free(p: Poly) -> None:
-    if any(c < 0 for c in p.values()):
+    if p and min(p.values()) < 0:
         raise NotSubtractionFreeError("polynomial has a negative coefficient")
 
 
@@ -231,20 +233,25 @@ def trop_eval_many(p: Poly, dirs: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     This is evaluation in the tropical semifield Trop(u) at u^{c_i}: the sum
     of two powers of u is the power with the smaller exponent, so a
     subtraction-free p evaluates to u^(the integer read for c).  Each c is
-    read through its nonzero entries only, against p's exponent columns.
+    read through its nonzero entries only: p's exponent columns, scaled by
+    them, are summed term by term in one chain of `map`s that `min` runs.
     """
     if not p:
         raise ValueError("tropical evaluation of zero polynomial")
     assert_subtraction_free(p)
     cols = list(zip(*p))
-    if any(len(e) != len(cols) for e in p) or any(len(c) != len(cols) for c in dirs):
+    if set(map(len, p)) != {len(cols)} or set(map(len, dirs)) - {len(cols)}:
         raise ArityError("weight vector arity mismatch")
     out = []
     for c in dirs:
-        sums = [0] * len(p)
+        sums = repeat(0, len(p))
         for x, col in zip(c, cols):
-            if x:
-                sums = [s + x * v for s, v in zip(sums, col)]
+            if x == 1:
+                sums = map(add, sums, col)
+            elif x == -1:
+                sums = map(sub, sums, col)
+            elif x:
+                sums = map(add, sums, map(mul, col, repeat(x)))
         out.append(min(sums))
     return tuple(out)
 

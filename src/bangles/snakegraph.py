@@ -22,12 +22,13 @@ edges out, and the scan plan is read straight off that layout: vertex
 bitmasks for the frontiers, and each 2n-exponent weight packed into one
 int, in byte-aligned signed fields whose width the same pass bounds.  A
 frontier keeps its terms under an offset, so taking an edge moves the
-offset and copies no term.  W stays packed: each read subtracts its shift
-(the floor, the crossing monomial, or both) from every key as one int, and
-unpacks only the fields it returns.  The tuple form `w` and the `Edge`
-records are built only when read, by `brute_force_sum` or for inspection;
-that oracle rebuilds W from an independent backtracking matcher with its
-own tuple arithmetic.
+offset and copies no term.  W is unpacked once, into one column per
+exponent and one of counts (`_polypure._columns`), and the reads shift and
+zip those columns in C: each column minus its shift (the floor or the
+crossing degree), zipped back into keys.  The tuple form `w` and the
+`Edge` records are built only when read, by `brute_force_sum` or for
+inspection; that oracle rebuilds W from an independent backtracking
+matcher with its own tuple arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import _polypure
@@ -127,48 +129,39 @@ class SnakeGraph:
         return _field_width(self)
 
     @cached_property
-    def w(self) -> Poly:
-        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
-        return _polypure._unpack(self._packed, 2 * self.surface.n_arcs, self._width)
-
-    def _fold(self, shift: Tuple[int, ...], heights: bool) -> Dict[int, int]:
-        """W's keys minus the 2n-vector shift, one int subtraction each, cut
-        to their n heights (or n x-degrees) and summed, still packed.  The
-        bias added with the shift makes every x-field non-negative, so the
-        heights are the bits above them, with no borrow."""
-        n, width = self.surface.n_arcs, self._width
-        low, bias = n * width, _polypure._bias(n, width)
-        less, mask = _polypure._pack(shift, width) - bias, (1 << low) - 1
-        out: Dict[int, int] = {}
-        for p, cnt in self._packed.items():
-            p -= less
-            p = p >> low if heights else (p & mask) - bias
-            out[p] = out.get(p, 0) + cnt
-        return out
+    def _columns(self) -> tuple:
+        """W unpacked once (`_polypure._columns`): its n x-columns, its n
+        y-columns, then its counts, term by term in one order."""
+        cols = _polypure._columns(self._packed, 2 * self.surface.n_arcs, self._width)
+        return (*cols, list(self._packed.values()))
 
     @cached_property
-    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Dict[int, int]]:
+    def w(self) -> Poly:
+        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
+        *cols, counts = self._columns
+        return dict(zip(zip(*cols), counts))
+
+    @cached_property
+    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Poly]:
         """x-degrees and heights of the minimal matching, which must be the
-        only matching at the least height in every direction, and W's
-        heights above it, packed: F's terms."""
-        n, width = self.surface.n_arcs, self._width
+        only matching at the least height in every direction, and F: the
+        counts summed by height above it."""
+        n = self.surface.n_arcs
+        *cols, counts = self._columns
+        m0 = tuple(map(min, cols[n:]))
+        heights = list(zip(*_minus(cols[n:], m0)))
+        f = _tally(heights, counts)
         zero = (0,) * n
-        heights = self._fold(zero + zero, heights=True)
-        m0 = tuple(map(min, zip(*_polypure._unpack(heights, n, width))))
-        y0 = _polypure._pack(m0, width)
-        above = {p - y0: cnt for p, cnt in heights.items()}
-        if above.get(0) != 1:
+        if f.get(zero) != 1:
             raise SnakeGraphError("height floor is not a single matching")
-        y0, bias = y0 << (n * width), _polypure._bias(n, width)
-        floor = {p - y0: 1 for p in self._packed if (p - y0 + bias) >> (n * width) == 0}
-        (x0,) = _polypure._unpack(floor, n, width)
-        return x0, m0, above
+        i = heights.index(zero)
+        return tuple(col[i] for col in cols[:n]), m0, f
 
     @cached_property
     def f_poly(self) -> Poly:
         """Height generating polynomial: constant term 1, coefficients count
         matchings at each normalized height."""
-        return _polypure._unpack(self._floor[2], self.surface.n_arcs, self._width)
+        return self._floor[2]
 
     @cached_property
     def g_vector(self) -> Tuple[int, ...]:
@@ -185,17 +178,28 @@ class SnakeGraph:
     @cached_property
     def msw(self) -> Poly:
         """Laurent expansion: matching sum over the crossing monomial."""
-        n = self.surface.n_arcs
-        xs = self._fold(self.cross_vec + (0,) * n, heights=False)
-        return _polypure._unpack(xs, n, self._width)
+        xs = _minus(self._columns[: self.surface.n_arcs], self.cross_vec)
+        return _tally(zip(*xs), self._columns[-1])
 
     @cached_property
     def principal_msw(self) -> Poly:
         """Matching sum with heights above the floor kept: variables x1..xn
-        then y1..yn."""
-        shift = _polypure._pack(self.cross_vec + self._floor[1], self._width)
-        shifted = {p - shift: cnt for p, cnt in self._packed.items()}
-        return _polypure._unpack(shifted, 2 * self.surface.n_arcs, self._width)
+        then y1..yn.  W's keys are distinct, and so are their shifts."""
+        *cols, counts = self._columns
+        return dict(zip(zip(*_minus(cols, self.cross_vec + self._floor[1])), counts))
+
+
+def _minus(cols, shift: Tuple[int, ...]) -> list:
+    """Each column minus its entry of shift, as lazy iterators."""
+    return [map(sub, col, repeat(x)) for col, x in zip(cols, shift)]
+
+
+def _tally(keys, counts) -> Poly:
+    """{key: its counts summed}."""
+    out: Poly = {}
+    for key, cnt in zip(keys, counts):
+        out[key] = out.get(key, 0) + cnt
+    return out
 
 
 def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
@@ -337,7 +341,7 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
     The plan is read off the layout (`_lay_out`).  A frontier is a bitmask
     over the vertices and seam copies, so membership, union and retirement
     are `&`, `|` and `& ~`.  A weight is one int with a signed field per
-    exponent (as `_polypure._pack`, `_field_width` bits wide), summed from
+    exponent (`_field_width` bits wide), summed from
     unit shifts, so taking an edge is one int add.  A frontier holds its
     terms as an offset and a {packed weight: count} dict: taking an edge
     moves the offset and copies no term, and terms move only where two
@@ -414,18 +418,15 @@ def _merge(a: _State, b: _State) -> _State:
 
 def _field_width(g: SnakeGraph) -> int:
     """Bits per packed exponent: the narrowest byte-aligned width
-    (`_polypure._byte_width`) that holds every packed value the scan and
-    the reads form.
+    (`_polypure._byte_width`) that holds every packed value the scan forms.
 
     Let S_i be the sum of field i's magnitudes over all edges.  Every
     partial weight in a scan sums the weights of a subset of g's edges, so
     its field i lies in [-S_i, S_i]; so does each term of W.  The reads
-    subtract two more things.  A height minus the floor's height is a
-    difference of two such sums, in [0, S_i].  An x-degree minus a
-    crossing count c_i lies in [-c_i, S_i], since both are non-negative,
-    and c_i can exceed S_i: a tile's diagonal need not label any edge.  So
-    the bound is the largest S_i or c_i."""
-    return _polypure._byte_width(max((g._layout[2],) + g.cross_vec))
+    unpack W before they subtract anything (`SnakeGraph._columns`), so
+    their differences are Python ints and need no room in a field.  So the
+    bound is the largest S_i."""
+    return _polypure._byte_width(g._layout[2])
 
 
 def _lay_out(g: SnakeGraph) -> tuple:

@@ -1,19 +1,43 @@
 """AST scan: the arithmetic modules stay exact.  No float literal, no true
-division, no float() or round(), and no import of fractions, decimal or
-math, so every value they compute is an int or built from ints."""
+division, no float() or round(), no import of fractions, decimal or math,
+and no `array` but of signed ints, so every value they compute is an int
+or built from ints."""
 
 import ast
+from array import array
 from pathlib import Path
+
+import pytest
+
+from bangles import _polypure
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bangles"
 EXACT_MODULES = ("poly", "_polypure", "mutation", "snakegraph", "shear", "harness", "curve", "surface")
 BANNED_IMPORTS = {"fractions", "decimal", "math"}
+SIGNED_TYPECODES = {"b", "h", "i", "q"}
+
+
+def _typecodes(tree: ast.Module, code):
+    """The typecodes an `array` typecode argument can be: a string literal,
+    or a subscript of a module-level dict literal, any of its values; None
+    stands for one the scan cannot read."""
+    if isinstance(code, ast.Constant):
+        return {code.value}
+    if isinstance(code, ast.Subscript) and isinstance(code.value, ast.Name):
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                if any(isinstance(t, ast.Name) and t.id == code.value.id for t in node.targets):
+                    return {v.value if isinstance(v, ast.Constant) else None for v in node.value.values}
+    return {None}
 
 
 def _inexact(tree: ast.Module):
     """(line, what) for every construct that could bring in a float."""
     out = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "array":
+            codes = _typecodes(tree, node.args[0] if node.args else None)
+            out += [(node.lineno, f"array typecode {c!r}") for c in sorted(codes - SIGNED_TYPECODES, key=repr)]
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             out.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
@@ -36,7 +60,11 @@ def test_arithmetic_modules_stay_exact():
 
 
 def test_the_scan_sees_each_banned_construct():
-    src = "import math\nfrom fractions import Fraction\nx = 1.5\ny = a / b\ny /= 2\nz = round(float(y))\n"
+    src = (
+        "import math\nfrom fractions import Fraction\nx = 1.5\ny = a / b\ny /= 2\nz = round(float(y))\n"
+        "CODES = {8: 'b', 32: 'f'}\n"
+        "array('d', x)\narray.array('q', x)\narray(CODES[w], x)\narray(code, x)\n"
+    )
     whats = [what for _, what in _inexact(ast.parse(src))]
     assert whats == [
         "import math",
@@ -46,4 +74,12 @@ def test_the_scan_sees_each_banned_construct():
         "true division /",
         "float() call",
         "round() call",
+        "array typecode 'd'",
+        "array typecode 'f'",
+        "array typecode None",
     ]
+
+
+@pytest.mark.parametrize("width, code", sorted(_polypure._TYPECODES.items()))
+def test_each_field_width_has_a_typecode_that_wide(width, code):
+    assert array(code).itemsize * 8 == width

@@ -52,9 +52,21 @@ def test_key_lemma_on_annulus():
     reports = verify_key_lemma_word(t, c, [1])
     assert [r.identity for r in reports] == ["keylemma-F", "keylemma-g", "keylemma-h"]
     assert all(r.passed for r in reports)
-    h_report = reports[2]
+    # a passing report formats no sides; a failing one prints both
+    assert all(r.lhs == r.rhs == "" for r in reports)
+    res = harness._require_transportable(t, 1)
+    before = harness._band_reads(t, c)
+    f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
+    assert g2 == (-1, 1)
+    wrong_g = (-1, -1)  # moves min(0, g'_2) off h'_2
+    failed = {r.identity: r for r in harness._key_lemma_reports(t, 1, before, (f2, wrong_g, h2), "c")}
+    assert failed["keylemma-F"].passed
+    assert not failed["keylemma-g"].passed and not failed["keylemma-h"].passed
+    h_report = failed["keylemma-h"]
     assert "h=(0, -1)" in h_report.lhs
     assert "h'=(-1, 0)" in h_report.lhs
+    assert h_report.rhs == "min(0,g)=(0, -1) min(0,g')=(-1, -1)"
+    assert failed["keylemma-g"].lhs == "g=(1, -1) g'=(-1, -1)"
 
 
 def test_key_lemma_f_fails_on_a_perturbed_side():

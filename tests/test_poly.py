@@ -21,6 +21,7 @@ from bangles.poly import (
     trop_eval_many,
     var_names,
 )
+from packing import pack
 
 Y2 = var_names("y", 2)
 
@@ -121,6 +122,8 @@ def test_trop_rejects_zero_and_negative_coeffs():
         trop_eval_many({(0, 0): 1, (1, 0): -1}, [(1, 1)])
     with pytest.raises(ArityError):
         trop_eval_many({(0, 0): 1, (1, 0): 1}, [(1, 1), (1,)])
+    with pytest.raises(ArityError):
+        trop_eval_many({(0, 0): 1, (1,): 1}, [(1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,23 @@ def test_trop_is_a_semiring_morphism(p, q, dirs):
     assert trop_eval_many(lp_add(p, q), dirs) == tuple(map(min, zip(tp, tq)))
 
 
+@st.composite
+def trop_cases(draw):
+    """A subtraction-free polynomial in n variables and directions with
+    entries in -3..3, the zero direction among them."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.dictionaries(st.tuples(*[st.integers(-4, 4)] * n), st.integers(1, 4), min_size=1, max_size=8))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4))
+    return p, dirs + [(0,) * n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trop_cases())
+def test_trop_is_the_least_dot_product(case):
+    p, dirs = case
+    assert trop_eval_many(p, dirs) == tuple(min(sum(c * e for c, e in zip(d, x)) for x in p) for d in dirs)
+
+
 def test_large_coefficients_stay_exact():
     one_plus = {(0, 0): 1, (1, 0): 1}
     big = lp_pow(one_plus, 64)
@@ -243,11 +263,21 @@ def packable(draw):
 def test_packing_round_trips_and_adds(case):
     width, vec, parts = case
     n = len(vec)
-    assert _polypure._unpack({_polypure._pack(vec, width): 1}, n, width) == {vec: 1}
     total = tuple(map(sum, zip(*parts)))
-    packed = sum(_polypure._pack(v, width) for v in parts)
-    assert _polypure._pack(total, width) == packed
-    assert _polypure._unpack({packed: 3}, n, width) == {total: 3}
+    summed = sum(pack(v, width) for v in parts)
+    assert pack(total, width) == summed
+    cols = _polypure._columns([pack(vec, width), summed], n, width)
+    assert list(zip(*cols)) == [vec, total]
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_columns_read_both_ends_of_every_width(width):
+    lo, hi = -(2 ** (width - 1)), 2 ** (width - 1) - 1
+    vecs = [(lo, hi, 0), (hi, lo, -1), (lo, lo, lo), (hi, hi, hi), (0, 0, 1)]
+    cols = _polypure._columns([pack(v, width) for v in vecs], 3, width)
+    assert [c.typecode for c in cols] == [_polypure._TYPECODES[width]] * 3
+    assert list(zip(*cols)) == vecs
+    assert [list(c) for c in _polypure._columns([], 3, width)] == [[], [], []]
 
 
 def test_byte_width_raises_above_64_bits():

@@ -26,7 +26,6 @@ from bangles.poly import (
     lp_mul,
     lp_sub,
     lp_var,
-    trop_eval_many,
     var_names,
 )
 from bangles.snakegraph import (
@@ -46,6 +45,7 @@ from bangles.snakegraph import (
 from bangles.surface import adjacency_matrix, flip, folded_sides
 
 from flipwords import flip_word
+from packing import pack
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
@@ -271,7 +271,7 @@ def test_brute_force_shares_no_scan_code(monkeypatch):
 
     for name in ("_scan", "_field_width"):
         monkeypatch.setattr(snakegraph, name, boom)
-    for name in ("_pack", "_unpack", "_byte_width"):  # read off `_polypure`
+    for name in ("_columns", "_byte_width"):  # read off `_polypure`
         monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
     assert brute_force_sum(g) == expected
@@ -401,7 +401,8 @@ def test_build_rejects_steps_that_do_not_glue(monkeypatch, name, steps, error):
 def tuple_reads(g):
     """(F, g, h, msw, principal_msw) from `brute_force_sum(g)` by tuple
     formulas: the floor is the least height in every direction, F and msw
-    slice each key and subtract it, principal_msw multiplies by a monomial."""
+    slice each key and subtract it, h is the least dot product of each
+    direction with F's exponents, principal_msw multiplies by a monomial."""
     n = g.surface.n_arcs
     w = brute_force_sum(g)
     m0 = tuple(min(key[n + i] for key in w) for i in range(n))
@@ -417,7 +418,8 @@ def tuple_reads(g):
     rows = enumerate(adjacency_matrix(g.surface))
     dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
     principal = lp_mul(w, {tuple(-e for e in g.cross_vec + m0): 1})
-    return f, gv, trop_eval_many(f, dirs), msw, principal
+    h = tuple(min(sum(a * b for a, b in zip(d, e)) for e in f) for d in dirs)
+    return f, gv, h, msw, principal
 
 
 def packed_reads(g):
@@ -437,16 +439,16 @@ def single_tile_graph():
     return build_snake_graph(t, transport_curve(arc_curve(1), flip(t, 1).quad, forward=False))
 
 
-def test_crossing_vector_can_set_the_field_width():
+def test_crossing_vector_does_not_set_the_field_width():
     # x1 labels no edge of the tile it is the diagonal of: its column sums to
-    # 0 while it is crossed once.  A graph that is crossed 300 times there
-    # needs 16-bit fields, which the edges alone would not ask for.
+    # 0 while it is crossed once.  The reads subtract the crossings from
+    # unpacked ints, so a graph crossed 300 times there keeps 8-bit fields.
     g = single_tile_graph()
     assert g.cross_vec == (1, 0)
     assert sum(e.x_vec[0] for e in g.edges.values()) == 0
     assert snakegraph._field_width(g) == 8
     crossed = dataclasses.replace(g, cross_vec=(300, 0))
-    assert snakegraph._field_width(crossed) == 16
+    assert snakegraph._field_width(crossed) == 8
     assert packed_reads(crossed) == tuple_reads(crossed)
     assert crossed.msw == {(-300, 0): 1, (-300, 1): 1}
 
@@ -464,9 +466,12 @@ def test_layout_bound_is_the_largest_edge_magnitude_sum():
 
 
 def test_fields_wider_than_64_bits_raise():
-    crossed = dataclasses.replace(single_tile_graph(), cross_vec=(2**63, 0))
+    # a layout whose largest edge-magnitude sum needs a 65-bit field
+    g = dataclasses.replace(single_tile_graph())
+    slots, xvecs, _, seam = g._layout
+    g.__dict__["_layout"] = (slots, xvecs, 2**63, seam)
     with pytest.raises(ValueError, match="64-bit"):
-        crossed.msw
+        g.msw
 
 
 def test_floor_must_be_one_matching():
@@ -474,30 +479,35 @@ def test_floor_must_be_one_matching():
     g = single_tile_graph()
     for w in ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1}):
         fake = dataclasses.replace(g)
-        fake.__dict__["_packed"] = {_polypure._pack(key, g._width): 1 for key in w}
+        fake.__dict__["_packed"] = {pack(key, g._width): 1 for key in w}
         assert fake.w == w
         with pytest.raises(SnakeGraphError, match="height floor"):
             fake.f_poly
 
 
-def test_reads_scan_once_and_leave_w_packed(monkeypatch):
+def test_reads_scan_and_unpack_w_once(monkeypatch):
     t = load_surface("torus-boundary")
     c = parse_curve(t, load_curve_text("torus-weave"))
-    scan = snakegraph._scan
     calls = []
 
-    def counting_scan(g):
-        calls.append(g.d)
-        return scan(g)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(snakegraph, "_scan", counting_scan)
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(snakegraph, "_scan")
+    counting(_polypure, "_columns")
     g = build_band_graph(t, closed_curve(c.steps * 2))
     assert "_packed" not in g.__dict__  # a fresh graph
     packed_reads(g)
-    assert len(calls) == 1
-    assert "w" not in g.__dict__  # no read unpacks the whole of W
+    assert calls == ["_scan", "_columns"]
+    assert "w" not in g.__dict__  # no read builds the tuple form of W
     assert g.w == brute_force_sum(g)
-    assert len(calls) == 1
+    assert calls == ["_scan", "_columns"]
 
 
 def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
