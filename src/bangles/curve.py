@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .surface import Corner, QuadRecord, Triangulation
+from .surface import Corner, QuadRecord, Triangulation, resolve_vertex_ref
 
 Step = Tuple[int, int]  # (triangle index, arc label)
 
@@ -219,8 +219,6 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 
 
 def parse_curve(t: Triangulation, text: str) -> Curve:
-    from .surface import resolve_vertex_ref
-
     closed = None
     steps: List[Step] = []
     end_refs: List[Tuple[str, str]] = []

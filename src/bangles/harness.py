@@ -221,10 +221,11 @@ class CorpusConfig:
     )
 
 
-def _closed_fixture(name: str) -> Optional[Curve]:
+def _closed_fixture(t: Triangulation, name: str) -> Optional[Curve]:
+    """The closed fixture curve of surface `name`, whose loaded
+    triangulation is t, or None if the surface has none."""
     if name not in CLOSED_CURVES:
         return None
-    t = load_surface(name)
     return parse_curve(t, load_curve_text(CLOSED_CURVES[name]))
 
 
@@ -278,10 +279,10 @@ def _walk(
 
 
 def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    c0 = _closed_fixture(name)
-    if c0 is None:
+    if name not in CLOSED_CURVES:
         return
     t0 = load_surface(name)
+    c0 = _closed_fixture(t0, name)
     label = CLOSED_CURVES[name]
     # (F, g, h) by the walker's state key, for this sweep only.  A read that
     # raises stores nothing, so each check that needs it fails under its
@@ -307,7 +308,7 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
 def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
     t = load_surface(name)
     n = t.n_arcs
-    c = _closed_fixture(name)
+    c = _closed_fixture(t, name)
     if c is not None:
         case = f"{name}:{CLOSED_CURVES[name]}"
         try:

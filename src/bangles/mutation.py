@@ -50,8 +50,9 @@ def matrix_mutate(b: Matrix, k: int) -> Matrix:
 
     b may be rectangular, with extra coefficient rows below the square
     block.  Those rows mutate through the square block's row k; with top
-    block -B(T) the bottom row transforms exactly as gamma_transform does
-    (the shear transport law).
+    block -B(T) the bottom row transforms by the shear transport law,
+    g'_k = -g_k and g'_i = g_i + sgn(g_k)[b_ik*g_k]+ for i != k (the tests
+    compare it with `gamma_transform` in `tests/oracles.py`).
     """
     n = len(b[0]) if b else 0
     _check_index(n, k)
@@ -62,20 +63,6 @@ def matrix_mutate(b: Matrix, k: int) -> Matrix:
             -v if i == k or j == k else v + _sgn(bik) * max(0, bik * b[k][j])
             for j, v in enumerate(row)
         ))
-    return tuple(out)
-
-
-def gamma_transform(g: Sequence[int], b: Matrix, k: int) -> Tuple[int, ...]:
-    """g'_k = -g_k; g'_i = g_i + sgn(g_k)[b_ik*g_k]+ for i != k."""
-    n = len(b)
-    _check_index(n, k)
-    gk = g[k]
-    out = []
-    for i in range(n):
-        if i == k:
-            out.append(-gk)
-        else:
-            out.append(g[i] + _sgn(gk) * max(0, b[i][k] * gk))
     return tuple(out)
 
 

@@ -25,10 +25,10 @@ frontier keeps its terms under an offset, so taking an edge moves the
 offset and copies no term.  W is unpacked once, into one column per
 exponent and one of counts (`_polypure._columns`), and the reads shift and
 zip those columns in C: each column minus its shift (the floor or the
-crossing degree), zipped back into keys.  The tuple form `w` and the
-`Edge` records are built only when read, by `brute_force_sum` or for
-inspection; that oracle rebuilds W from an independent backtracking
-matcher with its own tuple arithmetic.
+crossing degree), zipped back into keys.  The tests check W against an
+oracle of their own (`tests/oracles.py`) that reads only the tiles: it
+enumerates matchings by backtracking and reads each height off the tiles
+that the matching and the minimal one enclose.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mul, sub
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import _polypure
 from .curve import Curve, _landing, validate_curve
@@ -46,8 +46,7 @@ from .poly import Poly, lp_var, trop_eval_many
 from .surface import Triangulation, folded_sides
 
 Vertex = Tuple[int, int]
-EdgeId = Tuple[Vertex, Vertex]  # sorted endpoint pair; the band seam is "seam"
-SEAM = "seam"
+EdgeId = Tuple[Vertex, Vertex]  # sorted endpoint pair
 
 
 class SnakeGraphError(ValueError):
@@ -60,31 +59,17 @@ class Tile:
     diagonal: int
     compass: Tuple[int, int, int, int]  # N, E, S, W labels
 
-    def corner(self, which: str) -> Vertex:
-        x, y = self.pos
-        dx, dy = _CORNERS[which]
-        return (x + dx, y + dy)
-
     def edge_id(self, side: str) -> EdgeId:
         x, y = self.pos
         (ax, ay), (bx, by) = _SIDES[side]
         return ((x + ax, y + ay), (x + bx, y + by))
 
 
-# offsets from a tile's south-west corner to each corner and each side's ends
-_CORNERS = {"SW": (0, 0), "SE": (1, 0), "NW": (0, 1), "NE": (1, 1)}
+# offsets from a tile's south-west corner to each side's ends
 _SIDES = {"S": ((0, 0), (1, 0)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1)), "E": ((1, 0), (1, 1))}
 # per side: its ends among a tile's corners (SW, SE, NW, NE), its place in the
 # compass, its y-sign against the south side's (0: vertical), 1 if it tops the tile
 _SIDE = {"S": (0, 1, 2, 1, 0), "W": (0, 2, 3, 0, 0), "E": (1, 3, 1, 0, 0), "N": (2, 3, 0, -1, 1)}
-
-
-@dataclass(frozen=True)
-class Edge:
-    ends: EdgeId
-    label: int
-    x_vec: Tuple[int, ...]
-    y_vec: Tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +79,6 @@ class SnakeGraph:
     band: bool
     iota: Optional[EdgeId]  # first tile's seam copy (bands only)
     omega: Optional[EdgeId]  # last tile's seam copy
-    seam_ident: Tuple[Tuple[Vertex, Vertex], ...]  # vertex gluing for the band
     cross_vec: Tuple[int, ...]
 
     @property
@@ -104,19 +88,6 @@ class SnakeGraph:
     @cached_property
     def _layout(self) -> tuple:
         return _lay_out(self)
-
-    @cached_property
-    def edges(self) -> Dict[EdgeId, Edge]:
-        """The edges in scan order as `Edge` records, for the brute-force
-        oracle and for inspection; the scan never builds them."""
-        out: Dict[EdgeId, Edge] = {}
-        slots, xvecs, _, _ = self._layout
-        for ti, side, label, _, _, _, sign, start, stop in slots:
-            above = [tile.diagonal for tile in self.tiles[start:stop]]
-            eid = self.tiles[ti].edge_id(side)
-            y = tuple(sign * above.count(j) for j in range(1, self.surface.n_arcs + 1))
-            out[eid] = Edge(eid, label, xvecs[label], y)
-        return out
 
     @cached_property
     def _packed(self) -> Dict[int, int]:
@@ -134,12 +105,6 @@ class SnakeGraph:
         y-columns, then its counts, term by term in one order."""
         cols = _polypure._columns(self._packed, 2 * self.surface.n_arcs, self._width)
         return (*cols, list(self._packed.values()))
-
-    @cached_property
-    def w(self) -> Poly:
-        """W: the x,y generating sum over (good) matchings, a 2n-variable Poly."""
-        *cols, counts = self._columns
-        return dict(zip(zip(*cols), counts))
 
     @cached_property
     def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Poly]:
@@ -263,25 +228,20 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
     # seam slots for bands: the last connector, the seam label, shows up on
     # the first tile's lower-left boundary and the last tile's upper-right one
     iota = omega = None
-    seam_ident: Tuple[Tuple[Vertex, Vertex], ...] = ()
     if band:
-        cd, first, last = ci, tiles[0], tiles[-1]
-        if first.compass[2] == cd:
-            iota, iota_diag = first.edge_id("S"), first.corner("SE")
-        elif first.compass[3] == cd:
-            iota, iota_diag = first.edge_id("W"), first.corner("NW")
+        first, last = tiles[0], tiles[-1]
+        if first.compass[2] == ci:
+            iota = first.edge_id("S")
+        elif first.compass[3] == ci:
+            iota = first.edge_id("W")
         else:
-            raise SnakeGraphError(f"seam label {cd} missing from the first tile")
-        if last.compass[0] == cd:
-            omega, omega_diag = last.edge_id("N"), last.corner("NW")
-        elif last.compass[1] == cd:
-            omega, omega_diag = last.edge_id("E"), last.corner("SE")
+            raise SnakeGraphError(f"seam label {ci} missing from the first tile")
+        if last.compass[0] == ci:
+            omega = last.edge_id("N")
+        elif last.compass[1] == ci:
+            omega = last.edge_id("E")
         else:
-            raise SnakeGraphError(f"seam label {cd} missing from the last tile")
-        seam_ident = (
-            (omega_diag, first.corner("SW")),
-            (last.corner("NE"), iota_diag),
-        )
+            raise SnakeGraphError(f"seam label {ci} missing from the last tile")
 
     cross_vec = [0] * t.n_arcs  # one x variable per crossing
     for _, arc in c.steps:
@@ -292,7 +252,6 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
         band=band,
         iota=iota,
         omega=omega,
-        seam_ident=seam_ident,
         cross_vec=tuple(cross_vec),
     )
 
@@ -356,7 +315,7 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
     # packed weight (a seam copy's has no x), and its retired bits
     plan = [
         (ends, ends | bit, (0 if bit else xw[label]) + sign * (suffix[start] - suffix[stop]), retire)
-        for _, _, label, ends, bit, retire, sign, start, stop in slots
+        for label, ends, bit, retire, sign, start, stop in slots
     ]
 
     # state: bitmask of covered-but-still-open vertices and taken seam
@@ -430,12 +389,12 @@ def _field_width(g: SnakeGraph) -> int:
 
 
 def _lay_out(g: SnakeGraph) -> tuple:
-    """The edges laid out in one pass over the tiles, for the scan plan and
-    for `edges`: (slots, each label's x-weight, the largest S_i of
-    `_field_width`, and for a band the bits of ι and ω and the seam label).
+    """The edges laid out in one pass over the tiles, for the scan plan:
+    (slots, each label's x-weight, the largest S_i of `_field_width`, and
+    for a band the bits of ι and ω and the seam label).
 
-    A slot is [tile index, side, label, end bits, seam bit, retired bits,
-    sign, start, stop], one per edge in scan order.  A tile adds the sides
+    A slot is [label, end bits, seam bit, retired bits, sign, start, stop],
+    one per edge in scan order.  A tile adds the sides
     it does not share with the tile before it and, after the first, two
     new corners, so vertex bits follow the order the scan meets them; ι
     and ω take the next two bits.  A vertex retires at the last edge that
@@ -461,35 +420,20 @@ def _lay_out(g: SnakeGraph) -> tuple:
             label = tile.compass[k]
             counts[label] = counts.get(label, 0) + 1
             last[corners[a]] = last[corners[b]] = len(slots)
-            slots.append([i, side, label, corners[a] | corners[b], 0, 0, south * flip, i + h, stop[i]])
+            slots.append([label, corners[a] | corners[b], 0, 0, south * flip, i + h, stop[i]])
     for v, j in last.items():
-        slots[j][5] |= v
+        slots[j][3] |= v
     seam = None
     if g.band:  # ι is the first tile's south or west side, ω the last tile's north or east
         iota = slots[0 if tiles[0].edge_id("S") == g.iota else 1]
         omega = slots[-1 if tiles[-1].edge_id("N") == g.omega else -2]
-        iota[4], omega[4] = fresh, fresh << 1
-        seam = (fresh, fresh << 1, iota[2])
+        iota[2], omega[2] = fresh, fresh << 1
+        seam = (fresh, fresh << 1, iota[0])
     loops = {loop: r for r, loop in folded_sides(t).items()}
     xvecs = {label: _label_x_vec(t, label, loops) for label in counts}
     for label, cnt in counts.items():
         sums[:n] = [s + cnt * x for s, x in zip(sums, xvecs[label])]
     return slots, xvecs, max(sums), seam
-
-
-def _lift_band_matching(g: SnakeGraph, m: FrozenSet) -> FrozenSet[EdgeId]:
-    """Band matching back to the cut graph, restoring seam copies."""
-    if SEAM in m:
-        return (m - {SEAM}) | {g.iota, g.omega}
-    covered = {v for eid in m for v in g.edges[eid].ends}
-    add = set()
-    if not any(v in covered for v in g.edges[g.iota].ends):
-        add.add(g.iota)
-    if not any(v in covered for v in g.edges[g.omega].ends):
-        add.add(g.omega)
-    if not add:
-        raise SnakeGraphError("matching does not come from a seam-consistent lift")
-    return frozenset(m | add)
 
 
 # ---------------------------------------------------------------------------
@@ -531,80 +475,3 @@ def principal_msw(t: Triangulation, c: Curve) -> Poly:
     which callers must not mutate."""
     g = curve_graph(t, c)
     return lp_var(2 * t.n_arcs, c.arc - 1) if g is None else g.principal_msw
-
-
-# ---------------------------------------------------------------------------
-# independent slow enumeration, used to cross-check the scans
-
-
-def brute_force_matchings(g: SnakeGraph) -> List[FrozenSet]:
-    """Backtracking matcher on the explicit graph, band gluing included."""
-    ident: Dict[Vertex, Vertex] = {}
-
-    def root(v: Vertex) -> Vertex:
-        while v in ident:
-            v = ident[v]
-        return v
-
-    if g.band:
-        for a, b in g.seam_ident:
-            ra, rb = root(a), root(b)
-            if ra != rb:
-                ident[max(ra, rb)] = min(ra, rb)
-
-    edge_ids: List = []
-    ends: Dict = {}
-    for eid in g.edges:
-        if g.band and eid in (g.iota, g.omega):
-            continue
-        u, w = g.edges[eid].ends
-        edge_ids.append(eid)
-        ends[eid] = (root(u), root(w))
-    if g.band:
-        u, w = g.edges[g.iota].ends
-        ends[SEAM] = (root(u), root(w))
-        u2, w2 = g.edges[g.omega].ends
-        if {root(u2), root(w2)} != {root(u), root(w)}:
-            raise SnakeGraphError("seam copies do not glue to one edge")
-        edge_ids.append(SEAM)
-
-    vertices = sorted({v for e in edge_ids for v in ends[e]})
-    incident: Dict[Vertex, List] = {v: [] for v in vertices}
-    for e in edge_ids:
-        for v in ends[e]:
-            incident[v].append(e)
-
-    out: List[FrozenSet] = []
-
-    def backtrack(uncovered: FrozenSet[Vertex], chosen: FrozenSet):
-        if not uncovered:
-            if not g.band:
-                out.append(chosen)
-                return
-            try:
-                _lift_band_matching(g, chosen)
-            except SnakeGraphError:
-                return
-            out.append(chosen)
-            return
-        v = min(uncovered)
-        for e in incident[v]:
-            a, b = ends[e]
-            if a in uncovered and b in uncovered:
-                backtrack(uncovered - {a, b}, chosen | {e})
-
-    backtrack(frozenset(vertices), frozenset())
-    return sorted(out, key=lambda m: sorted(m, key=str))
-
-
-def brute_force_sum(g: SnakeGraph) -> Poly:
-    """W rebuilt from the brute-force matchings: x from the matched edge
-    labels (the seam counted once), y from the lift to the cut graph."""
-    loops = {loop: r for r, loop in folded_sides(g.surface).items()}
-    zero, out = (0,) * g.surface.n_arcs, {}
-    for m in brute_force_matchings(g):
-        xs = [_label_x_vec(g.surface, g.edges[g.iota if e == SEAM else e].label, loops) for e in m]
-        ys = [g.edges[e].y_vec for e in (_lift_band_matching(g, m) if g.band else m)]
-        key = tuple(map(sum, zip(zero, *xs))) + tuple(map(sum, zip(zero, *ys)))
-        out[key] = out.get(key, 0) + 1
-    return out

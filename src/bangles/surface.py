@@ -23,7 +23,7 @@ self-folded triangles on its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
@@ -325,16 +325,10 @@ def tag_switch(t: Triangulation, pid: int) -> Triangulation:
             tris = tuple(
                 tuple(swap.get(s, s) for s in tri) for tri in t.triangles
             )
-            return Triangulation(
-                t.genus, t.boundary_marks, t.n_punctures, t.n_arcs, t.n_boundary,
-                tris, t.notched,
-            )
+            return replace(t, triangles=tris)
     notched = set(t.notched)
     notched.symmetric_difference_update({pid})
-    return Triangulation(
-        t.genus, t.boundary_marks, t.n_punctures, t.n_arcs, t.n_boundary,
-        t.triangles, frozenset(notched),
-    )
+    return replace(t, notched=frozenset(notched))
 
 
 class _QuadView:
@@ -436,10 +430,7 @@ def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
     new_tris = list(t.triangles)
     new_tris[ta] = (e2, e3, k)
     new_tris[tb] = (e4, e1, k)
-    out = Triangulation(
-        t.genus, t.boundary_marks, t.n_punctures, t.n_arcs, t.n_boundary,
-        tuple(new_tris), t.notched,
-    )
+    out = replace(t, triangles=tuple(new_tris))
     clean = (
         len(set(tri_a)) == 3
         and len(set(tri_b)) == 3
@@ -611,10 +602,7 @@ def _apply_tags(t: Triangulation, raw_tags: List[Tuple[int, int, str]]) -> Trian
             covered |= ends_here
     if covered != notched_ends:
         raise TriangulationError("notched tag on a non-puncture end")
-    out = Triangulation(
-        t.genus, t.boundary_marks, t.n_punctures, t.n_arcs, t.n_boundary,
-        t.triangles, frozenset(notched_pids),
-    )
+    out = replace(t, notched=frozenset(notched_pids))
     validate(out)
     return out
 

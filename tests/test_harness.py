@@ -367,7 +367,7 @@ def test_key_lemma_sweep_flips_once_per_check(monkeypatch):
 def test_transport_error_in_walk_fails_only_its_surface(monkeypatch):
     # the walker carries the curve across each flip, outside any check
     real = harness.transport_curve
-    annulus_core = harness._closed_fixture("annulus")
+    annulus_core = harness._closed_fixture(load_surface("annulus"), "annulus")
 
     def broken(c, quad, **kwargs):
         if c == annulus_core:

@@ -1,9 +1,8 @@
 """AST scans: every imported name is used, in the package and its tests,
 every private module-level helper of the package has a caller, every
-public one has a caller outside the tests or is exported, each name kept
-for tests only is a public function no program code calls, and the
-package keeps no unbounded function caches and no keys made of object
-ids."""
+public one has a caller outside the tests or is exported, the tests'
+oracles import nothing private of the package, and the package keeps no
+unbounded function caches and no keys made of object ids."""
 
 import ast
 from collections import Counter
@@ -69,9 +68,17 @@ def _locals(scope):
 
 
 def _names(node):
-    """Counts of every name and attribute referenced under node.  A name that
-    a function, lambda or comprehension around it binds as a parameter or
-    local is that local, not a reference to a module-level definition."""
+    """Counts of every name referenced under node, and of every attribute
+    read off a name that an import under node binds (`mod.f`, not
+    `obj.f`).  A name that a function, lambda or comprehension around it
+    binds as a parameter or local is that local, not a reference to a
+    module-level definition or a module."""
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+        for alias in sub.names
+    }
     counts = Counter()
     todo = [(node, frozenset())]
     while todo:
@@ -80,8 +87,8 @@ def _names(node):
             hidden = hidden | _locals(sub)
         if isinstance(sub, ast.Name) and sub.id not in hidden:
             counts[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            counts[sub.attr] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            counts[sub.attr] += sub.value.id in modules - hidden
         todo.extend((child, hidden) for child in ast.iter_child_nodes(sub))
     return counts
 
@@ -110,19 +117,10 @@ def test_no_orphaned_private_helpers():
     assert not orphans, "private helper never referenced:\n" + "\n".join(orphans)
 
 
-# Public names that only tests call, each kept on purpose.
-TEST_ONLY_PUBLIC = {
-    "brute_force_sum": "matching-enumeration reference the transfer scan is compared against",
-    "gamma_transform": "shear transport law the extended-matrix mutation is compared against",
-}
-
-
-def _test_only_public(package, callers, kept):
-    """Problems with the package's public functions and classes, given the
-    parsed package modules, every parsed module the program runs (package
-    included), and the names kept for tests: a public name nothing outside
-    its own definition names, unless exported or kept; and a kept name that
-    is no public function of the package, or that the program now calls."""
+def _test_only_public(package, callers):
+    """The package's public functions and classes that nothing outside their
+    own definition names and no `__all__` exports, given the parsed package
+    modules and every parsed module the program runs (package included)."""
     everywhere = sum((_names(tree) for tree in callers.values()), Counter())
     exported = set()
     for tree in callers.values():
@@ -131,19 +129,14 @@ def _test_only_public(package, callers, kept):
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
             ):
                 exported.update(elt.value for elt in node.value.elts)
-    out, public = [], set()
+    out = []
     for path, tree in package.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             name = node.name
-            public.add(name)
-            uncalled = everywhere[name] == _names(node)[name]
-            if name in kept and not uncalled:
-                out.append(f"{path}:{node.lineno}: {name} is kept for tests but has a program caller")
-            elif uncalled and name not in exported | kept:
+            if everywhere[name] == _names(node)[name] and name not in exported:
                 out.append(f"{path}:{node.lineno}: {name} is public but only tests call it")
-    out += [f"{name} is kept for tests but is no public function" for name in sorted(kept - public)]
     return out
 
 
@@ -151,41 +144,25 @@ def test_no_test_only_public_functions():
     package = sorted((ROOT / "src" / "bangles").rglob("*.py"))
     callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
-    problems = _test_only_public(
-        {path.relative_to(ROOT): trees[path] for path in package}, trees, TEST_ONLY_PUBLIC.keys()
-    )
+    problems = _test_only_public({path.relative_to(ROOT): trees[path] for path in package}, trees)
     assert not problems, "\n".join(problems)
-
-
-def test_test_only_guard_flags_stale_entries():
-    package = {
-        "pkg.py": ast.parse(
-            "def used(): pass\n"
-            "def lonely(): pass\n"
-            "def oracle(): pass\n"
-            "def adopted(): pass\n"
-            "def listed(): pass\n"
-            "__all__ = ['listed']\n"
-        )
-    }
-    program = {**package, "cli.py": ast.parse("used()\nadopted()\n")}
-    assert _test_only_public(package, program, {"oracle", "adopted", "gone"}) == [
-        "pkg.py:2: lonely is public but only tests call it",
-        "pkg.py:4: adopted is kept for tests but has a program caller",
-        "gone is kept for tests but is no public function",
-    ]
 
 
 def test_test_only_guard_ignores_same_named_locals():
     # shadowed's only "callers" are a parameter, a local, a loop variable, a
-    # comprehension variable, a lambda parameter and a nested def of that
-    # name; a function-level import of imported is a real caller
+    # comprehension variable, a lambda parameter, a nested def of that name
+    # and an attribute of a parameter (obj.shadowed); a function-level
+    # import of imported is a real caller, and so is mod.moduled with mod an
+    # imported module; listed is exported
     package = {
         "pkg.py": ast.parse(
             "def shadowed(): pass\n"
             "def imported(): pass\n"
-            "def user(shadowed):\n"
-            "    return shadowed\n"
+            "def moduled(): pass\n"
+            "def listed(): pass\n"
+            "__all__ = ['listed']\n"
+            "def user(shadowed, obj):\n"
+            "    return shadowed, obj.shadowed\n"
             "def other():\n"
             "    shadowed = 1\n"
             "    for shadowed in []: pass\n"
@@ -201,9 +178,50 @@ def test_test_only_guard_ignores_same_named_locals():
             "    return imported()\n"
         )
     }
-    program = {**package, "cli.py": ast.parse("user(1)\nother()\nnested()\nimporter()\n")}
-    assert _test_only_public(package, program, set()) == [
+    program = {
+        **package,
+        "cli.py": ast.parse("import pkg as mod\nuser(1, 2)\nother()\nnested()\nimporter()\nmod.moduled()\n"),
+    }
+    assert _test_only_public(package, program) == [
         "pkg.py:1: shadowed is public but only tests call it",
+    ]
+
+
+def _private_imports(tree: ast.Module):
+    """Lines that import a `_`-prefixed module or name of the package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names if name.startswith("bangles.") and "._" in name]
+    return out
+
+
+def test_oracles_import_nothing_private():
+    """The tests' oracles reach the package only through its public names,
+    so they cannot share the private code they check (the monkeypatch test
+    in `test_snakegraph` checks the calls, this the imports)."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert _private_imports(tree) == []
+
+
+def test_private_import_guard_sees_every_spelling():
+    src = (
+        "import bangles._polypure\n"
+        "from bangles import _polypure, surface\n"
+        "from bangles.snakegraph import _scan, build_band_graph\n"
+        "from bangles._polypure import columns\n"
+        "from collections import _private\n"
+    )
+    assert _private_imports(ast.parse(src)) == [
+        (1, "bangles._polypure"),
+        (2, "bangles._polypure"),
+        (3, "bangles.snakegraph._scan"),
+        (4, "bangles._polypure.columns"),
     ]
 
 

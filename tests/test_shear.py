@@ -4,7 +4,7 @@ import pytest
 
 from bangles.curve import parse_curve
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
-from bangles.mutation import gamma_transform, matrix_mutate
+from bangles.mutation import matrix_mutate
 from bangles.shear import (
     ShearError,
     dual_shear,
@@ -14,6 +14,8 @@ from bangles.shear import (
 )
 from bangles.snakegraph import build_band_graph, snake_g_vector
 from bangles.surface import adjacency_matrix, flip
+
+from oracles import gamma_transform
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,10 +30,7 @@ from bangles.poly import (
     var_names,
 )
 from bangles.snakegraph import (
-    SEAM,
     SnakeGraphError,
-    brute_force_matchings,
-    brute_force_sum,
     build_band_graph,
     build_snake_graph,
     curve_graph,
@@ -45,6 +43,7 @@ from bangles.snakegraph import (
 from bangles.surface import adjacency_matrix, flip, folded_sides
 
 from flipwords import flip_word
+from oracles import edges, matching_sum
 from packing import pack
 
 ANNULUS = load_surface("annulus")
@@ -67,23 +66,14 @@ def test_annulus_band_layout():
     # seam copies sit on the bottom and top horizontal edges, both labeled 3
     assert g.iota == ((0, 0), (1, 0))
     assert g.omega == ((0, 2), (1, 2))
-    assert g.edges[g.iota].label == g.edges[g.omega].label == 3
-    assert set(g.seam_ident) == {(((0, 2)), (0, 0)), ((1, 2), (1, 0))}
+    assert edges(g)[g.iota] == edges(g)[g.omega] == 3
 
 
 def test_annulus_good_matchings():
-    g = build_band_graph(ANNULUS, CORE)
-    ms = brute_force_matchings(g)
-    assert len(ms) == 3
-    assert len([m for m in ms if SEAM in m]) == 1
-    # x-degrees then raw heights: x1^2 sits on the floor (-1, -1), 1 one
+    # x-degrees less the crossings, then heights: x1^2 is P₋, 1 sits one
     # step above it (y2) and x2^2 two steps above it (y1*y2)
-    assert g.w == {(2, 0, -1, -1): 1, (0, 0, -1, 0): 1, (0, 2, 0, 0): 1}
-
-
-def test_annulus_brute_force_agrees():
     g = build_band_graph(ANNULUS, CORE)
-    assert g.w == brute_force_sum(g)
+    assert matching_sum(g) == {(1, -1, 0, 0): 1, (-1, -1, 0, 1): 1, (-1, 1, 1, 1): 1}
 
 
 def test_annulus_F_g_h():
@@ -118,11 +108,10 @@ def test_single_tile_graph():
     g = build_snake_graph(t, back)
     assert len(g.tiles) == 1
     assert g.tiles[0].compass == (5, 2, 3, 4)
-    assert len(brute_force_matchings(g)) == 2
-    # the floor matching is the horizontal pair of boundary edges (x-free,
-    # height -1); the vertical pair carries x2
-    assert g.w == {(0, 0, -1, 0): 1, (0, 1, 0, 0): 1}
-    assert g.w == brute_force_sum(g)
+    # the floor matching is the horizontal pair of boundary edges (x-free);
+    # the vertical pair carries x2 one step above it
+    assert g.principal_msw == {(-1, 0, 0, 0): 1, (-1, 1, 1, 0): 1}
+    assert matching_sum(g) == g.principal_msw
     assert lp_format(snake_F_poly(g), Y2) == "1 + y1"
     assert snake_g_vector(g) == (-1, 0)
     assert snake_h_vector(g) == (-1, 0)
@@ -134,8 +123,8 @@ def test_two_tile_snake_three_matchings():
     c = open_curve([(0, 1), (1, 2)], ((0, 0), (2, 0)))
     g = build_snake_graph(t, c)
     assert len(g.tiles) == 2
-    assert len(brute_force_matchings(g)) == 3
-    assert g.w == brute_force_sum(g)
+    assert sum(matching_sum(g).values()) == 3
+    assert matching_sum(g) == g.principal_msw
     f = snake_F_poly(g)
     assert f[(0,) * t.n_arcs] == 1 and len(f) == 3
 
@@ -171,7 +160,7 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
 
     monkeypatch.setattr(snakegraph, "_scan", counting_scan)
     g = build_band_graph(t, c)
-    snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.w, g.msw, g.principal_msw
+    snake_F_poly(g), snake_g_vector(g), snake_h_vector(g), g.msw, g.principal_msw
     assert len(calls) == 1  # one scan, shared by every reader
     assert msw_function(t, c) is g.msw and principal_msw(t, c) is g.principal_msw
     assert len(calls) == 1  # while g is held, the wrappers read g itself
@@ -203,8 +192,8 @@ def test_unequal_values_get_their_own_graphs():
     others = [build_band_graph(ANNULUS, rotated), build_band_graph(res.triangulation, moved)]
     assert len({id(x) for x in [g] + others}) == 3
     for h in [g] + others:
-        assert h.w == brute_force_sum(h)
-    assert len({frozenset(h.w.items()) for h in [g] + others}) == 3
+        assert matching_sum(h) == h.principal_msw
+    assert len({h.tiles for h in [g] + others}) == 3
 
 
 def test_a_failed_build_raises_again():
@@ -234,9 +223,9 @@ def test_torus_band_zigzags():
     assert all(a != b for a, b in zip(dirs, dirs[1:]))
 
 
-# largest k-fold band graph per closed fixture that brute force enumerates in
+# largest k-fold band graph per closed fixture that the oracle enumerates in
 # well under a second (annulus 8-fold: 2207 matchings)
-BRUTE_FORCE_KMAX = {"annulus": 8, "annulus2": 4, "torus-boundary": 3}
+ORACLE_KMAX = {"annulus": 8, "annulus2": 4, "torus-boundary": 3}
 
 
 def k_fold_fixtures(kmax):
@@ -245,9 +234,9 @@ def k_fold_fixtures(kmax):
             yield name, k, build_band_graph(t, closed_curve(c.steps * k))
 
 
-def test_dp_matches_brute_force_on_fixture_bands():
-    for name, k, g in k_fold_fixtures(BRUTE_FORCE_KMAX):
-        assert g.w == brute_force_sum(g), (name, k)
+def test_oracle_matches_fixture_bands():
+    for name, k, g in k_fold_fixtures(ORACLE_KMAX):
+        assert matching_sum(g) == g.principal_msw, (name, k)
 
 
 def test_k_fold_annulus_core_is_chebyshev():
@@ -261,22 +250,23 @@ def test_k_fold_annulus_core_is_chebyshev():
         assert build_band_graph(ANNULUS, closed_curve(CORE.steps * k)).msw == cheb[k], k
 
 
-def test_brute_force_shares_no_scan_code(monkeypatch):
+def test_oracle_shares_no_scan_code(monkeypatch):
     t = load_surface("torus-boundary")
     c = parse_curve(t, load_curve_text("torus-weave"))
-    expected = build_band_graph(t, c).w
+    expected = build_band_graph(t, c).principal_msw
 
     def boom(*args):
-        raise AssertionError("the oracle reached the transfer scan")
+        raise AssertionError("the oracle reached the scan or its layout")
 
-    for name in ("_scan", "_field_width"):
+    for name in ("_lay_out", "_label_x_vec", "_scan", "_field_width"):
         monkeypatch.setattr(snakegraph, name, boom)
     for name in ("_columns", "_byte_width"):  # read off `_polypure`
         monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
-    assert brute_force_sum(g) == expected
-    with pytest.raises(AssertionError, match="transfer scan"):
-        g.w
+    assert "_layout" not in g.__dict__  # a fresh graph
+    assert matching_sum(g) == expected
+    with pytest.raises(AssertionError, match="scan or its layout"):
+        g.principal_msw
 
 
 def transported_arcs():
@@ -291,9 +281,9 @@ def transported_arcs():
             yield name, k, build_snake_graph(t, back)
 
 
-def test_dp_matches_brute_force_on_transported_arcs():
+def test_oracle_matches_transported_arcs():
     for name, k, g in transported_arcs():
-        assert g.w == brute_force_sum(g), (name, k)
+        assert matching_sum(g) == g.principal_msw, (name, k)
 
 
 def criterion_4_arcs(monkeypatch):
@@ -341,24 +331,24 @@ def loop_arcs():
                 if c.steps and (t, c) not in seen:
                     seen.add((t, c))
                     g = build_snake_graph(t, c)
-                    if any(e.label in loops for e in g.edges.values()):
+                    if any(loops & set(tile.compass) for tile in g.tiles):
                         yield word, more, j, g
 
 
-def test_plan_matches_brute_force_on_swept_and_loop_arcs(monkeypatch):
-    # the closed fixtures and their 2- and 3-fold curves are in
-    # test_dp_matches_brute_force_on_fixture_bands
+def test_oracle_matches_swept_and_loop_arcs(monkeypatch):
+    # the closed fixtures and their k-fold curves are in
+    # test_oracle_matches_fixture_bands
     swept = criterion_4_arcs(monkeypatch)
     assert len(swept) == 60 - 16 and max(g.d for *_, g in swept) == 9
     for t, c, g in swept:
-        assert g.w == brute_force_sum(g), c
+        assert matching_sum(g) == g.principal_msw, c
     looped = list(loop_arcs())
     assert len(looped) == 50 and {g.d for *_, g in looped} == {1, 2}
     for word, more, j, g in looped:
-        assert g.w == brute_force_sum(g), (word, more, j)
+        assert matching_sum(g) == g.principal_msw, (word, more, j)
 
 
-def test_sweeps_never_build_edge_records(monkeypatch):
+def test_sweeps_scan_every_graph_they_build(monkeypatch):
     graphs = []
     real = snakegraph._build
 
@@ -370,7 +360,7 @@ def test_sweeps_never_build_edge_records(monkeypatch):
     cfg = CorpusConfig(keylemma_depth=2, arc_depth=3, arc_surfaces=("pentagon", "annulus"))
     assert all(r.passed for r in run_corpus(cfg))
     assert {g.band for g in graphs} == {True, False}
-    assert all("_packed" in g.__dict__ and "edges" not in g.__dict__ for g in graphs)
+    assert all("_packed" in g.__dict__ for g in graphs)
 
 
 WEAVE = parse_curve(load_surface("torus-boundary"), load_curve_text("torus-weave"))
@@ -399,12 +389,14 @@ def test_build_rejects_steps_that_do_not_glue(monkeypatch, name, steps, error):
 
 
 def tuple_reads(g):
-    """(F, g, h, msw, principal_msw) from `brute_force_sum(g)` by tuple
-    formulas: the floor is the least height in every direction, F and msw
-    slice each key and subtract it, h is the least dot product of each
-    direction with F's exponents, principal_msw multiplies by a monomial."""
+    """(F, g, h, msw, principal_msw) from the oracle's matching sum by tuple
+    formulas: W is that sum with the tiles' crossings added back, the floor
+    is the least height in every direction, F and msw slice each key and
+    subtract it, h is the least dot product of each direction with F's
+    exponents, principal_msw multiplies by a monomial."""
     n = g.surface.n_arcs
-    w = brute_force_sum(g)
+    cross = [sum(tile.diagonal == i for tile in g.tiles) for i in range(1, n + 1)]
+    w = {tuple(map(sum, zip(key, cross))) + key[n:]: cnt for key, cnt in matching_sum(g).items()}
     m0 = tuple(min(key[n + i] for key in w) for i in range(n))
     (floor,) = [key for key in w if key[n:] == m0]
     assert w[floor] == 1
@@ -445,7 +437,7 @@ def test_crossing_vector_does_not_set_the_field_width():
     # unpacked ints, so a graph crossed 300 times there keeps 8-bit fields.
     g = single_tile_graph()
     assert g.cross_vec == (1, 0)
-    assert sum(e.x_vec[0] for e in g.edges.values()) == 0
+    assert 1 not in edges(g).values()
     assert snakegraph._field_width(g) == 8
     crossed = dataclasses.replace(g, cross_vec=(300, 0))
     assert snakegraph._field_width(crossed) == 8
@@ -455,12 +447,18 @@ def test_crossing_vector_does_not_set_the_field_width():
 
 def test_layout_bound_is_the_largest_edge_magnitude_sum():
     # the layout counts each S_i from label counts and tile ranks in their
-    # columns; the Edge records give it edge by edge.  From the 11-fold
-    # annulus core on, a y-field sets 16-bit fields.
+    # columns; here it is summed edge by edge over the oracle's edges: an
+    # edge's x-weight (no fixture band has a loop), and for a horizontal edge
+    # one y per tile above it in its column.  From the 11-fold annulus core
+    # on, a y-field sets 16-bit fields.
     widths = {}
     for name, k, g in k_fold_fixtures({"annulus": 12, "annulus2": 8, "torus-boundary": 6}):
-        columns = zip(*(e.x_vec + e.y_vec for e in g.edges.values()))
-        assert g._layout[2] == max(sum(map(abs, col)) for col in columns), (name, k)
+        sums = Counter()
+        for (a, b), label in edges(g).items():
+            sums["x", label] += not g.surface.is_boundary(label)
+            for tile in g.tiles if a[1] == b[1] else ():
+                sums["y", tile.diagonal] += tile.pos[0] == a[0] and tile.pos[1] >= a[1]
+        assert g._layout[2] == max(sums.values()), (name, k)
         widths[name, k] = g._width
     assert widths["annulus", 11] == 16 and widths["annulus", 10] == 8
 
@@ -480,7 +478,6 @@ def test_floor_must_be_one_matching():
     for w in ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1}):
         fake = dataclasses.replace(g)
         fake.__dict__["_packed"] = {pack(key, g._width): 1 for key in w}
-        assert fake.w == w
         with pytest.raises(SnakeGraphError, match="height floor"):
             fake.f_poly
 
@@ -505,8 +502,7 @@ def test_reads_scan_and_unpack_w_once(monkeypatch):
     assert "_packed" not in g.__dict__  # a fresh graph
     packed_reads(g)
     assert calls == ["_scan", "_columns"]
-    assert "w" not in g.__dict__  # no read builds the tuple form of W
-    assert g.w == brute_force_sum(g)
+    assert matching_sum(g) == g.principal_msw
     assert calls == ["_scan", "_columns"]
 
 
@@ -528,7 +524,7 @@ def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
     t = load_surface("torus-boundary")
     g = build_band_graph(t, parse_curve(t, load_curve_text("torus-weave")))
     assert "_packed" not in g.__dict__
-    assert g.w == brute_force_sum(g)
+    assert matching_sum(g) == g.principal_msw
     assert any(copied)
 
 
@@ -539,11 +535,10 @@ def test_loop_edge_weighs_the_loop_and_its_radius():
     t, _ = flip_word(load_surface("punctured-square"), [1, 3, 2])
     ((radius, loop),) = folded_sides(t).items()
     g = build_snake_graph(t, open_curve([(3, 1)], ((3, 0), (0, 0))))
-    loop_edges = [e for e in g.edges.values() if e.label == loop]
-    assert loop_edges
+    assert loop in edges(g).values()
     (want,) = lp_mul(lp_var(t.n_arcs, loop - 1), lp_var(t.n_arcs, radius - 1))
-    assert all(e.x_vec == want for e in loop_edges)
-    assert g.w == brute_force_sum(g)
+    assert g._layout[1][loop] == want
+    assert matching_sum(g) == g.principal_msw
 
 
 def test_F_constant_term_one_h_nonpositive():
