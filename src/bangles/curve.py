@@ -9,6 +9,10 @@ Positioned steps make transport along a flip purely local: crossings of the
 flipped arc are deleted, step triangles inside the quadrilateral are pushed
 to the new triangle carrying the same side, and a new diagonal crossing is
 inserted for every passage that connects the two new triangles.
+
+Every end is plain: the text form refuses a notched end, as only plain ends
+have expansions here, and end lines in the label-only form (`arc j`), whose
+label already fixes the arc.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ class Curve:
     closed: bool
     steps: Tuple[Step, ...] = ()
     ends: Optional[Tuple[Corner, Corner]] = None
-    end_tags: Tuple[str, str] = ("plain", "plain")
     arc: Optional[int] = None  # label-only form, zero crossings
 
     @property
@@ -46,12 +49,12 @@ def closed_curve(steps) -> Curve:
     return Curve(closed=True, steps=tuple(steps))
 
 
-def arc_curve(label: int, tags: Tuple[str, str] = ("plain", "plain")) -> Curve:
-    return Curve(closed=False, arc=label, end_tags=tags)
+def arc_curve(label: int) -> Curve:
+    return Curve(closed=False, arc=label)
 
 
-def open_curve(steps, ends, tags: Tuple[str, str] = ("plain", "plain")) -> Curve:
-    return Curve(closed=False, steps=tuple(steps), ends=tuple(ends), end_tags=tags)
+def open_curve(steps, ends) -> Curve:
+    return Curve(closed=False, steps=tuple(steps), ends=tuple(ends))
 
 
 def _landing(t: Triangulation, step: Step) -> int:
@@ -109,23 +112,20 @@ def validate_curve(t: Triangulation, c: Curve) -> None:
             raise CurveError("first end corner must sit in the first step's triangle")
         if tb != _landing(t, c.steps[-1]):
             raise CurveError("second end corner must sit past the last crossing")
-        for tag in c.end_tags:
-            if tag not in ("plain", "notched"):
-                raise CurveError(f"unknown end tag {tag!r}")
 
 
 def _reversed(c: Curve) -> Curve:
     """An open curve run from its other end; each step starts where it lands."""
     lands = [tri for tri, _ in c.steps[1:]] + [c.ends[1][0]]
     steps = tuple((land, a) for land, (_, a) in zip(lands, c.steps))[::-1]
-    return replace(c, steps=steps, ends=c.ends[::-1], end_tags=c.end_tags[::-1])
+    return replace(c, steps=steps, ends=c.ends[::-1])
 
 
 def normalize_curve(c: Curve) -> Curve:
     """One key per curve: a closed curve rotates its cyclic step list to its
     least form, an open one takes the lesser of its two orientations."""
     if c.steps and not c.closed:
-        return min(c, _reversed(c), key=lambda o: (o.steps, o.ends, o.end_tags))
+        return min(c, _reversed(c), key=lambda o: (o.steps, o.ends))
     rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
     return replace(c, steps=min(rots)) if rots else c
 
@@ -148,7 +148,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
         name_a, name_b = ("Q", "S") if forward else ("P", "R")
         (end_a,) = v.dst_corners[name_a]
         (end_b,) = v.dst_corners[name_b]
-        return open_curve([(end_a[0], k)], (end_a, end_b), c.end_tags)
+        return open_curve([(end_a[0], k)], (end_a, end_b))
 
     steps = list(c.steps)
     d = len(steps)
@@ -156,7 +156,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
     if not non_k:
         if c.closed:
             raise TransportError("closed curve crosses only the flipped arc")
-        return arc_curve(k, c.end_tags)
+        return arc_curve(k)
 
     def entry_of(m: int) -> Optional[Tuple[int, int]]:
         """(slot, dst triangle) for the crossing into step m's segment."""
@@ -211,7 +211,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
         ends[1] = corner
         if extra:
             out.append((v.dst_tri[slot], k))
-    return open_curve(out, (ends[0], ends[1]), c.end_tags)
+    return open_curve(out, (ends[0], ends[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 def parse_curve(t: Triangulation, text: str) -> Curve:
     closed = None
     steps: List[Step] = []
-    end_refs: List[Tuple[str, str]] = []
+    end_refs: List[Tuple[str, Optional[int]]] = []
     arc_label = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -236,8 +236,9 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
                 steps.append((int(parts[1]) - 1, int(parts[3])))
             elif parts[0] == "end":
                 kv = dict(p.split("=", 1) for p in parts[2:])
-                pos = int(kv["corner"]) if "corner" in kv else None
-                end_refs.append((parts[1], kv.get("tag", "plain"), pos))
+                if kv.get("tag", "plain") != "plain":
+                    raise CurveError(f"line {lineno}: end tag {kv['tag']!r}: only plain ends have expansions")
+                end_refs.append((parts[1], int(kv["corner"]) if "corner" in kv else None))
             elif parts[0] == "arc":
                 arc_label = int(parts[1])
             else:
@@ -250,12 +251,9 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
         raise CurveError("missing curve header")
 
     if arc_label is not None:
-        if closed or steps:
-            raise CurveError("label-only curves cannot be closed or carry steps")
-        tags = tuple(tag for _, tag, _ in end_refs) if end_refs else ("plain", "plain")
-        if len(tags) != 2:
-            raise CurveError("label-only curves need zero or two end lines")
-        c = arc_curve(arc_label, tags)  # type: ignore[arg-type]
+        if closed or steps or end_refs:
+            raise CurveError("label-only curves cannot be closed or carry steps or end lines: the label fixes the arc")
+        c = arc_curve(arc_label)
         validate_curve(t, c)
         return c
 
@@ -272,7 +270,7 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
         raise CurveError("open curves with no crossings use the arc form")
     orbit_of = t.corner_orbits
     corners = []
-    for which, (ref, _, pos) in enumerate(end_refs):
+    for which, (ref, pos) in enumerate(end_refs):
         target = resolve_vertex_ref(t, ref)
         tri = steps[0][0] if which == 0 else _landing(t, steps[-1])
         hits = [(tri, p) for p in range(3) if orbit_of[(tri, p)] == target]
@@ -286,6 +284,6 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
                 "add corner=<0|1|2>"
             )
         corners.append(hits[0])
-    c = open_curve(steps, corners, (end_refs[0][1], end_refs[1][1]))
+    c = open_curve(steps, corners)
     validate_curve(t, c)
     return c

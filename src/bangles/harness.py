@@ -38,7 +38,7 @@ from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, see
 from .poly import lp_binomial_sum, lp_format, var_names
 from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides, shear_matrix
 from .snakegraph import build_band_graph, msw_function
-from .surface import FlipResult, Triangulation, canonical_form, flip, triangle_order
+from .surface import FlipResult, Triangulation, canonical_form, flip
 
 IDENTITIES = (
     "keylemma-F",
@@ -169,16 +169,14 @@ def _arc_report(
     )
 
 
-def verify_arc_bangle(
-    t: Triangulation, arc: int, word: Sequence[int], case: str = ""
-) -> VerificationReport:
-    """Matching-sum expansion of an arc against the mutation engine.
+def verify_arc_bangle(t: Triangulation, arc: int, word: Sequence[int]) -> VerificationReport:
+    """Matching-sum expansion of an arc against the mutation engine, case
+    "arc=j word=[...]".
 
     The flip word (1-based) leads from t to the triangulation containing
     the arc; the arc is pulled back step by step while the seed walks
     forward.
     """
-    case = case or f"arc={arc} word={list(word)}"
     cur, quads = t, []
     seed = initial_seed(t.adjacency)
     for k in word:
@@ -186,21 +184,18 @@ def verify_arc_bangle(
         quads.append(res.quad)
         cur = res.triangulation
         seed = seed_mutate(seed, k - 1)
-    return _arc_report(t, _pull_back_arc(arc, quads), arc, seed, case)
+    return _arc_report(t, _pull_back_arc(arc, quads), arc, seed, f"arc={arc} word={list(word)}")
 
 
-def verify_shear_flip(
-    t: Triangulation, k: int, lam: Curve, res: FlipResult, case: str = ""
-) -> VerificationReport:
-    case = case or f"flip={k}"
+def verify_shear_flip(t: Triangulation, k: int, lam: Curve, res: FlipResult, case: str) -> VerificationReport:
     lhs, rhs = shear_flip_sides(t, k, lam, res)
     return VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs))
 
 
-def verify_g_equals_shear(t: Triangulation, c: Curve, case: str = "") -> VerificationReport:
+def verify_g_equals_shear(t: Triangulation, c: Curve, case: str) -> VerificationReport:
     sh = dual_shear(t, c)
     gv = build_band_graph(t, c).g_vector
-    return VerificationReport(case or "closed curve", "g-equals-shear", sh == gv, repr(sh), repr(gv))
+    return VerificationReport(case, "g-equals-shear", sh == gv, repr(sh), repr(gv))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +229,10 @@ def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     # and closed-curve steps index triangles by storage position.  Push
     # canonical_form's triangle order through the steps so equal keys
     # really mean equal checks.
-    new_index = {old: new for new, old in enumerate(triangle_order(cur))}
+    form, order = canonical_form(cur)
+    new_index = {old: new for new, old in enumerate(order)}
     steps = tuple((new_index[tri], a) for tri, a in curve.steps)
-    return canonical_form(cur), normalize_curve(replace(curve, steps=steps))
+    return form, normalize_curve(replace(curve, steps=steps))
 
 
 def _walk(

@@ -55,15 +55,11 @@ def lp_one(nvars: int) -> Poly:
     return lp_const(nvars, 1)
 
 
-def lp_var(nvars: int, i: int, power: int = 1) -> Poly:
-    """The monomial variable_i^power (0-based i)."""
+def lp_var(nvars: int, i: int) -> Poly:
+    """The variable_i (0-based i)."""
     if not 0 <= i < nvars:
         raise IndexError(f"variable {i} out of range for arity {nvars}")
-    if power == 0:
-        return lp_one(nvars)
-    e = [0] * nvars
-    e[i] = power
-    return {tuple(e): 1}
+    return {tuple(int(j == i) for j in range(nvars)): 1}
 
 
 def lp_arity(p: Poly) -> int | None:

@@ -26,6 +26,11 @@ from .surface import FlipResult, Triangulation
 
 ShearVector = Tuple[int, ...]
 
+# Turns a spiralling laminate end makes before it is cut.  Past the first,
+# each passage turns a corner at the puncture and scores 0; one turn gives
+# the unit vectors already, and the second is margin.
+SPIRAL_TURNS = 2
+
 
 class ShearError(ValueError):
     pass
@@ -105,10 +110,10 @@ def dual_shear(t: Triangulation, lam: Curve) -> ShearVector:
 # elementary laminates
 
 
-def _slide(t: Triangulation, tri: int, corner: int, turns: int):
+def _slide(t: Triangulation, tri: int, corner: int):
     """Clockwise fan walk from a corner: cross the corner's lower side and
     pivot until a boundary side stops the walk, or a cycle (spiral around a
-    puncture) is detected and unrolled `turns` times.
+    puncture) is detected and unrolled SPIRAL_TURNS times.
 
     Returns (crossings as (src, arc, dst) triples, final (tri, corner)).
     """
@@ -122,7 +127,7 @@ def _slide(t: Triangulation, tri: int, corner: int, turns: int):
         if (tri, corner) in seen:
             start = seen[(tri, corner)]
             cycle = crossings[start:]
-            return crossings[:start] + cycle * turns, (tri, corner)
+            return crossings[:start] + cycle * SPIRAL_TURNS, (tri, corner)
         seen[(tri, corner)] = len(crossings)
         pair = occ[lo]
         if len(pair) != 2 or pair[0][0] == pair[1][0]:
@@ -133,7 +138,7 @@ def _slide(t: Triangulation, tri: int, corner: int, turns: int):
         tri, corner = nxt_tri, (nxt_slot - 1) % 3
 
 
-def elementary_laminate(t: Triangulation, j: int, turns: int = 2) -> Curve:
+def elementary_laminate(t: Triangulation, j: int) -> Curve:
     """The laminate of an arc: parallel copy crossing the arc once, both
     ends slid clockwise; calibrated so dual_shear gives the unit vector."""
     if t.notched:
@@ -144,8 +149,8 @@ def elementary_laminate(t: Triangulation, j: int, turns: int = 2) -> Curve:
     if len(occ) != 2 or occ[0][0] == occ[1][0]:
         raise ShearError(f"arc {j} is folded or a loop")
     (ta, ia), (tb, ib) = occ
-    walk_a, end_a = _slide(t, ta, (ia - 1) % 3, turns)
-    walk_b, end_b = _slide(t, tb, (ib - 1) % 3, turns)
+    walk_a, end_a = _slide(t, ta, (ia - 1) % 3)
+    walk_b, end_b = _slide(t, tb, (ib - 1) % 3)
     steps = [(dst, arc) for (_, arc, dst) in reversed(walk_a)]
     steps.append((ta, j))
     steps.extend((src, arc) for (src, arc, _) in walk_b)

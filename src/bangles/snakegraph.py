@@ -186,10 +186,9 @@ def _label_x_vec(t: Triangulation, label: int, loops: Dict[int, int]) -> Tuple[i
     return tuple(v)
 
 
-def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
+def _build(t: Triangulation, c: Curve) -> SnakeGraph:
     validate_curve(t, c)
-    if band != c.closed:
-        raise SnakeGraphError("closed curves give band graphs, open curves snake graphs")
+    band = c.closed
     if not c.steps:
         raise SnakeGraphError("a label-only arc has no snake graph")
     d = len(c.steps)
@@ -256,18 +255,20 @@ def _build(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
     )
 
 
-# (t, c, band) -> the live graph _build(t, c, band).  Triangulation and Curve
-# are frozen dataclasses, equal exactly when their fields are, and _build reads
-# nothing else, so equal keys give equal graphs.  Values are weak: an entry
-# goes when the last holder of its graph drops it.
+# (t, c) -> the live graph _build(t, c).  Triangulation and Curve are frozen
+# dataclasses, equal exactly when their fields are, and _build reads nothing
+# else, so equal keys give equal graphs.  Values are weak: an entry goes when
+# the last holder of its graph drops it.
 _live_graphs: weakref.WeakValueDictionary[tuple, SnakeGraph] = weakref.WeakValueDictionary()
 
 
 def _graph(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
-    key = (t, c, band)
+    if band != c.closed:
+        raise SnakeGraphError("closed curves give band graphs, open curves snake graphs")
+    key = (t, c)
     g = _live_graphs.get(key)
     if g is None:
-        g = _live_graphs[key] = _build(t, c, band)
+        g = _live_graphs[key] = _build(t, c)
     return g
 
 

@@ -40,8 +40,6 @@ class TriangulationError(ValueError):
 class UnsupportedFlipError(ValueError):
     def __init__(self, arc: int, reason: str):
         super().__init__(f"cannot flip arc {arc}: {reason}")
-        self.arc = arc
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -335,18 +333,19 @@ class _QuadView:
     """Slot and corner tables of one quad for one transport direction.
 
     src side: where the curve currently lives; dst: after the rewrite.
-    Slots 0..3 are the quad sides e1..e4; the shared corners (the new
-    diagonal's endpoints on the dst side) admit a corner in both dst
-    triangles, the other two corners pin a unique dst triangle.  Curves
-    cross only transportable quads, whose four triangles each have three
-    distinct sides, so (triangle, label) names each slot once.
+    Slots 0..3 are the quad sides e1..e4, in old triangles (ta, ta, tb, tb)
+    and new ones (tb, ta, ta, tb) by QuadRecord's storage rule.  The shared
+    corners (the new diagonal's endpoints on the dst side) admit a corner in
+    both dst triangles, the other two corners pin a unique dst triangle.
+    Curves cross only transportable quads, whose four triangles each have
+    three distinct sides, so (triangle, label) names each slot once.
     """
 
     def __init__(self, q: QuadRecord, forward: bool):
         self.k = q.arc
         ta, tb = self.tris = (q.tri_a, q.tri_b)
         (_, ka), (_, kb) = q.old_k_slots
-        old, new = q.old_slots, [q.new_slot(i) for i in range(4)]
+        old, new = (ta, ta, tb, tb), (tb, ta, ta, tb)
         old_corner = {
             "P": ((ta, (ka + 1) % 3),),
             "Q": ((ta, (ka + 2) % 3), (tb, kb)),
@@ -359,10 +358,9 @@ class _QuadView:
             "R": ((ta, 1), (tb, 2)),
             "S": ((tb, 0),),
         }
-        src_slots, dst_slots = (old, new) if forward else (new, old)
+        src_tris, self.dst_tri = (old, new) if forward else (new, old)
         src_c, dst_c = (old_corner, new_corner) if forward else (new_corner, old_corner)
-        self.slot_of = {(src_slots[i][0], q.sides[i]): i for i in range(4)}
-        self.dst_tri = [tri for tri, _ in dst_slots]
+        self.slot_of = {(src_tris[i], q.sides[i]): i for i in range(4)}
         self.corner_name = {c: n for n, cs in src_c.items() for c in cs}
         self.dst_corners = dst_c
 
@@ -392,13 +390,8 @@ class QuadRecord:
     tri_a: int
     tri_b: int
     sides: Tuple[int, int, int, int]  # labels of e1..e4
-    old_slots: Tuple[Corner, Corner, Corner, Corner]  # e1..e4 in old storage
     old_k_slots: Tuple[Corner, Corner]  # k in old tri_a, tri_b
     transportable: bool
-
-    def new_slot(self, i: int) -> Corner:
-        # e1..e4 = quad side index 0..3 in the new storage
-        return ((self.tri_a, 0), (self.tri_a, 1), (self.tri_b, 0), (self.tri_b, 1))[[3, 0, 1, 2][i]]
 
     # Each direction's tables are built on first use and kept on the quad,
     # so every state whose flip word runs through this quad shares them and
@@ -442,7 +435,6 @@ def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
         tri_a=ta,
         tri_b=tb,
         sides=(e1, e2, e3, e4),
-        old_slots=((ta, (ia + 1) % 3), (ta, (ia + 2) % 3), (tb, (ib + 1) % 3), (tb, (ib + 2) % 3)),
         old_k_slots=((ta, ia), (tb, ib)),
         transportable=clean,
     )
@@ -509,15 +501,11 @@ def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
     return min(tri[i:] + tri[:i] for i in range(3))
 
 
-def canonical_form(t: Triangulation) -> tuple:
-    """Flip-path-independent fingerprint (triangle multiset + tags)."""
-    return tuple(sorted(_rotated(tri) for tri in t.triangles)), tuple(sorted(t.notched))
-
-
-def triangle_order(t: Triangulation) -> List[int]:
-    """Storage indices of t's triangles in `canonical_form` order."""
-    rots = [_rotated(tri) for tri in t.triangles]
-    return sorted(range(len(rots)), key=lambda i: (rots[i], i))
+def canonical_form(t: Triangulation) -> Tuple[tuple, List[int]]:
+    """Flip-path-independent fingerprint (triangle multiset + tags), and the
+    storage indices of t's triangles in its order, from one sort."""
+    rots = sorted((_rotated(tri), i) for i, tri in enumerate(t.triangles))
+    return (tuple(r for r, _ in rots), tuple(sorted(t.notched))), [i for _, i in rots]
 
 
 # ---------------------------------------------------------------------------

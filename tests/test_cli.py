@@ -72,6 +72,30 @@ def test_compute_plain_arc(tmp_path, capsys):
     assert "MSW = x2" in out
 
 
+@pytest.mark.parametrize(
+    "surface, text, fragment",
+    [
+        (
+            "punctured-square",
+            "curve closed=0\narc 1\nend puncture:1 tag=notched\nend marked:1\n",
+            "only plain ends have expansions",
+        ),
+        ("annulus", "curve closed=0\narc 1\nend marked:1\nend marked:99\n", "the label fixes the arc"),
+        ("annulus", "curve closed=0\narc 1\nend puncture:7\nend marked:1\n", "the label fixes the arc"),
+    ],
+    ids=["notched", "marked-99", "puncture-7"],
+)
+def test_compute_refuses_arc_files_it_cannot_honour(tmp_path, capsys, surface, text, fragment):
+    # a notched end would get the plain expansion, and end lines the arc
+    # form never resolves would pass unread
+    curve_file = tmp_path / "a.curve"
+    curve_file.write_text(text)
+    code, out, err = run(capsys, "compute", "--triangulation", surface, "--curve", str(curve_file))
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
 @pytest.mark.parametrize("coefficients", ["none", "principal"])
 @pytest.mark.parametrize("surface", sorted(CLOSED_CURVES))
 def test_compute_prints_the_graph_reads(capsys, surface, coefficients):

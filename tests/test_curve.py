@@ -220,6 +220,7 @@ _PARSE_SURFACES = {
     "annulus": ANNULUS,
     "pentagon": load_surface("pentagon"),
     "annulus-flip-1": flip(ANNULUS, 1).triangulation,
+    "punctured-square": load_surface("punctured-square"),
     # a self-folded triangle: folded side 4 inside loop 2
     "square-flip-132": flip_word(load_surface("punctured-square"), [1, 3, 2])[0],
 }
@@ -234,7 +235,28 @@ _PARSE_SURFACES = {
         ("annulus", "curve closed=1\ntri 1 cross\n", CurveError, "line 2: cannot parse"),
         ("annulus", "tri 1 cross 1\n", CurveError, "missing curve header"),
         ("annulus", "curve closed=1\narc 1\n", CurveError, "label-only curves cannot be closed"),
-        ("annulus", "curve closed=0\narc 1\nend marked:1\n", CurveError, "zero or two end lines"),
+        ("annulus", "curve closed=0\narc 1\nend marked:1\n", CurveError, "carry steps or end lines"),
+        # end lines that name no vertex of the annulus: the label alone fixes the arc
+        (
+            "annulus",
+            "curve closed=0\narc 1\nend marked:99\nend puncture:7\n",
+            CurveError,
+            "label-only curves cannot be closed or carry steps or end lines: the label fixes the arc",
+        ),
+        # a notched end, in the arc form and on an open curve: no expansion
+        # reads the tag, so it would get the plain answer
+        (
+            "punctured-square",
+            "curve closed=0\narc 1\nend puncture:1 tag=notched\nend marked:1\n",
+            CurveError,
+            "line 3: end tag 'notched': only plain ends have expansions",
+        ),
+        (
+            "punctured-square",
+            "curve closed=0\nend puncture:1 tag=notched\ntri 1 cross 2\nend marked:3\n",
+            CurveError,
+            "line 2: end tag 'notched': only plain ends have expansions",
+        ),
         ("annulus", "curve closed=0\narc 3\n", CurveError, "no arc 3"),
         (
             "annulus",
@@ -255,7 +277,12 @@ _PARSE_SURFACES = {
         ("annulus", "curve closed=1\ntri 1 cross 1\ntri 2 cross 1\n", CurveError, "consecutive crossings"),
         ("pentagon", "curve closed=1\ntri 1 cross 2\ntri 2 cross 1\n", CurveError, "arc 2 is not a side"),
         ("square-flip-132", "curve closed=1\ntri 3 cross 4\ntri 1 cross 2\n", CurveError, "cannot be crossed"),
-        ("annulus-flip-1", FLIPPED_ARC_TEXT.replace("plain", "bent", 1), CurveError, "unknown end tag"),
+        (
+            "annulus-flip-1",
+            FLIPPED_ARC_TEXT.replace("plain", "bent", 1),
+            CurveError,
+            "end tag 'bent': only plain ends have expansions",
+        ),
         ("annulus-flip-1", "curve closed=0\ntri 1 cross 1\n", CurveError, "need exactly two end lines"),
         ("annulus-flip-1", "curve closed=0\nend marked:1\nend marked:2\n", CurveError, "use the arc form"),
         (

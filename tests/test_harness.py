@@ -111,7 +111,8 @@ def _product_form_sides(t, k, before, after):
         moved.append((mono, power))
     big_n = max([0, hk2] + [hk - q for _, q in moved])
     one_plus = lp_add(lp_one(n), lp_var(n, i))
-    lhs = lp_mul(lp_mul(f1, lp_var(n, i, hk2)), lp_pow(one_plus, big_n - hk2))
+    y_k_to_hk2 = {tuple(hk2 if j == i else 0 for j in range(n)): 1}
+    lhs = lp_mul(lp_mul(f1, y_k_to_hk2), lp_pow(one_plus, big_n - hk2))
     rhs = {}
     for mono, q in moved:
         rhs = lp_add(rhs, lp_mul(mono, lp_pow(one_plus, big_n + q - hk)))
@@ -160,9 +161,9 @@ def test_arc_check_after_flip():
 
 def test_shear_wrappers_on_annulus():
     t, c = _annulus_core()
-    assert verify_g_equals_shear(t, c).passed
-    assert verify_shear_flip(t, 1, c, surface.flip(t, 1)).passed
-    assert verify_shear_flip(t, 2, c, surface.flip(t, 2)).passed
+    assert verify_g_equals_shear(t, c, "core").passed
+    assert verify_shear_flip(t, 1, c, surface.flip(t, 1), "flip=1").passed
+    assert verify_shear_flip(t, 2, c, surface.flip(t, 2), "flip=2").passed
 
 
 def test_failure_line_carries_both_sides():

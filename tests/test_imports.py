@@ -1,10 +1,12 @@
 """AST scans: every imported name is used, in the package and its tests,
 every private module-level helper of the package has a caller, every
-public one has a caller outside the tests or is exported, the tests'
-oracles import nothing private of the package, and the package keeps no
-unbounded function caches and no keys made of object ids."""
+public one has a caller outside the tests or is exported, every default
+of a public function is both passed and left out by the program, the
+tests' oracles import nothing private of the package, and the package
+keeps no unbounded function caches and no keys made of object ids."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -67,11 +69,11 @@ def _locals(scope):
     return bound - declared
 
 
-def _names(node):
-    """Counts of every name referenced under node, and of every attribute
-    read off a name that an import under node binds (`mod.f`, not
-    `obj.f`).  A name that a function, lambda or comprehension around it
-    binds as a parameter or local is that local, not a reference to a
+def _references(node):
+    """(name, node) for every name referenced under node, and for every
+    attribute read off a name that an import under node binds (`mod.f`,
+    not `obj.f`).  A name that a function, lambda or comprehension around
+    it binds as a parameter or local is that local, not a reference to a
     module-level definition or a module."""
     modules = {
         alias.asname or alias.name.split(".")[0]
@@ -79,18 +81,22 @@ def _names(node):
         if isinstance(sub, (ast.Import, ast.ImportFrom))
         for alias in sub.names
     }
-    counts = Counter()
     todo = [(node, frozenset())]
     while todo:
         sub, hidden = todo.pop()
         if isinstance(sub, _SCOPES):
             hidden = hidden | _locals(sub)
         if isinstance(sub, ast.Name) and sub.id not in hidden:
-            counts[sub.id] += 1
+            yield sub.id, sub
         elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-            counts[sub.attr] += sub.value.id in modules - hidden
+            if sub.value.id in modules - hidden:
+                yield sub.attr, sub
         todo.extend((child, hidden) for child in ast.iter_child_nodes(sub))
-    return counts
+
+
+def _names(node):
+    """Counts of the names `_references` finds under node."""
+    return Counter(name for name, _ in _references(node))
 
 
 def _orphans(trees):
@@ -184,6 +190,119 @@ def test_test_only_guard_ignores_same_named_locals():
     }
     assert _test_only_public(package, program) == [
         "pkg.py:1: shadowed is public but only tests call it",
+    ]
+
+
+def _defaults(fn):
+    """{parameter with a default: its position, or None if keyword-only}."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    out = {arg.arg: i for i, arg in enumerate(positional) if i >= len(positional) - len(a.defaults)}
+    out.update((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    return out
+
+
+def _one_way_defaults(package, callers, exempt=()):
+    """Defaults of the package's public module-level functions that the
+    program's calls do not both pass and leave out, given the parsed
+    package modules, every parsed module the program runs (package
+    included) and (path, name) pairs to skip.  A call is resolved by name,
+    as `_references` resolves it.  A reference that is not the callee of a
+    call (a dict value, a callback) and a call with `*` or `**` arguments
+    may do either, so they count as both."""
+    funcs = {
+        node.name: (path, node)
+        for path, tree in package.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and (path, node.name) not in exempt
+    }
+    ways = {name: {param: set() for param in _defaults(node)} for name, (_, node) in funcs.items()}
+    for tree in callers.values():
+        call_of = {n.func: n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for name, ref in _references(tree):
+            if not ways.get(name):
+                continue
+            call = call_of.get(ref)
+            unknown = call is None or any(isinstance(x, ast.Starred) for x in call.args)
+            unknown = unknown or any(kw.arg is None for kw in call.keywords)
+            for param, pos in _defaults(funcs[name][1]).items():
+                if unknown:
+                    ways[name][param] |= {True, False}
+                else:
+                    by_keyword = param in {kw.arg for kw in call.keywords}
+                    ways[name][param].add(by_keyword or (pos is not None and pos < len(call.args)))
+    out = []
+    for name, (path, node) in funcs.items():
+        for param, seen in ways[name].items():
+            if seen != {True, False}:
+                how = "always passed" if seen == {True} else "never passed"
+                out.append(f"{path}:{node.lineno}: {name}({param}) is {how}")
+    return out
+
+
+def _entry_point():
+    """(path, function) of the console script that pyproject.toml names,
+    read as text (`tomllib` needs Python 3.11)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, func = re.search(r'=\s*"([\w.]+):(\w+)"', section).groups()
+    return Path("src", *module.split(".")).with_suffix(".py"), func
+
+
+def test_every_default_is_both_passed_and_left_out():
+    """A default that every call passes is a required parameter in
+    disguise, and one no call passes is a constant: either way a reader
+    of the signature is told about a choice the program never makes."""
+    paths = sorted((ROOT / "src" / "bangles").rglob("*.py"))
+    callers = paths + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path.relative_to(ROOT): ast.parse(path.read_text(), str(path)) for path in callers}
+    package = {path.relative_to(ROOT): trees[path.relative_to(ROOT)] for path in paths}
+    problems = _one_way_defaults(package, trees, {_entry_point()})
+    assert not problems, "\n".join(problems)
+
+
+def test_default_guard_resolves_calls_like_the_other_guards():
+    package = {
+        "pkg.py": ast.parse(
+            "def both(a, b=1): pass\n"
+            "def always(a, b=1): pass\n"
+            "def never(a, b=1, *, c=2): pass\n"
+            "def keyword(a, *, b=1): pass\n"
+            "def callback(a=1): pass\n"
+            "def starred(a=1): pass\n"
+            "def shadowed(a=1): pass\n"
+            "def entry(argv=None): pass\n"
+            "def _private(a=1): pass\n"
+            "def plain(a): pass\n"
+        )
+    }
+    program = {
+        **package,
+        "cli.py": ast.parse(
+            "import pkg as mod\n"
+            "both(1)\n"
+            "mod.both(1, 2)\n"
+            "always(1, 2)\n"
+            "always(1, b=2)\n"
+            "never(1)\n"
+            "keyword(1)\n"
+            "keyword(1, b=2)\n"
+            "table = {'f': callback}\n"
+            "callback(1)\n"
+            "starred(*args)\n"
+            "def user(shadowed):\n"
+            "    return shadowed(2)\n"
+            "shadowed()\n"
+            "entry()\n"
+            "_private()\n"
+            "plain(1)\n"
+        ),
+    }
+    assert _one_way_defaults(package, program, {("pkg.py", "entry")}) == [
+        "pkg.py:2: always(b) is always passed",
+        "pkg.py:3: never(b) is never passed",
+        "pkg.py:3: never(c) is never passed",
+        "pkg.py:7: shadowed(a) is never passed",
     ]
 
 

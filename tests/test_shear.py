@@ -2,6 +2,7 @@
 
 import pytest
 
+from bangles import shear
 from bangles.curve import parse_curve
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from bangles.mutation import matrix_mutate
@@ -63,11 +64,13 @@ def test_elementary_laminates_are_unit_vectors():
             assert dual_shear(t, lam) == unit, (name, j)
 
 
-def test_spiral_truncation_stabilizes():
+def test_spiral_truncation_stabilizes(monkeypatch):
     t = load_surface("punctured-square")
-    for j in range(1, 5):
-        lam2 = elementary_laminate(t, j, turns=2)
-        lam3 = elementary_laminate(t, j, turns=3)
+    assert shear.SPIRAL_TURNS == 2
+    lams = [elementary_laminate(t, j) for j in range(1, 5)]
+    monkeypatch.setattr(shear, "SPIRAL_TURNS", 3)
+    for j, lam2 in enumerate(lams, 1):
+        lam3 = elementary_laminate(t, j)
         assert len(lam3.steps) > len(lam2.steps)
         assert dual_shear(t, lam2) == dual_shear(t, lam3)
 

@@ -352,8 +352,8 @@ def test_sweeps_scan_every_graph_they_build(monkeypatch):
     graphs = []
     real = snakegraph._build
 
-    def keeping(t, c, band):
-        graphs.append(real(t, c, band))
+    def keeping(t, c):
+        graphs.append(real(t, c))
         return graphs[-1]
 
     monkeypatch.setattr(snakegraph, "_build", keeping)

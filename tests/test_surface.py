@@ -100,7 +100,23 @@ def test_double_flip_restores_canonical_form():
         t = load_surface(name)
         for k in range(1, t.n_arcs + 1):
             back = flip(flip(t, k).triangulation, k).triangulation
-            assert canonical_form(back) == canonical_form(t), (name, k)
+            assert canonical_form(back)[0] == canonical_form(t)[0], (name, k)
+
+
+def test_canonical_form_orders_the_stored_triangles():
+    # the second part of canonical_form lists the stored triangles in the
+    # order of their least rotations in the first, ties by storage index
+    for name in SURFACES:
+        t = load_surface(name)
+        for k in range(1, t.n_arcs + 1):
+            t2 = flip(t, k).triangulation
+            (tris, _), order = canonical_form(t2)
+            assert sorted(order) == list(range(len(t2.triangles))), (name, k)
+            for place, i in enumerate(order):
+                tri = t2.triangles[i]
+                assert tris[place] == min(tri[j:] + tri[:j] for j in range(3)), (name, k)
+            for p in range(len(order) - 1):
+                assert tris[p] < tris[p + 1] or order[p] < order[p + 1], (name, k)
 
 
 def test_flipped_triangulation_is_freed_when_dropped():
@@ -166,7 +182,7 @@ def test_square_flip_chain_to_self_folded():
 def test_flip_of_loop_returns():
     t4, _ = flip_word(SQUARE, [1, 3, 2])
     t3 = flip_word(SQUARE, [1, 3])[0]
-    assert canonical_form(flip(t4, 2).triangulation) == canonical_form(t3)
+    assert canonical_form(flip(t4, 2).triangulation)[0] == canonical_form(t3)[0]
 
 
 def test_flip_of_folded_side_gives_all_notched():
@@ -212,7 +228,7 @@ def test_notched_tags_round_trip():
     assert "tag" in text and "notched" in text
     again = parse_triangulation(text)
     assert again.notched == frozenset({1})
-    assert canonical_form(again) == canonical_form(t5)
+    assert canonical_form(again)[0] == canonical_form(t5)[0]
 
 
 def test_self_folded_annotation_round_trip():
@@ -327,10 +343,11 @@ def test_quad_record_slots_consistent():
             q = res.quad
             if q is None:
                 continue
-            for i in range(4):
-                ti, pos = q.old_slots[i]
-                assert t.triangles[ti][pos] == q.sides[i]
-                ti, pos = q.new_slot(i)
-                assert res.triangulation.triangles[ti][pos] == q.sides[i]
+            # the storage rule: e1..e4 lie in old triangles (a, a, b, b)
+            # and new ones (b, a, a, b)
+            a, b = q.tri_a, q.tri_b
+            for i, (old, new) in enumerate(zip((a, a, b, b), (b, a, a, b))):
+                assert q.sides[i] in t.triangles[old]
+                assert q.sides[i] in res.triangulation.triangles[new]
             for ti, pos in q.old_k_slots:
                 assert t.triangles[ti][pos] == k
