@@ -15,14 +15,13 @@ exponent vectors is one int add.  The encoding is linear and stays exact
 while every field of every sum lies in [-2^(width-1), 2^(width-1));
 keeping it there is the caller's job, and `_byte_width` gives the width
 for a bound.  Widths are whole bytes (8, 16, 32 or 64 bits), so `_columns`
-unpacks all keys in C, with `int.to_bytes` and one signed `array`, and
-never slices fields in Python.
+unpacks all keys in C, with `int.to_bytes` and one signed `memoryview`
+cast, and never slices fields in Python.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from typing import Iterable, List, Tuple
 
 
@@ -85,7 +84,7 @@ def _bias(n: int, width: int) -> int:
     return ((1 << (n * width)) - 1) // ((1 << width) - 1) << (width - 1)
 
 
-# `array` typecodes of the signed fields, by width in bits
+# `memoryview.cast` formats of the signed fields, by width in bits
 _TYPECODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
@@ -98,17 +97,18 @@ def _byte_width(bound: int) -> int:
     raise ValueError(f"exponents up to {bound} do not fit a 64-bit packed field")
 
 
-def _columns(keys: Iterable[int], n: int, width: int) -> List[array]:
+def _columns(keys: Iterable[int], n: int, width: int) -> List[memoryview]:
     """The n columns of packed keys, n fields each, every field in
     [-2^(width-1), 2^(width-1)); width is a key of `_TYPECODES`.  Column i
     holds field i of each key, in the order of keys.
 
     Adding 2^(width-1) to every field makes each one non-negative, so no
     field borrows from the next; flipping each field's top bit back then
-    leaves it in two's complement, which one signed `array` reads for all
-    keys at once."""
+    leaves it in two's complement, which one signed cast of the bytes reads
+    for all keys at once.  Each key is written in native byte order, so on
+    a big-endian host its fields come last to first."""
     bias, size = _bias(n, width), n * width // 8
-    flat = array(_TYPECODES[width], b"".join([((p + bias) ^ bias).to_bytes(size, "little") for p in keys]))
-    if sys.byteorder == "big":
-        flat.byteswap()
-    return [flat[i::n] for i in range(n)]
+    raw = b"".join([((p + bias) ^ bias).to_bytes(size, sys.byteorder) for p in keys])
+    flat = memoryview(raw).cast(_TYPECODES[width])
+    cols = [flat[i::n] for i in range(n)]
+    return cols if sys.byteorder == "little" else cols[::-1]

@@ -13,12 +13,16 @@ inserted for every passage that connects the two new triangles.
 Every end is plain: the text form refuses a notched end, as only plain ends
 have expansions here, and end lines in the label-only form (`arc j`), whose
 label already fixes the arc.
+
+A Curve is a named tuple, equal and hashed by its fields, so curves key
+caches and dedup sets by value.  It also equals a plain tuple of the same
+fields: a dict or set that holds curves, or tuples of them, must never
+also hold plain tuples of that shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .surface import Corner, QuadRecord, Triangulation, resolve_vertex_ref
 
@@ -33,8 +37,7 @@ class TransportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     closed: bool
     steps: Tuple[Step, ...] = ()
     ends: Optional[Tuple[Corner, Corner]] = None
@@ -118,7 +121,7 @@ def _reversed(c: Curve) -> Curve:
     """An open curve run from its other end; each step starts where it lands."""
     lands = [tri for tri, _ in c.steps[1:]] + [c.ends[1][0]]
     steps = tuple((land, a) for land, (_, a) in zip(lands, c.steps))[::-1]
-    return replace(c, steps=steps, ends=c.ends[::-1])
+    return open_curve(steps, c.ends[::-1])
 
 
 def normalize_curve(c: Curve) -> Curve:
@@ -127,7 +130,7 @@ def normalize_curve(c: Curve) -> Curve:
     if c.steps and not c.closed:
         return min(c, _reversed(c), key=lambda o: (o.steps, o.ends))
     rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
-    return replace(c, steps=min(rots)) if rots else c
+    return closed_curve(min(rots)) if rots else c
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,17 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 # text format
 
 
+def _options(tokens: List[str], known: Tuple[str, ...], lineno: int) -> dict:
+    """{key: value} of key=value tokens, each key one of `known`, once."""
+    kv = dict(p.split("=", 1) for p in tokens)
+    if len(kv) < len(tokens):
+        raise CurveError(f"line {lineno}: an option given twice")
+    for key in kv:
+        if key not in known:
+            raise CurveError(f"line {lineno}: unknown option {key!r}")
+    return kv
+
+
 def parse_curve(t: Triangulation, text: str) -> Curve:
     closed = None
     steps: List[Step] = []
@@ -230,17 +244,23 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
         parts = line.split()
         try:
             if parts[0] == "curve":
-                kv = dict(p.split("=", 1) for p in parts[1:])
+                if closed is not None:
+                    raise CurveError(f"line {lineno}: a second curve header")
+                kv = _options(parts[1:], ("closed",), lineno)
                 closed = bool(int(kv["closed"]))
             elif parts[0] == "tri" and parts[2] == "cross":
-                steps.append((int(parts[1]) - 1, int(parts[3])))
+                _, tri, _, arc = parts
+                steps.append((int(tri) - 1, int(arc)))
             elif parts[0] == "end":
-                kv = dict(p.split("=", 1) for p in parts[2:])
+                kv = _options(parts[2:], ("corner", "tag"), lineno)
                 if kv.get("tag", "plain") != "plain":
                     raise CurveError(f"line {lineno}: end tag {kv['tag']!r}: only plain ends have expansions")
                 end_refs.append((parts[1], int(kv["corner"]) if "corner" in kv else None))
             elif parts[0] == "arc":
-                arc_label = int(parts[1])
+                if arc_label is not None:
+                    raise CurveError(f"line {lineno}: a second arc line")
+                _, label = parts
+                arc_label = int(label)
             else:
                 raise CurveError(f"unknown directive {parts[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:

@@ -23,14 +23,17 @@ A flip or a transport that raises anything but TransportError ends the
 walk, as does an exchange that raises, and run_corpus records one
 corpus-load failure for that surface next to the reports made before it.
 Reports are deterministic: identical inputs give byte-identical output.
+Curves, reports and configs are named tuples, so each also equals a
+plain tuple of its fields.  Each sweep dict and set (`known`, `seeds`,
+`links`, `held`, `checked`) holds keys of one shape only, so no key that
+holds a value type can meet a plain tuple equal to it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
@@ -50,8 +53,7 @@ IDENTITIES = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case: str
     identity: str
     passed: bool
@@ -202,8 +204,7 @@ def verify_g_equals_shear(t: Triangulation, c: Curve, case: str) -> Verification
 # corpus sweeps
 
 
-@dataclass(frozen=True)
-class CorpusConfig:
+class CorpusConfig(NamedTuple):
     surfaces: Tuple[str, ...] = SURFACES
     keylemma_depth: int = 1  # flip word length for closed-curve sweeps
     arc_depth: int = 2  # flip word length for arc bangle sweeps
@@ -232,7 +233,7 @@ def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     form, order = canonical_form(cur)
     new_index = {old: new for new, old in enumerate(order)}
     steps = tuple((new_index[tri], a) for tri, a in curve.steps)
-    return form, normalize_curve(replace(curve, steps=steps))
+    return form, normalize_curve(curve._replace(steps=steps))
 
 
 def _walk(

@@ -16,9 +16,8 @@ keeping each matching's height as a y-monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .poly import Exponent, Poly, lp_add, lp_divexact, lp_mul, lp_one, lp_pow, lp_var
 
@@ -105,8 +104,7 @@ def yseed_mutate(b: Matrix, k: int) -> Tuple[Tuple[Exponent, int], ...]:
 # seeds
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     b: Matrix
     x: Tuple[Poly, ...]
 

@@ -21,8 +21,9 @@ binomial rows built from ints, not with products.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _polypure as _kernel
@@ -167,7 +168,9 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     a pass over every exponent of p and q, a large share of a short
     division, so it is built and checked only from step len(p) + 1 on: no
     exact quotient ever leaves it, and the delay postpones an inexact
-    division's raise by at most len(p) steps.
+    division's raise by at most len(p) steps.  The remainder's terms sit in
+    a heap ordered by descending graded lex, so each leading term is found
+    in log time; a term that has cancelled is dropped when it surfaces.
     InexactDivisionError is raised by a quotient term below the floor or
     outside the box, by a leading coefficient that does not divide, and by
     a blown step budget: an exact quotient with more than
@@ -185,12 +188,17 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
     box = None
     quot: Poly = {}
     rem = dict(p)
+    heap = [_descending(e) for e in rem]
+    heapify(heap)
     steps = 0
     while rem:
         steps += 1
         if steps > DIVEXACT_MAX_STEPS:
             raise InexactDivisionError(f"division took more than {DIVEXACT_MAX_STEPS} steps")
-        er, cr = lp_leading(rem)
+        er = heappop(heap)[2]
+        while er not in rem:
+            er = heappop(heap)[2]
+        cr = rem[er]
         c, leftover = divmod(cr, cq)
         if leftover:
             raise InexactDivisionError(f"leading coefficient {cr} not divisible by {cq}")
@@ -205,12 +213,20 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
         quot[e] = c
         for eq_i, cq_i in q.items():  # rem -= c * vars^e * q, in place
             k = tuple(x + y for x, y in zip(eq_i, e))
-            v = rem.get(k, 0) - c * cq_i
+            old = rem.get(k, 0)
+            v = old - c * cq_i
             if v:
+                if not old:
+                    heappush(heap, _descending(k))
                 rem[k] = v
             else:
                 del rem[k]
     return quot
+
+
+def _descending(e: Exponent) -> tuple:
+    """Heap entry for e: entries pop in descending graded lex order, e last."""
+    return -sum(e), tuple(map(neg, e)), e
 
 
 # ---------------------------------------------------------------------------

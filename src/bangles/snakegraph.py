@@ -34,11 +34,10 @@ that the matching and the minimal one enclose.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mul, sub
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _polypure
 from .curve import Curve, _landing, validate_curve
@@ -53,8 +52,7 @@ class SnakeGraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     pos: Vertex  # south-west corner on the grid
     diagonal: int
     compass: Tuple[int, int, int, int]  # N, E, S, W labels
@@ -72,14 +70,25 @@ _SIDES = {"S": ((0, 0), (1, 0)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1)), "
 _SIDE = {"S": (0, 1, 2, 1, 0), "W": (0, 2, 3, 0, 0), "E": (1, 3, 1, 0, 0), "N": (2, 3, 0, -1, 1)}
 
 
-@dataclass(frozen=True, eq=False)
 class SnakeGraph:
-    surface: Triangulation
-    tiles: Tuple[Tile, ...]
-    band: bool
-    iota: Optional[EdgeId]  # first tile's seam copy (bands only)
-    omega: Optional[EdgeId]  # last tile's seam copy
-    cross_vec: Tuple[int, ...]
+    """A graph and its reads, each computed once (`cached_property`); graphs
+    compare by identity, and `_live_graphs` holds them by weak reference."""
+
+    def __init__(
+        self,
+        surface: Triangulation,
+        tiles: Tuple[Tile, ...],
+        band: bool,
+        iota: Optional[EdgeId],  # first tile's seam copy (bands only)
+        omega: Optional[EdgeId],  # last tile's seam copy
+        cross_vec: Tuple[int, ...],
+    ):
+        self.surface = surface
+        self.tiles = tiles
+        self.band = band
+        self.iota = iota
+        self.omega = omega
+        self.cross_vec = cross_vec
 
     @property
     def d(self) -> int:
@@ -255,9 +264,10 @@ def _build(t: Triangulation, c: Curve) -> SnakeGraph:
     )
 
 
-# (t, c) -> the live graph _build(t, c).  Triangulation and Curve are frozen
-# dataclasses, equal exactly when their fields are, and _build reads nothing
-# else, so equal keys give equal graphs.  Values are weak: an entry goes when
+# (t, c) -> the live graph _build(t, c).  A Triangulation and a Curve are
+# equal exactly when their fields are, and _build reads nothing else, so
+# equal keys give equal graphs; every key is such a pair, never a plain
+# tuple that a Curve could equal.  Values are weak: an entry goes when
 # the last holder of its graph drops it.
 _live_graphs: weakref.WeakValueDictionary[tuple, SnakeGraph] = weakref.WeakValueDictionary()
 
@@ -309,9 +319,10 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
     (slots, xvecs, _, seam), n = g._layout, g.surface.n_arcs
     units = [1 << (i * g._width) for i in range(2 * n)]
     xw = {label: sum(map(mul, xv, units)) for label, xv in xvecs.items()}
-    suffix = [0] * (g.d + 1)  # suffix[i]: the packed diagonals of tiles[i:]
-    for i in range(g.d - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + units[n + g.tiles[i].diagonal - 1]
+    suffix = [0]  # reversed below: suffix[i] is the packed diagonals of tiles[i:]
+    for _, diagonal, _ in reversed(g.tiles):
+        suffix.append(suffix[-1] + units[n + diagonal - 1])
+    suffix.reverse()
     # per edge: its end bits, the bits a matching that takes it sets, its
     # packed weight (a seam copy's has no x), and its retired bits
     plan = [
@@ -403,22 +414,23 @@ def _lay_out(g: SnakeGraph) -> tuple:
     tiles[start:stop], the tiles above it in its column, so a tile adds
     one to S_i per horizontal edge below it there."""
     t, tiles, d, n = g.surface, g.tiles, g.d, g.surface.n_arcs
-    ups = [b.pos[0] == a.pos[0] for a, b in zip(tiles, tiles[1:])]  # next tile above?
+    xs = [x for (x, _), _, _ in tiles]
+    ups = [a == b for a, b in zip(xs, xs[1:])]  # next tile above?
     stop = [d] * d  # past the top tile of each tile's column
     for i in range(d - 2, -1, -1):
         stop[i] = stop[i + 1] if ups[i] else i + 1
     sums, slots, last, counts = [0] * (2 * n), [], {}, {}
     corners, fresh, rank, sides = (1, 2, 4, 8), 16, 0, "SWEN"  # SW, SE, NW, NE bits
-    for i, tile in enumerate(tiles):
+    for i, (pos, diagonal, compass) in enumerate(tiles):
         if i:
             c, up = corners, ups[i - 1]
             corners = (c[2], c[3], fresh, fresh << 1) if up else (c[1], fresh, c[3], fresh << 1)
             fresh, rank, sides = fresh << 2, rank + 1 if up else 0, "WEN" if up else "SEN"
-        sums[n + tile.diagonal - 1] += rank + 1
-        south = 1 if sum(tile.pos) % 2 else -1
+        sums[n + diagonal - 1] += rank + 1
+        south = 1 if sum(pos) % 2 else -1
         for side in sides:
             a, b, k, flip, h = _SIDE[side]
-            label = tile.compass[k]
+            label = compass[k]
             counts[label] = counts.get(label, 0) + 1
             last[corners[a]] = last[corners[b]] = len(slots)
             slots.append([label, corners[a] | corners[b], 0, 0, south * flip, i + h, stop[i]])

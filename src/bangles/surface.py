@@ -23,9 +23,8 @@ self-folded triangles on its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Tuple
 
 from .mutation import Matrix, as_matrix
 
@@ -42,15 +41,51 @@ class UnsupportedFlipError(ValueError):
         super().__init__(f"cannot flip arc {arc}: {reason}")
 
 
-@dataclass(frozen=True)
 class Triangulation:
-    genus: int
-    boundary_marks: Tuple[int, ...]  # marked points per boundary component
-    n_punctures: int
-    n_arcs: int
-    n_boundary: int  # number of boundary segment labels
-    triangles: Tuple[Tuple[int, int, int], ...]
-    notched: FrozenSet[int] = frozenset()  # puncture ids with all ends notched
+    """A triangulation as a value: equal, and hashed alike, exactly when its
+    seven fields are, so it keys caches and dedup sets; nothing may change
+    it once built.  It is a class and not a tuple because its cached reads
+    live in its `__dict__` and callers hold it by weak reference."""
+
+    def __init__(
+        self,
+        genus: int,
+        boundary_marks: Tuple[int, ...],  # marked points per boundary component
+        n_punctures: int,
+        n_arcs: int,
+        n_boundary: int,  # number of boundary segment labels
+        triangles: Tuple[Tuple[int, int, int], ...],
+        notched: FrozenSet[int] = frozenset(),  # puncture ids with all ends notched
+    ):
+        self.genus = genus
+        self.boundary_marks = boundary_marks
+        self.n_punctures = n_punctures
+        self.n_arcs = n_arcs
+        self.n_boundary = n_boundary
+        self.triangles = triangles
+        self.notched = notched
+
+    def _key(self) -> tuple:
+        return (
+            self.genus, self.boundary_marks, self.n_punctures, self.n_arcs,
+            self.n_boundary, self.triangles, self.notched,
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Triangulation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _with(self, triangles=None, notched=None) -> "Triangulation":
+        """A copy with new triangles or tags; its cached reads start empty."""
+        return Triangulation(
+            self.genus, self.boundary_marks, self.n_punctures, self.n_arcs, self.n_boundary,
+            self.triangles if triangles is None else triangles,
+            self.notched if notched is None else notched,
+        )
 
     def is_arc(self, label: int) -> bool:
         return 1 <= label <= self.n_arcs
@@ -323,10 +358,10 @@ def tag_switch(t: Triangulation, pid: int) -> Triangulation:
             tris = tuple(
                 tuple(swap.get(s, s) for s in tri) for tri in t.triangles
             )
-            return replace(t, triangles=tris)
+            return t._with(triangles=tris)
     notched = set(t.notched)
     notched.symmetric_difference_update({pid})
-    return replace(t, notched=frozenset(notched))
+    return t._with(notched=frozenset(notched))
 
 
 class _QuadView:
@@ -375,7 +410,6 @@ class _QuadView:
         return options[0], True
 
 
-@dataclass(frozen=True)
 class QuadRecord:
     """Geometry of one ideal flip, enough to rewrite curves.
 
@@ -383,15 +417,25 @@ class QuadRecord:
     (e1,e2,k) and (e3,e4,k); walking around the quadrilateral gives sides
     e1,e2,e3,e4 and corners P=e1^e2, Q=e2^k(^e3), R=e3^e4, S=e4^k(^e1).
     The new triangles are stored exactly as (e2,e3,k) at tri_a and
-    (e4,e1,k) at tri_b, so k joins P to R afterwards.
+    (e4,e1,k) at tri_b, so k joins P to R afterwards.  Quads compare by
+    identity.
     """
 
-    arc: int
-    tri_a: int
-    tri_b: int
-    sides: Tuple[int, int, int, int]  # labels of e1..e4
-    old_k_slots: Tuple[Corner, Corner]  # k in old tri_a, tri_b
-    transportable: bool
+    def __init__(
+        self,
+        arc: int,
+        tri_a: int,
+        tri_b: int,
+        sides: Tuple[int, int, int, int],  # labels of e1..e4
+        old_k_slots: Tuple[Corner, Corner],  # k in old tri_a, tri_b
+        transportable: bool,
+    ):
+        self.arc = arc
+        self.tri_a = tri_a
+        self.tri_b = tri_b
+        self.sides = sides
+        self.old_k_slots = old_k_slots
+        self.transportable = transportable
 
     # Each direction's tables are built on first use and kept on the quad,
     # so every state whose flip word runs through this quad shares them and
@@ -406,8 +450,7 @@ class QuadRecord:
         return _QuadView(self, False)
 
 
-@dataclass(frozen=True)
-class FlipResult:
+class FlipResult(NamedTuple):
     triangulation: Triangulation
     quad: Optional[QuadRecord]  # None when tag switches were involved
 
@@ -423,7 +466,7 @@ def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
     new_tris = list(t.triangles)
     new_tris[ta] = (e2, e3, k)
     new_tris[tb] = (e4, e1, k)
-    out = replace(t, triangles=tuple(new_tris))
+    out = t._with(triangles=tuple(new_tris))
     clean = (
         len(set(tri_a)) == 3
         and len(set(tri_b)) == 3
@@ -590,7 +633,7 @@ def _apply_tags(t: Triangulation, raw_tags: List[Tuple[int, int, str]]) -> Trian
             covered |= ends_here
     if covered != notched_ends:
         raise TriangulationError("notched tag on a non-puncture end")
-    out = replace(t, notched=frozenset(notched_pids))
+    out = t._with(notched=frozenset(notched_pids))
     validate(out)
     return out
 

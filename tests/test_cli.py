@@ -82,12 +82,18 @@ def test_compute_plain_arc(tmp_path, capsys):
         ),
         ("annulus", "curve closed=0\narc 1\nend marked:1\nend marked:99\n", "the label fixes the arc"),
         ("annulus", "curve closed=0\narc 1\nend puncture:7\nend marked:1\n", "the label fixes the arc"),
+        ("annulus", "curve closed=1 colour=red\ntri 1 cross 1\ntri 2 cross 2\n", "unknown option 'colour'"),
+        ("annulus", "curve closed=1\ntri 1 cross 1 twice\ntri 2 cross 2\n", "line 2: cannot parse"),
+        ("annulus", "curve closed=0\narc 1 extra\n", "line 2: cannot parse"),
+        ("annulus", "curve closed=1\ncurve closed=0\narc 1\n", "a second curve header"),
+        ("annulus", "curve closed=0\narc 1\narc 2\n", "a second arc line"),
     ],
-    ids=["notched", "marked-99", "puncture-7"],
+    ids=["notched", "marked-99", "puncture-7", "curve-option", "tri-extra", "arc-extra", "two-headers", "two-arcs"],
 )
 def test_compute_refuses_arc_files_it_cannot_honour(tmp_path, capsys, surface, text, fragment):
-    # a notched end would get the plain expansion, and end lines the arc
-    # form never resolves would pass unread
+    # a notched end would get the plain expansion, end lines the arc form
+    # never resolves would pass unread, and an unknown option, an extra
+    # token or a repeated header or arc line would be dropped
     curve_file = tmp_path / "a.curve"
     curve_file.write_text(text)
     code, out, err = run(capsys, "compute", "--triangulation", surface, "--curve", str(curve_file))

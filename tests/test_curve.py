@@ -3,7 +3,6 @@ across flips."""
 
 import itertools
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -20,7 +19,7 @@ from bangles.curve import (
 )
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from bangles.snakegraph import build_band_graph, build_snake_graph
-from bangles.surface import TriangulationError, flip
+from bangles.surface import QuadRecord, TriangulationError, flip
 
 from flipwords import flip_word
 
@@ -257,6 +256,24 @@ _PARSE_SURFACES = {
             CurveError,
             "line 2: end tag 'notched': only plain ends have expansions",
         ),
+        # what the reader does not know it refuses, rather than dropping it
+        (
+            "annulus",
+            "curve closed=1 colour=red\ntri 1 cross 1\ntri 2 cross 2\n",
+            CurveError,
+            "line 1: unknown option 'colour'",
+        ),
+        ("annulus", "curve closed=1 closed=0\narc 1\n", CurveError, "line 1: an option given twice"),
+        ("annulus", "curve closed=1\ntri 1 cross 1 twice\ntri 2 cross 2\n", CurveError, "line 2: cannot parse"),
+        ("annulus", "curve closed=0\narc 1 extra\n", CurveError, "line 2: cannot parse"),
+        ("annulus", "curve closed=1\ncurve closed=0\narc 1\n", CurveError, "line 2: a second curve header"),
+        ("annulus", "curve closed=0\narc 1\narc 2\n", CurveError, "line 3: a second arc line"),
+        (
+            "annulus-flip-1",
+            FLIPPED_ARC_TEXT.replace("corner=0\n", "corner=0 side=left\n", 1),
+            CurveError,
+            "line 2: unknown option 'side'",
+        ),
         ("annulus", "curve closed=0\narc 3\n", CurveError, "no arc 3"),
         (
             "annulus",
@@ -333,6 +350,11 @@ def _view_cases():
             yield surface, t, arc_curve(j)
 
 
+def _fresh(q: QuadRecord) -> QuadRecord:
+    """A copy of the quad with no view built."""
+    return QuadRecord(q.arc, q.tri_a, q.tri_b, q.sides, q.old_k_slots, q.transportable)
+
+
 @pytest.mark.parametrize("first", ["forward", "backward"])
 def test_shared_views_transport_like_fresh_ones(first):
     # a quad keeps one view per direction; a transport through it must
@@ -345,10 +367,10 @@ def test_shared_views_transport_like_fresh_ones(first):
             res = flip(t, k)
             if res.quad is None or not res.quad.transportable:
                 continue
-            moved = transport_curve(c, replace(res.quad), True)
-            back = transport_curve(moved, replace(res.quad), False)
+            moved = transport_curve(c, _fresh(res.quad), True)
+            back = transport_curve(moved, _fresh(res.quad), False)
             assert normalize_curve(back) == normalize_curve(c), (surface, c, k)
-            q = replace(res.quad)  # no view built yet
+            q = _fresh(res.quad)  # no view built yet
             if first == "forward":
                 assert transport_curve(c, q, True) == moved, (surface, c, k)
                 assert transport_curve(moved, q, False) == back, (surface, c, k)

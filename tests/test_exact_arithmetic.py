@@ -1,10 +1,9 @@
 """AST scan: the arithmetic modules stay exact.  No float literal, no true
 division, no float() or round(), no import of fractions, decimal or math,
-and no `array` but of signed ints, so every value they compute is an int
-or built from ints."""
+and no `array` or `.cast` but to signed ints, so every value they compute
+is an int or built from ints."""
 
 import ast
-from array import array
 from pathlib import Path
 
 import pytest
@@ -18,9 +17,9 @@ SIGNED_TYPECODES = {"b", "h", "i", "q"}
 
 
 def _typecodes(tree: ast.Module, code):
-    """The typecodes an `array` typecode argument can be: a string literal,
-    or a subscript of a module-level dict literal, any of its values; None
-    stands for one the scan cannot read."""
+    """The typecodes an `array` or `.cast` typecode argument can be: a
+    string literal, or a subscript of a module-level dict literal, any of
+    its values; None stands for one the scan cannot read."""
     if isinstance(code, ast.Constant):
         return {code.value}
     if isinstance(code, ast.Subscript) and isinstance(code.value, ast.Name):
@@ -35,9 +34,10 @@ def _inexact(tree: ast.Module):
     """(line, what) for every construct that could bring in a float."""
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "array":
+        called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+        if called in ("array", "cast"):
             codes = _typecodes(tree, node.args[0] if node.args else None)
-            out += [(node.lineno, f"array typecode {c!r}") for c in sorted(codes - SIGNED_TYPECODES, key=repr)]
+            out += [(node.lineno, f"{called} typecode {c!r}") for c in sorted(codes - SIGNED_TYPECODES, key=repr)]
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             out.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
@@ -64,6 +64,7 @@ def test_the_scan_sees_each_banned_construct():
         "import math\nfrom fractions import Fraction\nx = 1.5\ny = a / b\ny /= 2\nz = round(float(y))\n"
         "CODES = {8: 'b', 32: 'f'}\n"
         "array('d', x)\narray.array('q', x)\narray(CODES[w], x)\narray(code, x)\n"
+        "memoryview(x).cast('B')\nmemoryview(x).cast('d')\nview.cast('q')\nview.cast(CODES[w])\n"
     )
     whats = [what for _, what in _inexact(ast.parse(src))]
     assert whats == [
@@ -77,9 +78,12 @@ def test_the_scan_sees_each_banned_construct():
         "array typecode 'd'",
         "array typecode 'f'",
         "array typecode None",
+        "cast typecode 'B'",
+        "cast typecode 'd'",
+        "cast typecode 'f'",
     ]
 
 
 @pytest.mark.parametrize("width, code", sorted(_polypure._TYPECODES.items()))
 def test_each_field_width_has_a_typecode_that_wide(width, code):
-    assert array(code).itemsize * 8 == width
+    assert memoryview(bytes(8)).cast(code).itemsize * 8 == width

@@ -2,11 +2,16 @@
 every private module-level helper of the package has a caller, every
 public one has a caller outside the tests or is exported, every default
 of a public function is both passed and left out by the program, the
-tests' oracles import nothing private of the package, and the package
-keeps no unbounded function caches and no keys made of object ids."""
+tests' oracles import nothing private of the package, the package keeps
+no unbounded function caches and no keys made of object ids, and it
+imports neither `dataclasses` nor `array`; a subprocess checks that
+importing the CLI loads neither, nor `inspect`."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -408,3 +413,55 @@ def test_id_guard_sees_calls_not_names():
         "cache[id(obj)] = obj\n"
     )
     assert _id_calls(ast.parse(src)) == [1, 3]
+
+
+# Every `bangles` command starts a fresh interpreter, so what the package
+# imports is paid on every run: `dataclasses` pulls in `inspect`, `ast`,
+# `dis` and `tokenize`, and `array` is an extension module of its own.
+HEAVY_IMPORTS = ("dataclasses", "array")
+
+
+def _heavy_imports(tree: ast.Module):
+    """(line, module) for every absolute import of a `HEAVY_IMPORTS` module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] in HEAVY_IMPORTS]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in HEAVY_IMPORTS:
+            out.append((node.lineno, node.module))
+    return out
+
+
+def test_package_imports_no_dataclasses_or_array():
+    found = []
+    for path in sorted((ROOT / "src" / "bangles").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in _heavy_imports(tree)]
+    assert not found, "heavy import in the package:\n" + "\n".join(found)
+
+
+def test_heavy_import_guard_sees_every_spelling():
+    src = (
+        "import dataclasses\n"
+        "from array import array\n"
+        "import os, array as arr\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "from .array import columns\n"
+        "import arrays\n"
+    )
+    assert _heavy_imports(ast.parse(src)) == [(1, "dataclasses"), (2, "array"), (3, "array"), (5, "dataclasses")]
+
+
+def test_cli_import_loads_no_heavy_modules():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bangles.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    added = set(out.split())
+    assert "bangles.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "array"}), sorted(added & {"dataclasses", "inspect", "array"})

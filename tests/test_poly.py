@@ -164,6 +164,26 @@ def test_divexact_stops_outside_the_box_of_possible_terms(monkeypatch):
         lp_divexact({(1, 1, 1): 1, (0, 1, 1): 1}, {(0, 1, 0): 1, (0, 0, 1): 1})
 
 
+def test_divexact_long_quotient_takes_one_step_per_term(monkeypatch):
+    # (1+x1)^40 (1+x2) / (1+x1): 80 quotient terms, so exactly 80 steps,
+    # and each leading term comes off a heap rather than a graded-lex scan
+    # of the whole remainder, so the key is taken a linear number of times
+    one_x1, one_x2 = {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}
+    p = lp_mul(lp_pow(one_x1, 40), one_x2)
+    quot = lp_mul(lp_pow(one_x1, 39), one_x2)
+    assert len(quot) == 80
+    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 80)
+    assert lp_divexact(p, one_x1) == quot
+    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 79)
+    with pytest.raises(InexactDivisionError, match="more than 79 steps"):
+        lp_divexact(p, one_x1)
+    keys = []
+    monkeypatch.setattr(poly, "grlex_key", lambda e: keys.append(e) or (sum(e), e))
+    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 80)
+    assert lp_divexact(p, one_x1) == quot
+    assert len(keys) < 4 * len(p)
+
+
 def test_divexact_by_monomial_shifts():
     p = {(1, 0): 1, (2, 1): 1}
     assert fmt(lp_divexact(p, {(1, 0): 1})) == "1 + y1*y2"
@@ -275,7 +295,7 @@ def test_columns_read_both_ends_of_every_width(width):
     lo, hi = -(2 ** (width - 1)), 2 ** (width - 1) - 1
     vecs = [(lo, hi, 0), (hi, lo, -1), (lo, lo, lo), (hi, hi, hi), (0, 0, 1)]
     cols = _polypure._columns([pack(v, width) for v in vecs], 3, width)
-    assert [c.typecode for c in cols] == [_polypure._TYPECODES[width]] * 3
+    assert [c.format for c in cols] == [_polypure._TYPECODES[width]] * 3
     assert list(zip(*cols)) == vecs
     assert [list(c) for c in _polypure._columns([], 3, width)] == [[], [], []]
 
