@@ -1,5 +1,6 @@
-"""Pinned outputs: the report text of three corpus runs and the reads of the
-k-fold bracelets hash to fixed sha256 digests.
+"""Pinned outputs: the report text of three corpus runs, the reads of the
+k-fold bracelets and the text of a few CLI runs hash to fixed sha256
+digests.
 
 A refactor or an optimisation must leave every one of these outputs
 byte-identical.  A change that means to alter one says so and pins the new
@@ -9,6 +10,7 @@ import hashlib
 
 import pytest
 
+from bangles.cli import main
 from bangles.curve import closed_curve, parse_curve
 from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.harness import CorpusConfig, report_text, run_corpus
@@ -59,3 +61,19 @@ def test_bracelet_reads_are_pinned():
                 f"principal={lp_format(g.principal_msw, xy_names(n))}"
             )
     assert sha256("\n".join(lines)) == "0b046dbd8215b4178dbd7e282afa09a4165625e5176e9f5d1eb78d2425e1f196"
+
+
+def test_cli_text_is_pinned(capsys):
+    # every line `compute` prints (tiles, gluing, seam, F, g, h, MSW) for the
+    # closed fixtures in both coefficient modes, then a mutate run through a
+    # punctured surface
+    runs = [
+        ["compute", "--triangulation", name, "--curve", curve, "--coefficients", coefficients]
+        for name, curve in sorted(CLOSED_CURVES.items())
+        for coefficients in ("none", "principal")
+    ]
+    runs.append(["mutate", "--triangulation", "punctured-square", "--flips", "1 2 1"])
+    for argv in runs:
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == "cdd467155152a1fea608392fc17baedd1ff0a5ca63adf6c40b0c9fbcabfd2ed6"
