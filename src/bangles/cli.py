@@ -68,7 +68,7 @@ def _load_curve(t: Triangulation, ref: str) -> Curve:
     return parse_curve(t, _read_ref(ref, "curve"))
 
 
-def _parse_word(text: str) -> List[int]:
+def _parse_word(text: str, n_arcs: int) -> List[int]:
     try:
         word = [int(p) for p in text.split()]
     except ValueError:
@@ -77,6 +77,9 @@ def _parse_word(text: str) -> List[int]:
         raise CliError("flip word is empty")
     if any(k < 1 for k in word):
         raise CliError("flip word entries are 1-based arc labels")
+    for k in word:  # checked before anything is flipped or printed
+        if k > n_arcs:
+            raise UnsupportedFlipError(k, "no such arc")
     return word
 
 
@@ -127,7 +130,7 @@ def cmd_compute(args) -> int:
 
 def cmd_mutate(args) -> int:
     t = _load_triangulation(args.triangulation)
-    word = _parse_word(args.flips)
+    word = _parse_word(args.flips, t.n_arcs)
     for k in word:
         t = flip(t, k).triangulation
         print(f"flip {k}: B = {t.adjacency}")
@@ -144,13 +147,13 @@ def _emit(reports) -> int:
 def cmd_verify_keylemma(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
-    return _emit(verify_key_lemma_word(t, c, _parse_word(args.flips)))
+    return _emit(verify_key_lemma_word(t, c, _parse_word(args.flips, t.n_arcs)))
 
 
 def cmd_verify_shear(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
-    word = _parse_word(args.flips)
+    word = _parse_word(args.flips, t.n_arcs)
     reports = []
     for i, k in enumerate(word):
         print(f"step {i}: Sh = {dual_shear(t, c)}")
@@ -167,7 +170,7 @@ def cmd_verify_arc(args) -> int:
     c = _load_curve(t, args.curve)
     if c.arc is None:
         raise CliError("verify-arc wants a label-only curve file (an `arc j` line)")
-    word = _parse_word(args.flips) if args.flips.strip() else []
+    word = _parse_word(args.flips, t.n_arcs) if args.flips.strip() else []
     return _emit([verify_arc_bangle(t, c.arc, word)])
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .surface import Corner, QuadRecord, Triangulation, resolve_vertex_ref
+from .surface import Corner, QuadRecord, Triangulation, _options, resolve_vertex_ref
 
 Step = Tuple[int, int]  # (triangle index, arc label)
 
@@ -221,17 +221,6 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
 # text format
 
 
-def _options(tokens: List[str], known: Tuple[str, ...], lineno: int) -> dict:
-    """{key: value} of key=value tokens, each key one of `known`, once."""
-    kv = dict(p.split("=", 1) for p in tokens)
-    if len(kv) < len(tokens):
-        raise CurveError(f"line {lineno}: an option given twice")
-    for key in kv:
-        if key not in known:
-            raise CurveError(f"line {lineno}: unknown option {key!r}")
-    return kv
-
-
 def parse_curve(t: Triangulation, text: str) -> Curve:
     closed = None
     steps: List[Step] = []
@@ -246,13 +235,13 @@ def parse_curve(t: Triangulation, text: str) -> Curve:
             if parts[0] == "curve":
                 if closed is not None:
                     raise CurveError(f"line {lineno}: a second curve header")
-                kv = _options(parts[1:], ("closed",), lineno)
+                kv = _options(parts[1:], ("closed",), lineno, CurveError)
                 closed = bool(int(kv["closed"]))
             elif parts[0] == "tri" and parts[2] == "cross":
                 _, tri, _, arc = parts
                 steps.append((int(tri) - 1, int(arc)))
             elif parts[0] == "end":
-                kv = _options(parts[2:], ("corner", "tag"), lineno)
+                kv = _options(parts[2:], ("corner", "tag"), lineno, CurveError)
                 if kv.get("tag", "plain") != "plain":
                     raise CurveError(f"line {lineno}: end tag {kv['tag']!r}: only plain ends have expansions")
                 end_refs.append((parts[1], int(kv["corner"]) if "corner" in kv else None))

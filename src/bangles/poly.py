@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import add, lt, mul, neg, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _polypure as _kernel
@@ -137,64 +137,43 @@ def grlex_key(e: Exponent) -> tuple:
     return (sum(e), e)
 
 
-def lp_leading(p: Poly) -> Tuple[Exponent, int]:
-    """Leading term under graded lex; raises on zero."""
-    if not p:
-        raise ValueError("zero polynomial has no leading term")
-    e = max(p, key=grlex_key)
-    return e, p[e]
-
-
 def lp_sorted_terms(p: Poly) -> List[Tuple[Exponent, int]]:
     return sorted(p.items(), key=lambda t: grlex_key(t[0]))
-
-
-# lp_divexact's step budget: an exact quotient takes one step per term.
-DIVEXACT_MAX_STEPS = 100_000
 
 
 def lp_divexact(p: Poly, q: Poly) -> Poly:
     """Exact quotient p/q in the Laurent ring.
 
-    Long division on graded-lex leading terms.  In the Laurent ring every
-    monomial divides every other, so each step cancels the remainder's
-    leading term; for exact quotients the number of steps equals the number
-    of quotient terms.  Graded lex is translation-invariant on Z^n, so an
-    exact quotient's terms all sit at or above lowest(p)/lowest(q).  The
-    Newton polytope of a product is the Minkowski sum of its factors'
-    polytopes, so they also sit in the box min_i(p) - min_i(q) <= e_i <=
-    max_i(p) - max_i(q).  Quotient terms strictly decrease in graded lex
-    and the box is finite, so every division ends.  Building the box takes
-    a pass over every exponent of p and q, a large share of a short
-    division, so it is built and checked only from step len(p) + 1 on: no
-    exact quotient ever leaves it, and the delay postpones an inexact
-    division's raise by at most len(p) steps.  The remainder's terms sit in
-    a heap ordered by descending graded lex, so each leading term is found
-    in log time; a term that has cancelled is dropped when it surfaces.
-    InexactDivisionError is raised by a quotient term below the floor or
-    outside the box, by a leading coefficient that does not divide, and by
-    a blown step budget: an exact quotient with more than
-    DIVEXACT_MAX_STEPS terms, or an inexact division that would take
-    longer to leave the box.
+    Long division on graded-lex leading terms, with one stopping rule.  Let
+    a and b hold the least exponents of p and q in each variable.  Then
+    P = p * x^-a and Q = q * x^-b are polynomials and no variable divides
+    Q.  If p = d * q, then P = D * Q with D = d * x^-lo, lo = a - b, and D
+    is a polynomial: in each variable the lowest parts of D and Q multiply
+    to a nonzero part of P.  So every exact quotient term lies in the
+    orthant e >= lo, and a quotient term outside it proves the division
+    inexact.  Inside the orthant, a step subtracts c * x^e * q, whose terms
+    lie in a + N^n, so the remainder stays there.  Each step cancels the
+    remainder's leading term and adds only lower ones, and graded lex
+    well-orders a + N^n, so every division ends; an exact one takes one
+    step per quotient term.  The remainder's terms sit in a heap ordered by
+    descending graded lex, so each leading term is found in log time; a
+    term that has cancelled is dropped when it surfaces.
+    InexactDivisionError is raised by a quotient term outside the orthant
+    and by a leading coefficient that does not divide.
     """
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
     _check_arity(p, q)
     if not p:
         return {}
-    eq, cq = lp_leading(q)
-    floor = tuple(x - y for x, y in zip(min(p, key=grlex_key), min(q, key=grlex_key)))
-    floor_key = grlex_key(floor)
-    box = None
+    eq = max(q, key=grlex_key)
+    cq = q[eq]
+    lo = tuple(map(sub, map(min, zip(*p)), map(min, zip(*q))))
     quot: Poly = {}
     rem = dict(p)
     heap = [_descending(e) for e in rem]
     heapify(heap)
-    steps = 0
     while rem:
-        steps += 1
-        if steps > DIVEXACT_MAX_STEPS:
-            raise InexactDivisionError(f"division took more than {DIVEXACT_MAX_STEPS} steps")
         er = heappop(heap)[2]
         while er not in rem:
             er = heappop(heap)[2]
@@ -202,17 +181,12 @@ def lp_divexact(p: Poly, q: Poly) -> Poly:
         c, leftover = divmod(cr, cq)
         if leftover:
             raise InexactDivisionError(f"leading coefficient {cr} not divisible by {cq}")
-        e = tuple(x - y for x, y in zip(er, eq))
-        if grlex_key(e) < floor_key:
-            raise InexactDivisionError(f"quotient term {e} below the lowest possible term {floor}")
-        if steps > len(p):
-            if box is None:
-                box = [(min(a) - min(b), max(a) - max(b)) for a, b in zip(zip(*p), zip(*q))]
-            if not all(lo <= x <= hi for x, (lo, hi) in zip(e, box)):
-                raise InexactDivisionError(f"quotient term {e} outside the box of possible terms {box}")
+        e = tuple(map(sub, er, eq))
+        if any(map(lt, e, lo)):
+            raise InexactDivisionError(f"quotient term {e} outside the orthant of possible terms, e >= {lo}")
         quot[e] = c
         for eq_i, cq_i in q.items():  # rem -= c * vars^e * q, in place
-            k = tuple(x + y for x, y in zip(eq_i, e))
+            k = tuple(map(add, eq_i, e))
             old = rem.get(k, 0)
             v = old - c * cq_i
             if v:

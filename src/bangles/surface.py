@@ -555,47 +555,61 @@ def canonical_form(t: Triangulation) -> Tuple[tuple, List[int]]:
 # text format
 
 
+def _options(tokens: List[str], known: Tuple[str, ...], lineno: int, error: type) -> dict:
+    """{key: value} of key=value tokens, each key one of `known`, once;
+    `error` is raised for any other key and for a key given twice."""
+    kv = dict(p.split("=", 1) for p in tokens)
+    if len(kv) < len(tokens):
+        raise error(f"line {lineno}: an option given twice")
+    for key in kv:
+        if key not in known:
+            raise error(f"line {lineno}: unknown option {key!r}")
+    return kv
+
+
 def parse_triangulation(text: str) -> Triangulation:
     genus = boundary_marks = n_punct = None
     n_arcs = n_boundary = None
     triangles: List[Tuple[int, int, int]] = []
     raw_tags: List[Tuple[int, int, str]] = []
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         try:
+            if parts[0] in ("surface", "arcs", "boundary"):
+                if parts[0] in headers:
+                    raise TriangulationError(f"line {lineno}: a second {parts[0]} line")
+                headers.add(parts[0])
             if parts[0] == "surface":
-                kv = dict(p.split("=", 1) for p in parts[1:])
+                kv = _options(parts[1:], ("g", "b", "m", "p"), lineno, TriangulationError)
                 genus = int(kv["g"])
                 boundary_marks = tuple(int(v) for v in kv["m"].split(",") if v)
                 n_punct = int(kv["p"])
                 if int(kv["b"]) != len(boundary_marks):
                     raise TriangulationError("b does not match the m list")
             elif parts[0] == "arcs":
-                n_arcs = int(parts[1])
+                _, count = parts
+                n_arcs = int(count)
             elif parts[0] == "boundary":
-                n_boundary = int(parts[1])
+                _, count = parts
+                n_boundary = int(count)
             elif parts[0] == "triangle":
                 sides = tuple(int(v) for v in parts[1:4])
                 if len(sides) != 3:
                     raise TriangulationError(f"triangle needs three sides: {line!r}")
-                for extra in parts[4:]:
-                    key, _, val = extra.partition("=")
-                    if key != "selffolded":
-                        raise TriangulationError(f"unknown triangle option {extra!r}")
-                    side = int(val)
+                kv = _options(parts[4:], ("selffolded",), lineno, TriangulationError)
+                for side in map(int, kv.values()):
                     if sides.count(side) != 2:
-                        raise TriangulationError(
-                            f"selffolded={side} does not match repeated side in {sides}"
-                        )
+                        raise TriangulationError(f"selffolded={side} does not match repeated side in {sides}")
                 triangles.append(sides)  # type: ignore[arg-type]
             elif parts[0] == "tag":
-                arc, end = int(parts[1]), int(parts[2])
-                if parts[3] not in ("plain", "notched") or end not in (0, 1):
+                _, arc, end, tag = parts
+                if tag not in ("plain", "notched") or int(end) not in (0, 1):
                     raise TriangulationError(f"bad tag line {line!r}")
-                raw_tags.append((arc, end, parts[3]))
+                raw_tags.append((int(arc), int(end), tag))
             else:
                 raise TriangulationError(f"unknown directive {parts[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:

@@ -3,7 +3,7 @@ import pytest
 from bangles import snakegraph
 from bangles.cli import main
 from bangles.curve import arc_curve, parse_curve, transport_curve
-from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
+from bangles.fixtures import CLOSED_CURVES, fixture_text, load_curve_text, load_surface
 from bangles.poly import lp_format, var_names, xy_names
 from bangles.surface import flip
 
@@ -285,14 +285,32 @@ def test_empty_flip_word_is_a_user_error(capsys, argv, flips):
             ["verify-arc", "--triangulation", "annulus", "--curve", "annulus-core"],
             "verify-arc wants a label-only curve file",
         ),
+        # a label past the last arc is refused before any flip is printed
+        (["mutate", "--triangulation", "annulus", "--flips", "1 2 7"], "cannot flip arc 7"),
+        (
+            ["verify-shear", "--triangulation", "annulus", "--curve", "annulus-core", "--flips", "1 9"],
+            "cannot flip arc 9",
+        ),
     ],
-    ids=["zero-label", "closed-curve-arc"],
+    ids=["zero-label", "closed-curve-arc", "mutate-label-7", "shear-label-9"],
 )
 def test_bad_arguments_are_user_errors(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["compute", "mutate"])
+def test_triangulation_text_it_cannot_read_is_a_user_error(tmp_path, capsys, command):
+    # a token the parser does not read is refused, not dropped
+    tri_file = tmp_path / "t.tri"
+    tri_file.write_text(fixture_text("annulus.tri").replace("arcs 2", "arcs 2 7"))
+    args = ["--curve", "annulus-core"] if command == "compute" else ["--flips", "1"]
+    code, out, err = run(capsys, command, "--triangulation", str(tri_file), *args)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse" in err
 
 
 def test_unsupported_flip_label(capsys):

@@ -147,41 +147,48 @@ def test_divexact_rejects_inexact():
         lp_divexact({(0, 0): 1, (1, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1})
 
 
-def test_divexact_stops_below_the_lowest_quotient_term(monkeypatch):
-    # unit leading coefficients: only the grlex floor lowest(p)/lowest(q)
-    # catches this before the step budget; (1 + x2) / (1 + x1)
-    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 10)
-    with pytest.raises(InexactDivisionError, match="below the lowest possible term"):
+def test_divexact_stops_below_the_lowest_quotient_term():
+    # (1 + x2) / (1 + x1): the first quotient term x1^-1*x2 leaves the
+    # orthant e >= min(p) - min(q) = (0, 0)
+    with pytest.raises(InexactDivisionError, match="outside the orthant"):
         lp_divexact({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1})
 
 
-def test_divexact_stops_outside_the_box_of_possible_terms(monkeypatch):
+def test_divexact_stops_outside_the_box_of_possible_terms():
     # (x1*x2*x3 + x2*x3) / (x2 + x3): the quotient terms x1*x3*(x3/x2)^k
-    # never fall below the grlex floor, but x2 leaves
-    # [min_2(p) - min_2(q), max_2(p) - max_2(q)] = [1, 0]
-    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 10)
-    with pytest.raises(InexactDivisionError, match="outside the box"):
+    # would never end, but the first has x2-degree 0 < min_2(p) - min_2(q) = 1
+    with pytest.raises(InexactDivisionError, match="outside the orthant"):
         lp_divexact({(1, 1, 1): 1, (0, 1, 1): 1}, {(0, 1, 0): 1, (0, 0, 1): 1})
 
 
 def test_divexact_long_quotient_takes_one_step_per_term(monkeypatch):
-    # (1+x1)^40 (1+x2) / (1+x1): 80 quotient terms, so exactly 80 steps,
-    # and each leading term comes off a heap rather than a graded-lex scan
-    # of the whole remainder, so the key is taken a linear number of times
+    # (1+x1)^40 (1+x2) / (1+x1): 80 quotient terms, so exactly 80 leading
+    # terms come off the heap, and a linear number of heap entries and
+    # graded-lex keys are made rather than a graded-lex scan of the whole
+    # remainder at every step
     one_x1, one_x2 = {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}
     p = lp_mul(lp_pow(one_x1, 40), one_x2)
     quot = lp_mul(lp_pow(one_x1, 39), one_x2)
     assert len(quot) == 80
-    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 80)
-    assert lp_divexact(p, one_x1) == quot
-    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 79)
-    with pytest.raises(InexactDivisionError, match="more than 79 steps"):
-        lp_divexact(p, one_x1)
-    keys = []
+    pops, entries, keys = [], [], []
+    heappop, descending = poly.heappop, poly._descending
+    monkeypatch.setattr(poly, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    monkeypatch.setattr(poly, "_descending", lambda e: entries.append(e) or descending(e))
     monkeypatch.setattr(poly, "grlex_key", lambda e: keys.append(e) or (sum(e), e))
-    monkeypatch.setattr(poly, "DIVEXACT_MAX_STEPS", 80)
     assert lp_divexact(p, one_x1) == quot
+    assert len(pops) == 80
+    assert len(entries) < 4 * len(p)
     assert len(keys) < 4 * len(p)
+
+
+def test_divexact_has_no_step_budget():
+    # 316 * 317 = 100,172 quotient terms, more than any step budget of
+    # 100,000 would allow
+    one_x1, one_x2 = {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}
+    rows = lp_pow(one_x2, 316)
+    quot = lp_divexact(lp_mul(lp_pow(one_x1, 316), rows), one_x1)
+    assert len(quot) == 100_172
+    assert quot == lp_mul(lp_pow(one_x1, 315), rows)
 
 
 def test_divexact_by_monomial_shifts():
@@ -225,6 +232,24 @@ def test_ring_axioms(a, b, c):
 def test_division_inverts_multiplication(a, b):
     if b:
         assert lp_divexact(lp_mul(a, b), b) == a
+
+
+exponents3 = st.tuples(*(st.integers(-3, 3) for _ in range(3)))
+polys3 = st.dictionaries(exponents3, coeffs, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys3, polys3.filter(bool), st.booleans())
+def test_division_returns_a_quotient_or_refuses(a, q, multiply):
+    # p is drawn freely or as a multiple of q; either way the division ends,
+    # and it returns a true quotient or raises, never for a multiple
+    p = lp_mul(a, q) if multiply else a
+    try:
+        d = lp_divexact(p, q)
+    except InexactDivisionError:
+        assert not multiply
+    else:
+        assert lp_mul(d, q) == p
 
 
 @settings(max_examples=150, deadline=None)

@@ -281,7 +281,8 @@ SELF_FOLDED_TEXT = (
     [
         ("surface g=0 b=3 m=1,1 p=0\n" + ANNULUS_BODY, "b does not match the m list"),
         (ANNULUS_TEXT + "triangle 1 2\n", "triangle needs three sides"),
-        (ANNULUS_TEXT.replace("2 1 3", "2 1 3 flat=1"), "unknown triangle option 'flat=1'"),
+        (ANNULUS_TEXT.replace("2 1 3", "2 1 3 flat=1"), "line 4: unknown option 'flat'"),
+        (SELF_FOLDED_TEXT.replace("selffolded=4", "selffolded=4 selffolded=4"), "line 6: an option given twice"),
         (ANNULUS_TEXT.replace("2 1 3", "2 1 3 selffolded=2"), "selffolded=2 does not match repeated side"),
         (ANNULUS_TEXT + "tag 1 0 bent\n", "bad tag line"),
         (ANNULUS_TEXT + "tag 1 2 plain\n", "bad tag line"),
@@ -289,6 +290,14 @@ SELF_FOLDED_TEXT = (
         (ANNULUS_TEXT.replace("arcs 2", "arcs two"), "line 2: cannot parse"),
         (ANNULUS_TEXT.replace(" p=0", ""), "line 1: cannot parse"),
         (ANNULUS_TEXT + "tag 1\n", "line 6: cannot parse"),
+        (ANNULUS_TEXT.replace(" p=0", " p=0 colour=red"), "line 1: unknown option 'colour'"),
+        (ANNULUS_TEXT.replace(" p=0", " p=0 p=0"), "line 1: an option given twice"),
+        (ANNULUS_TEXT.replace("arcs 2", "arcs 2 7"), "line 2: cannot parse"),
+        (ANNULUS_TEXT.replace("boundary 2", "boundary 5 9"), "line 3: cannot parse"),
+        (ANNULUS_TEXT + "tag 1 0 notched x\n", "line 6: cannot parse"),
+        (ANNULUS_TEXT + "surface g=0 b=2 m=1,1 p=0\n", "line 6: a second surface line"),
+        (ANNULUS_TEXT + "arcs 2\n", "line 6: a second arcs line"),
+        (ANNULUS_TEXT + "boundary 2\n", "line 6: a second boundary line"),
         (ANNULUS_BODY, "missing surface/arcs/boundary header"),
         (ANNULUS_TEXT.replace("boundary 2", "boundary 3"), "boundary segment count must equal"),
         ("surface g=1 b=0 m= p=1\narcs 3\nboundary 0\n", "closed surfaces are unsupported"),
