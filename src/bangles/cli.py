@@ -158,9 +158,11 @@ def cmd_verify_shear(args) -> int:
     for i, k in enumerate(word):
         print(f"step {i}: Sh = {dual_shear(t, c)}")
         res = flip(t, k)
-        reports.append(verify_shear_flip(t, k, c, res, f"step {i + 1}: flip={k}"))
-        c = transport_curve(c, res.quad)
-        t = res.triangulation
+        if res.quad is None:
+            raise TransportError(f"flip at {k} has no transportable quadrilateral")
+        moved = transport_curve(c, res.quad)
+        reports.append(verify_shear_flip(t, k, c, res.triangulation, moved, f"step {i + 1}: flip={k}"))
+        t, c = res.triangulation, moved
     print(f"step {len(word)}: Sh = {dual_shear(t, c)}")
     return _emit(reports)
 

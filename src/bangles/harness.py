@@ -13,10 +13,12 @@ the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
 polynomials, each one binomial sum along y_k (`lp_binomial_sum`); like
 every check it is exact, and a passing keylemma-F report carries no sides.
 The arc sweep looks a flip up before taking it, by the n-1 arcs it keeps,
-and takes only flips that reach a new cluster.  It links each cluster to
-the one it was reached from, and builds a seed only for a cluster that
-holds an arc not yet checked, mutating down the links from the nearest
-seed built; each exchange is made at most once.
+and takes only flips that reach a new cluster.  It keys seeds by the flip
+word of their cluster, and builds one only for a cluster that holds an arc
+not yet checked, mutating along the word from its longest built prefix;
+each exchange is made at most once.  The shear sweep stacks -B over the
+shear rows of the closed fixture and of every elementary laminate, and
+mutates that one matrix once per flip the walker would take.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
@@ -25,7 +27,7 @@ corpus-load failure for that surface next to the reports made before it.
 Reports are deterministic: identical inputs give byte-identical output.
 Curves, reports and configs are named tuples, so each also equals a
 plain tuple of its fields.  Each sweep dict and set (`known`, `seeds`,
-`links`, `held`, `checked`) holds keys of one shape only, so no key that
+`held`, `checked`) holds keys of one shape only, so no key that
 holds a value type can meet a plain tuple equal to it.
 """
 
@@ -39,9 +41,9 @@ from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curv
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, seed_mutate, yseed_mutate
 from .poly import lp_binomial_sum, lp_format, var_names
-from .shear import ShearError, dual_shear, elementary_laminate, shear_flip_sides, shear_matrix
+from .shear import dual_shear, elementary_laminate, shear_matrix
 from .snakegraph import build_band_graph, msw_function
-from .surface import FlipResult, Triangulation, canonical_form, flip
+from .surface import Triangulation, canonical_form, flip
 
 IDENTITIES = (
     "keylemma-F",
@@ -189,8 +191,14 @@ def verify_arc_bangle(t: Triangulation, arc: int, word: Sequence[int]) -> Verifi
     return _arc_report(t, _pull_back_arc(arc, quads), arc, seed, f"arc={arc} word={list(word)}")
 
 
-def verify_shear_flip(t: Triangulation, k: int, lam: Curve, res: FlipResult, case: str) -> VerificationReport:
-    lhs, rhs = shear_flip_sides(t, k, lam, res)
+def verify_shear_flip(
+    t: Triangulation, k: int, lam: Curve, flipped: Triangulation, moved: Curve, case: str
+) -> VerificationReport:
+    """The shear flip law at k: [-B; Sh] of lam on t, mutated at k, against
+    the matrix rebuilt on the flipped triangulation from `moved`, lam
+    carried across the flip."""
+    lhs = matrix_mutate(shear_matrix(t, lam), k - 1)
+    rhs = shear_matrix(flipped, moved)
     return VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs))
 
 
@@ -245,9 +253,9 @@ def _walk(
     flip (a TransportError skips the flip); states with equal key(t, state)
     are one.  edges lists (k, child triangulation, child state, child key)
     for every transportable flip out of a state above `depth`, and is empty
-    at `depth`.  The first edge, in yield order, to reach an unseen key
-    carries the child state that is yielded for it, so a caller can attach
-    per-state data (the arc sweep's links to seeds) along that edge alone.
+    at `depth`.  The state yielded under word w + [k] is the one the flip at
+    k carries the state yielded under w to, so a caller can key per-state
+    data (the arc sweep's seeds) by flip word.
     A caller that knows, before flipping, that the flip at k of a state
     reaches a seen key passes skip(state, k), and that flip is neither
     taken nor listed.  Any other error of a flip or an advance ends the walk.
@@ -306,46 +314,34 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
     t = load_surface(name)
     n = t.n_arcs
     c = _closed_fixture(t, name)
+    # Row n + i of the stacked [-B; Sh_1; ...] is the shear row of the i-th
+    # curve: the closed fixture, if any, carried across each flip, then the
+    # elementary laminate of each arc j, rebuilt on the flipped
+    # triangulation.  One mutation per flip checks every row but arc k's.
+    rows = [(f"{name}:laminate={j}", j, elementary_laminate(t, j)) for j in range(1, n + 1)]
     if c is not None:
         case = f"{name}:{CLOSED_CURVES[name]}"
+        rows.insert(0, (case, None, c))
         try:
             out.append(verify_g_equals_shear(t, c, case))
         except Exception as exc:
             out.append(_error_report(case, "g-equals-shear", exc))
-    # each laminate of t, its shear row and each flip of t are built once;
-    # one mutation of the stacked [-B; Sh_1; ...] mutates every [-B; Sh_j]
-    lams = {}
-    for j in range(1, n + 1):
-        try:
-            lams[j] = elementary_laminate(t, j)
-        except ShearError:
-            continue
-    stacked = None
+    stacked = shear_matrix(t, *(lam for _, _, lam in rows))
     for k in range(1, n + 1):
-        res = flip(t, k)
-        if c is not None:
-            case = f"{name}:{CLOSED_CURVES[name]}:flip={k}"
-            try:
-                out.append(verify_shear_flip(t, k, c, res, case))
-            except (TransportError, ShearError):
-                pass
-            except Exception as exc:
-                out.append(_error_report(case, "shear-flip", exc))
-        if res.quad is None:
+        try:  # the flips the walker takes, with the fixture carried across
+            res = _require_transportable(t, k)
+            moved = transport_curve(c, res.quad) if c else None
+        except TransportError:
             continue
-        mutated = None
-        for row, (j, lam) in enumerate(lams.items(), n):
+        t2, mutated = res.triangulation, None
+        for row, (prefix, j, _) in enumerate(rows, n):
             if j == k:
                 continue
-            case = f"{name}:laminate={j}:flip={k}"
+            case = f"{prefix}:flip={k}"
             try:
-                lam2 = elementary_laminate(res.triangulation, j)
-            except ShearError:
-                continue
-            try:
-                stacked = stacked or shear_matrix(t, *lams.values())
                 mutated = mutated or matrix_mutate(stacked, k - 1)
-                lhs, rhs = mutated[:n] + mutated[row : row + 1], shear_matrix(res.triangulation, lam2)
+                lhs = mutated[:n] + mutated[row : row + 1]
+                rhs = shear_matrix(t2, elementary_laminate(t2, j) if j else moved)
                 out.append(VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs)))
             except Exception as exc:
                 out.append(_error_report(case, "shear-flip", exc))
@@ -374,30 +370,26 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
     held: Counter = Counter()  # reached clusters per (n-1)-subset of arcs
     reach = lambda key: held.update(key - {arc} for arc in key)
     seen_flip = lambda state, k: held[frozenset(state[1][: k - 1] + state[1][k:])] > 1
-    # Each reached cluster keeps a link (parent key, k) along the edge that
-    # reaches it, the one the walker keeps, so a seed mutated down the links
-    # has labels that match its cluster's arcs.  Seeds are built only for
-    # clusters holding an unchecked arc: from the nearest built ancestor,
-    # keeping each seed built on the way.
-    k0 = cluster(t0, start)
-    links: Dict[frozenset, Tuple[frozenset, int]] = {}
-    seeds: Dict[frozenset, Seed] = {k0: initial_seed(t0.adjacency)}
-    reach(k0)
+    # Seeds are keyed by the flip word that reaches their cluster: the seed
+    # of word w + (k,) is w's seed mutated at k, so its labels match the
+    # cluster's arcs.  Seeds are built only for clusters holding an
+    # unchecked arc: from the longest built prefix, keeping each seed built
+    # on the way.
+    seeds: Dict[tuple, Seed] = {(): initial_seed(t0.adjacency)}
+    reach(cluster(t0, start))
 
-    def seed_of(key: frozenset) -> Seed:
+    def seed_of(word: tuple) -> Seed:
         # recursion depth is at most the sweep's depth
-        if key not in seeds:
-            parent, k = links[key]
-            seeds[key] = seed_mutate(seed_of(parent), k - 1)
-        return seeds[key]
+        if word not in seeds:
+            seeds[word] = seed_mutate(seed_of(word[:-1]), word[-1] - 1)
+        return seeds[word]
 
-    for _, (_, backs), key, word, edges in _walk(t0, start, depth, _flip_cluster, cluster, seen_flip):
-        for k, _, _, child in edges:  # each one reaches a new cluster
-            links[child] = key, k
+    for _, (_, backs), _, word, edges in _walk(t0, start, depth, _flip_cluster, cluster, seen_flip):
+        for _, _, _, child in edges:  # each one reaches a new cluster
             reach(child)
         if checked.issuperset(backs):
             continue
-        seed = seed_of(key)
+        seed = seed_of(tuple(word))
         for j, back in enumerate(backs, 1):
             if back in checked:
                 continue

@@ -14,15 +14,18 @@ endpoints, across the incident fan until they rest on a boundary segment.
 Ends at punctures never rest; they spiral, and the crossing sequence is
 truncated once an extra turn stops changing the coordinates.  The clockwise
 convention is pinned by the calibration dual_shear(elementary(j)) = e_j.
+
+Under the flip at k, [-B; Sh] of a laminate mutates at k to the matrix
+rebuilt on the flipped triangulation (`shear_matrix` gives both sides).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .curve import Curve, _landing, open_curve, transport_curve, validate_curve
-from .mutation import Matrix, matrix_mutate
-from .surface import FlipResult, Triangulation
+from .curve import Curve, _landing, open_curve, validate_curve
+from .mutation import Matrix
+from .surface import Triangulation
 
 ShearVector = Tuple[int, ...]
 
@@ -168,12 +171,3 @@ def shear_matrix(t: Triangulation, *lams: Curve) -> Matrix:
     rows = [tuple(-x for x in row) for row in t.adjacency]
     return tuple(rows + [dual_shear(t, lam) for lam in lams])
 
-
-def shear_flip_sides(t: Triangulation, k: int, lam: Curve, res: FlipResult) -> Tuple[Matrix, Matrix]:
-    """Both sides of the flip law: mutated [-B; Sh] vs. the matrix rebuilt
-    on the flipped triangulation (res, the flip of t at k) with the
-    laminate carried across."""
-    if res.quad is None:
-        raise ShearError(f"flip at {k} has no transportable quadrilateral")
-    moved = transport_curve(lam, res.quad)
-    return matrix_mutate(shear_matrix(t, lam), k - 1), shear_matrix(res.triangulation, moved)

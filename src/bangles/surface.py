@@ -269,13 +269,6 @@ def validate(t: Triangulation) -> None:
     for key in occ:
         if not 1 <= key <= n + nb:
             raise TriangulationError(f"unknown side label {key}")
-    for tri in t.triangles:
-        if len(set(tri)) == 1:
-            raise TriangulationError(f"triangle {tri} repeats one label three times")
-        if len(set(tri)) == 2:
-            dup = [s for s in tri if tri.count(s) == 2][0]
-            if not t.is_arc(dup):
-                raise TriangulationError(f"triangle {tri} repeats a boundary label")
 
     orbit_of = t.corner_orbits
     n_marked = len(marked_points(t))
@@ -484,16 +477,23 @@ def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
     return FlipResult(out, quad)
 
 
-def _match_puncture(old: Triangulation, new: Triangulation, pid: int, moved: Tuple[int, int]) -> int:
-    """Follow one puncture through an ideal flip (triangle indices stay put,
-    so corners outside the two rewritten triangles identify the vertex)."""
-    if len(punctures(old)) == 1 and len(punctures(new)) == 1:
-        return 1
-    anchor = {c for c in punctures(old)[pid - 1] if c[0] not in moved}
-    for cand in range(1, len(punctures(new)) + 1):
-        if anchor & set(punctures(new)[cand - 1]):
-            return cand
-    raise UnsupportedFlipError(0, f"cannot follow puncture {pid} through the flip")
+def _match_puncture(old: Triangulation, new: Triangulation, pid: int, q: QuadRecord) -> int:
+    """Follow one puncture through the ideal flip q.  Triangle indices stay
+    put, so a corner outside the two rewritten triangles anchors its vertex.
+    A puncture with no such corner (one the flip encloses in a self-folded
+    triangle) is the one new puncture that no other puncture's anchor
+    reaches."""
+
+    def reached(p: int) -> set:
+        anchor = {c for c in punctures(old)[p - 1] if c[0] not in (q.tri_a, q.tri_b)}
+        return {cand for cand, orbit in enumerate(punctures(new), 1) if anchor & set(orbit)}
+
+    hits = reached(pid) or set(range(1, len(punctures(new)) + 1)).difference(
+        *map(reached, range(1, len(punctures(old)) + 1))
+    )
+    if len(hits) != 1:
+        raise UnsupportedFlipError(q.arc, f"cannot follow puncture {pid} through the flip")
+    return hits.pop()
 
 
 def flip(t: Triangulation, k: int) -> FlipResult:
@@ -534,9 +534,8 @@ def flip(t: Triangulation, k: int) -> FlipResult:
 
     res = _ideal_flip(cur, k)
     out = res.triangulation
-    moved = (res.quad.tri_a, res.quad.tri_b)
     for pid in reversed(applied):
-        out = tag_switch(out, _match_puncture(cur, out, pid, moved))
+        out = tag_switch(out, _match_puncture(cur, out, pid, res.quad))
     return FlipResult(out, res.quad if not applied else None)
 
 
@@ -571,7 +570,7 @@ def parse_triangulation(text: str) -> Triangulation:
     genus = boundary_marks = n_punct = None
     n_arcs = n_boundary = None
     triangles: List[Tuple[int, int, int]] = []
-    raw_tags: List[Tuple[int, int, str]] = []
+    tags: Dict[Tuple[int, int], str] = {}  # (arc, end) -> tag
     headers = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -607,9 +606,12 @@ def parse_triangulation(text: str) -> Triangulation:
                 triangles.append(sides)  # type: ignore[arg-type]
             elif parts[0] == "tag":
                 _, arc, end, tag = parts
-                if tag not in ("plain", "notched") or int(end) not in (0, 1):
+                key = int(arc), int(end)
+                if tag not in ("plain", "notched") or key[1] not in (0, 1):
                     raise TriangulationError(f"bad tag line {line!r}")
-                raw_tags.append((int(arc), int(end), tag))
+                if key in tags:
+                    raise TriangulationError(f"line {lineno}: a second tag for end {end} of arc {arc}")
+                tags[key] = tag
             else:
                 raise TriangulationError(f"unknown directive {parts[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:
@@ -620,23 +622,29 @@ def parse_triangulation(text: str) -> Triangulation:
         raise TriangulationError("missing surface/arcs/boundary header")
     t = Triangulation(genus, boundary_marks, n_punct, n_arcs, n_boundary, tuple(triangles))
     validate(t)
-    return _apply_tags(t, raw_tags)
+    return _apply_tags(t, tags)
 
 
-def _apply_tags(t: Triangulation, raw_tags: List[Tuple[int, int, str]]) -> Triangulation:
+def _ends_at(t: Triangulation, pid: int) -> List[Tuple[int, int]]:
+    """The (arc, end) pairs of the arc ends at puncture pid, in label order."""
+    orbit = punctures(t)[pid - 1]
+    return [
+        (arc, end)
+        for arc in range(1, t.n_arcs + 1)
+        for end, v in enumerate(arc_endpoints(t, arc))
+        if v == orbit
+    ]
+
+
+def _apply_tags(t: Triangulation, tags: Dict[Tuple[int, int], str]) -> Triangulation:
     """Explicit per-end tags are only stored as whole-puncture switches."""
-    notched_ends = {(a, e) for a, e, tag in raw_tags if tag == "notched"}
+    notched_ends = {ae for ae, tag in tags.items() if tag == "notched"}
     if not notched_ends:
         return t
     covered = set()
     notched_pids = set()
     for pid in range(1, len(punctures(t)) + 1):
-        orbit = punctures(t)[pid - 1]
-        ends_here = set()
-        for arc in range(1, t.n_arcs + 1):
-            for end, v in enumerate(arc_endpoints(t, arc)):
-                if v == orbit:
-                    ends_here.add((arc, end))
+        ends_here = set(_ends_at(t, pid))
         if ends_here & notched_ends:
             if not ends_here <= notched_ends:
                 raise TriangulationError(
@@ -667,9 +675,5 @@ def format_triangulation(t: Triangulation) -> str:
                 extra = f" selffolded={tri[pos]}"
         lines.append("triangle {} {} {}{}".format(*tri, extra))
     for pid in sorted(t.notched):
-        orbit = punctures(t)[pid - 1]
-        for arc in range(1, t.n_arcs + 1):
-            for end, v in enumerate(arc_endpoints(t, arc)):
-                if v == orbit:
-                    lines.append(f"tag {arc} {end} notched")
+        lines.extend(f"tag {arc} {end} notched" for arc, end in _ends_at(t, pid))
     return "\n".join(lines) + "\n"

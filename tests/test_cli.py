@@ -5,7 +5,7 @@ from bangles.cli import main
 from bangles.curve import arc_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, fixture_text, load_curve_text, load_surface
 from bangles.poly import lp_format, var_names, xy_names
-from bangles.surface import flip
+from bangles.surface import flip, format_triangulation
 
 
 def run(capsys, *argv):
@@ -215,6 +215,29 @@ def test_verify_shear_stops_at_a_flip_the_curve_cannot_follow(tmp_path, capsys):
     assert code == 2
     assert "step 2: Sh =" in out
     assert "flip of arc 2 involved tags or folded sides" in err
+
+
+def test_verify_shear_stops_at_a_flip_that_rewrites_tags(tmp_path, capsys):
+    # every puncture end notched: flipping arc 1 switches tags, so there is
+    # no quadrilateral to carry the curve across
+    tri_file, curve_file = tmp_path / "notched.tri", tmp_path / "a.curve"
+    tri_file.write_text(
+        format_triangulation(load_surface("punctured-square"))
+        + "tag 1 0 notched\ntag 2 1 notched\ntag 3 1 notched\ntag 4 1 notched\n"
+    )
+    curve_file.write_text("curve closed=0\narc 1\n")
+    code, out, err = run(
+        capsys,
+        "verify-shear",
+        "--triangulation",
+        str(tri_file),
+        "--curve",
+        str(curve_file),
+        "--flips",
+        "1",
+    )
+    assert (code, out) == (2, "step 0: Sh = (0, 0, 0, 0)\n")
+    assert err == "error: flip at 1 has no transportable quadrilateral\n"
 
 
 def test_verify_arc_roundtrip(tmp_path, capsys):

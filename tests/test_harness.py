@@ -162,8 +162,10 @@ def test_arc_check_after_flip():
 def test_shear_wrappers_on_annulus():
     t, c = _annulus_core()
     assert verify_g_equals_shear(t, c, "core").passed
-    assert verify_shear_flip(t, 1, c, surface.flip(t, 1), "flip=1").passed
-    assert verify_shear_flip(t, 2, c, surface.flip(t, 2), "flip=2").passed
+    for k in (1, 2):
+        res = surface.flip(t, k)
+        moved = transport_curve(c, res.quad)
+        assert verify_shear_flip(t, k, c, res.triangulation, moved, f"flip={k}").passed
 
 
 def test_failure_line_carries_both_sides():
@@ -280,8 +282,9 @@ def _fail_first_call(monkeypatch, name, exc):
             "pentagon:arc=1:word=[]",
         ),
         (
+            # the closed fixture's row is the first one each flip checks
             CorpusConfig(surfaces=("annulus",), arc_surfaces=()),
-            "shear_flip_sides",
+            "matrix_mutate",
             ZeroDivisionError("zero part"),
             "shear-flip",
             "annulus:annulus-core:flip=1",
@@ -295,11 +298,12 @@ def _fail_first_call(monkeypatch, name, exc):
             "annulus:annulus-core",
         ),
         (
-            CorpusConfig(surfaces=("annulus",), arc_surfaces=()),
+            # no closed fixture, so a laminate's row is the first one checked
+            CorpusConfig(surfaces=("pentagon",), arc_surfaces=()),
             "matrix_mutate",
             ZeroDivisionError("zero part"),
             "shear-flip",
-            "annulus:laminate=2:flip=1",
+            "pentagon:laminate=2:flip=1",
         ),
     ],
     ids=["keylemma", "arc", "shear", "g-equals-shear", "shear-laminate"],
@@ -366,7 +370,8 @@ def test_key_lemma_sweep_flips_once_per_check(monkeypatch):
 
 
 def test_transport_error_in_walk_fails_only_its_surface(monkeypatch):
-    # the walker carries the curve across each flip, outside any check
+    # the key-lemma walker and the shear sweep each carry the curve across
+    # a flip outside any check, so each ends with a corpus-load failure
     real = harness.transport_curve
     annulus_core = harness._closed_fixture(load_surface("annulus"), "annulus")
 
@@ -381,7 +386,7 @@ def test_transport_error_in_walk_fails_only_its_surface(monkeypatch):
     failed = [r for r in reports if not r.passed]
     assert [(r.case, r.identity, r.lhs, r.rhs) for r in failed] == [
         ("annulus", "corpus-load", "KeyError", "'no such step'")
-    ]
+    ] * 2
     annulus = [r.identity for r in reports if r.case.startswith("annulus:")]
     assert annulus and not any(i.startswith("keylemma") for i in annulus)
     other = [r for r in reports if r.case.startswith("annulus2:")]

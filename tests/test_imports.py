@@ -3,7 +3,8 @@ every private module-level helper of the package has a caller, every
 public one has a caller outside the tests or is exported, every default
 of a public function is both passed and left out by the program, the
 tests' oracles import nothing private of the package, the package keeps
-no unbounded function caches and no keys made of object ids, and it
+no unbounded function caches and no keys made of object ids, no
+harness `except` skips anything but a TransportError silently, and it
 imports neither `dataclasses` nor `array`; a subprocess checks that
 importing the CLI loads neither, nor `inspect`."""
 
@@ -413,6 +414,44 @@ def test_id_guard_sees_calls_not_names():
         "cache[id(obj)] = obj\n"
     )
     assert _id_calls(ast.parse(src)) == [1, 3]
+
+
+def _silent_handlers(tree: ast.Module):
+    """Lines of `except` handlers that neither catch exactly `TransportError`
+    nor call `_error_report` to add a failing report."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if isinstance(node.type, ast.Name) and node.type.id == "TransportError":
+            continue
+        calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+        if not any(isinstance(f, ast.Name) and f.id == "_error_report" for f in calls):
+            out.append(node.lineno)
+    return out
+
+
+def test_sweeps_skip_nothing_but_transport_errors():
+    """A sweep skips exactly the flips the walker skips, those that raise
+    TransportError; any other error it catches becomes a failing report,
+    so a check that cannot run fails instead of vanishing."""
+    path = ROOT / "src" / "bangles" / "harness.py"
+    lines = _silent_handlers(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"harness.py: except handlers that skip silently at lines {lines}"
+
+
+def test_silent_skip_guard_sees_every_spelling():
+    src = (
+        "try: f()\nexcept TransportError: continue\n"
+        "try: f()\nexcept (TransportError, ShearError): pass\n"
+        "try: f()\nexcept ShearError: continue\n"
+        "try: f()\nexcept Exception as e: out.append(_error_report(c, i, e))\n"
+        "try: f()\nexcept Exception as e: out.extend(_error_report(c, i, e) for i in ids)\n"
+        "try: f()\nexcept: pass\n"
+        "try: f()\nexcept curve.TransportError: pass\n"
+        "try: f()\nexcept Exception as e: log(error_report(e))\n"
+    )
+    assert _silent_handlers(ast.parse(src)) == [4, 6, 12, 14, 16]
 
 
 # Every `bangles` command starts a fresh interpreter, so what the package

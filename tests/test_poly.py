@@ -1,5 +1,7 @@
 """Laurent polynomial arithmetic, tropical evaluation, exponent packing."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,6 +325,15 @@ def test_columns_read_both_ends_of_every_width(width):
     assert [c.format for c in cols] == [_polypure._TYPECODES[width]] * 3
     assert list(zip(*cols)) == vecs
     assert [list(c) for c in _polypure._columns([], 3, width)] == [[], [], []]
+
+
+def test_columns_come_back_in_field_order_on_a_big_endian_host(monkeypatch):
+    # A big-endian key writes its last field first.  8-bit fields have no
+    # byte order within a field, so this host can stand in for one.
+    monkeypatch.setattr(_polypure, "sys", SimpleNamespace(byteorder="big"))
+    vecs = [(1, -2, 3), (-128, 127, 0), (0, 0, -1)]
+    cols = _polypure._columns([pack(v, 8) for v in vecs], 3, 8)
+    assert list(zip(*cols)) == vecs
 
 
 def test_byte_width_raises_above_64_bits():

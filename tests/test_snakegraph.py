@@ -533,6 +533,24 @@ def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
     assert any(copied)
 
 
+@pytest.mark.parametrize("small_owned", [False, True])
+@pytest.mark.parametrize("large_owned", [False, True])
+@pytest.mark.parametrize("large_first", [False, True])
+def test_merge_shifts_the_smaller_terms_into_the_larger(small_owned, large_owned, large_first):
+    # a state is (offset, {packed weight - offset: count}, owned)
+    small = (5, {0: 1, 3: 2}, small_owned)
+    large = (2, {0: 4, 6: 1, 9: 3}, large_owned)
+    absolute = lambda state: Counter({p + state[0]: cnt for p, cnt in state[1].items()})
+    want, kept = absolute(small) + absolute(large), dict(large[1])
+    merged = snakegraph._merge(*((large, small) if large_first else (small, large)))
+    assert absolute(merged) == want and merged[2]
+    assert small[1] == {0: 1, 3: 2}  # the smaller dict is never written
+    if large_owned:
+        assert merged[1] is large[1]
+    else:  # an unowned dict is copied before it is written
+        assert merged[1] is not large[1] and large[1] == kept
+
+
 def test_loop_edge_weighs_the_loop_and_its_radius():
     # the square flipped to a self-folded triangle (radius 4 inside loop 2);
     # a curve across arc 1 into the loop's other triangle has an edge

@@ -212,6 +212,33 @@ def test_tag_switch_is_involutive():
     assert tag_switch(tag_switch(t5, 1), 1) == t5
 
 
+# a digon with two punctures: arc 5 joins its two marked points and cuts it
+# into two once-punctured digons; arcs 1, 2 join puncture 1 to the marked
+# points on the side of boundary segment 6, arcs 3, 4 puncture 2 on the
+# side of segment 7
+TWICE_PUNCTURED_DIGON = (
+    "surface g=0 b=1 m=2 p=2\narcs 5\nboundary 2\n"
+    "triangle 6 2 1\ntriangle 5 1 2\ntriangle 7 3 4\ntriangle 5 4 3\n"
+)
+
+
+@pytest.mark.parametrize("notched", [(), (1,), (2,), (1, 2)])
+def test_tagged_flips_on_a_twice_punctured_digon(notched):
+    # Flipping 1 or 2 (3 or 4) encloses puncture 1 (2) in a self-folded
+    # triangle, so no corner outside the flip anchors it.  With that
+    # puncture notched, the flip switches its tags back on the far side and
+    # must find it by elimination.
+    t = parse_triangulation(TWICE_PUNCTURED_DIGON)
+    for pid in notched:
+        t = tag_switch(t, pid)
+    assert t.notched == frozenset(notched)
+    for k in range(1, 6):
+        t2 = flip(t, k).triangulation
+        validate(t2)
+        assert adjacency_matrix(t2) == matrix_mutate(adjacency_matrix(t), k - 1), k
+        assert canonical_form(flip(t2, k).triangulation)[0] == canonical_form(t)[0], k
+
+
 # ---------------------------------------------------------------------------
 # text format
 
@@ -268,6 +295,14 @@ def test_arc_count_must_match_surface():
 ANNULUS_BODY = "arcs 2\nboundary 2\ntriangle 2 1 3\ntriangle 2 1 4\n"
 ANNULUS_TEXT = "surface g=0 b=2 m=1,1 p=0\n" + ANNULUS_BODY
 SQUARE_BODY = "arcs 4\nboundary 4\ntriangle 5 2 1\ntriangle 6 3 2\ntriangle 7 4 3\ntriangle 8 1 4\n"
+# the punctured square with all four puncture ends notched (lines 8-11)
+NOTCHED_SQUARE_TEXT = (
+    "surface g=0 b=1 m=4 p=1\n" + SQUARE_BODY
+    + "tag 1 0 notched\ntag 2 1 notched\ntag 3 1 notched\ntag 4 1 notched\n"
+)
+PENTAGON_TEXT = (
+    "surface g=0 b=1 m=5 p=0\narcs 2\nboundary 5\ntriangle 3 4 1\ntriangle 1 5 2\ntriangle 2 6 7\n"
+)
 # the punctured square after flips 1, 3, 2: folded side 4 inside loop 2,
 # whose end 1 is the puncture
 SELF_FOLDED_TEXT = (
@@ -306,6 +341,8 @@ SELF_FOLDED_TEXT = (
         (ANNULUS_TEXT.replace("arcs 2", "arcs 3"), "arc count 3 does not match surface data (expected 2)"),
         (ANNULUS_TEXT.replace("2 1 4", "2 2 4"), "arc 1 must occur exactly twice"),
         (ANNULUS_TEXT.replace("2 1 4", "2 1 3"), "boundary segment 3 must occur exactly once"),
+        (ANNULUS_TEXT.replace("2 1 4", "1 1 1"), "arc 1 must occur exactly twice"),
+        (PENTAGON_TEXT.replace("3 4 1", "3 3 1"), "boundary segment 3 must occur exactly once"),
         (ANNULUS_TEXT + "triangle 5 6 7\n", "unknown side label 5"),
         ("surface g=0 b=2 m=2,2 p=0\n" + SQUARE_BODY, "found 1 punctures, header says 0"),
         (
@@ -315,14 +352,17 @@ SELF_FOLDED_TEXT = (
         ),
         ("surface g=0 b=1 m=4 p=1\n" + SQUARE_BODY + "tag 1 0 notched\n", "partial notching"),
         (ANNULUS_TEXT + "tag 1 0 notched\n", "notched tag on a non-puncture end"),
+        (NOTCHED_SQUARE_TEXT + "tag 1 0 plain\n", "line 12: a second tag for end 0 of arc 1"),
+        (NOTCHED_SQUARE_TEXT + "tag 1 0 notched\n", "line 12: a second tag for end 0 of arc 1"),
         (SELF_FOLDED_TEXT + "tag 4 1 notched\n", "cannot be both notched and carry a self-folded triangle"),
     ],
 )
 def test_parse_triangulation_rejects_malformed_text(text, fragment):
     # every raise that triangulation text can reach; validate's other
-    # checks (a label repeated in one triangle, the marked point count, the
-    # Euler characteristic, an unknown notched puncture) follow from the
-    # ones before them for any triangle list
+    # checks (the marked point count, the Euler characteristic, an unknown
+    # notched puncture) follow from the ones before them for any triangle
+    # list, and a label repeated in one triangle breaks the occurrence
+    # counts (the "1 1 1" and "3 3 1" rows)
     with pytest.raises(TriangulationError, match=re.escape(fragment)):
         parse_triangulation(text)
 
