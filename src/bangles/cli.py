@@ -18,6 +18,7 @@ from .curve import Curve, CurveError, TransportError, parse_curve, transport_cur
 from .fixtures import fixture_text
 from .harness import (
     report_text,
+    require_transportable,
     run_corpus,
     verify_arc_bangle,
     verify_key_lemma_word,
@@ -157,9 +158,7 @@ def cmd_verify_shear(args) -> int:
     reports = []
     for i, k in enumerate(word):
         print(f"step {i}: Sh = {dual_shear(t, c)}")
-        res = flip(t, k)
-        if res.quad is None:
-            raise TransportError(f"flip at {k} has no transportable quadrilateral")
+        res = require_transportable(t, k)
         moved = transport_curve(c, res.quad)
         reports.append(verify_shear_flip(t, k, c, res.triangulation, moved, f"step {i + 1}: flip={k}"))
         t, c = res.triangulation, moved

@@ -138,9 +138,17 @@ def normalize_curve(c: Curve) -> Curve:
 
 
 def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
-    """Rewrite a curve across one flip (forward: old coords to new)."""
-    if not q.transportable:
-        raise TransportError(f"flip of arc {q.arc} involved tags or folded sides")
+    """Rewrite a curve across one flip (forward: old coords to new).  Any
+    quad `flip` hands out will do: it hands out none curves cannot follow.
+
+    Crossings of k are deleted.  A surviving crossing in the quad moves to
+    the dst triangle carrying its side, after a new crossing of k when its
+    entry lands in the other dst triangle.  Its entry is the previous
+    surviving crossing, cyclically on a closed curve; the first one of an
+    open curve has none, as it starts at an end corner.  `validate_curve`
+    forbids two crossings of one arc in a row, so at most one crossing of k
+    sits between two surviving ones.
+    """
     v = q.forward_view if forward else q.backward_view
     k = v.k
     if c.arc is not None:
@@ -161,35 +169,20 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
             raise TransportError("closed curve crosses only the flipped arc")
         return arc_curve(k)
 
-    def entry_of(m: int) -> Optional[Tuple[int, int]]:
-        """(slot, dst triangle) for the crossing into step m's segment."""
-        j = m - 1
-        if c.closed:
-            j %= d
-        if j >= 0 and steps[j][1] == k:
-            j -= 1
-            if c.closed:
-                j %= d
-        if j < 0:
-            return None  # open curve: segment starts at an end corner
-        # landing triangle of crossing j = before-triangle of the step after it
-        land = steps[(j + 1) % d][0]
-        slot = v.slot_of[(land, steps[j][1])]
-        return slot, v.dst_tri[slot]
-
     out: List[Step] = []
-    for m in non_k:
+    for i, m in enumerate(non_k):
         tri, a = steps[m]
-        if tri in v.tris:
-            exit_slot = v.slot_of[(tri, a)]
-            ent = entry_of(m)
-            if ent is not None:
-                _, ent_tri = ent
-                if ent_tri != v.dst_tri[exit_slot]:
-                    out.append((ent_tri, k))
-            out.append((v.dst_tri[exit_slot], a))
-        else:
+        if tri not in v.tris:
             out.append((tri, a))
+            continue
+        dst = v.dst_tri[v.slot_of[(tri, a)]]
+        if i or c.closed:
+            # entry j lands where step j + 1 starts
+            j = non_k[i - 1]
+            ent_tri = v.dst_tri[v.slot_of[(steps[(j + 1) % d][0], steps[j][1])]]
+            if ent_tri != dst:
+                out.append((ent_tri, k))
+        out.append((dst, a))
 
     if c.closed:
         # an entry at index 0 of an all-quad cyclic curve is already covered

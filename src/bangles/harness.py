@@ -43,7 +43,7 @@ from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, see
 from .poly import lp_binomial_sum, lp_format, var_names
 from .shear import dual_shear, elementary_laminate, shear_matrix
 from .snakegraph import build_band_graph, msw_function
-from .surface import Triangulation, canonical_form, flip
+from .surface import FlipResult, Triangulation, canonical_form, flip
 
 IDENTITIES = (
     "keylemma-F",
@@ -74,12 +74,11 @@ def _error_report(case: str, identity: str, exc: Exception) -> VerificationRepor
     return VerificationReport(case, identity, False, type(exc).__name__, str(exc))
 
 
-def _require_transportable(t: Triangulation, k: int):
+def require_transportable(t: Triangulation, k: int) -> FlipResult:
+    """flip(t, k), or the one TransportError for a flip curves cannot follow."""
     res = flip(t, k)
     if res.quad is None:
-        raise TransportError(f"flip at {k} rewrites tags; curves cannot follow")
-    if not res.quad.transportable:
-        raise TransportError(f"flip at {k} has a degenerate quadrilateral")
+        raise TransportError(f"flip at {k} has no transportable quadrilateral")
     return res
 
 
@@ -147,7 +146,7 @@ def verify_key_lemma_word(
     reports: List[VerificationReport] = []
     before = _band_reads(t, c)
     for i, k in enumerate(word, 1):
-        res = _require_transportable(t, k)
+        res = require_transportable(t, k)
         c = transport_curve(c, res.quad)
         after = _band_reads(res.triangulation, c)
         reports.extend(_key_lemma_reports(t, k, before, after, f"step {i}: flip={k}"))
@@ -184,7 +183,7 @@ def verify_arc_bangle(t: Triangulation, arc: int, word: Sequence[int]) -> Verifi
     cur, quads = t, []
     seed = initial_seed(t.adjacency)
     for k in word:
-        res = _require_transportable(cur, k)
+        res = require_transportable(cur, k)
         quads.append(res.quad)
         cur = res.triangulation
         seed = seed_mutate(seed, k - 1)
@@ -249,13 +248,15 @@ def _walk(
 ) -> Iterator[tuple]:
     """Yield (triangulation, state, key, flip word, edges) once per state
     reachable from (t0, start) by at most `depth` transportable flips, under
-    its shortest flip word.  advance(state, quad) carries a state across a
-    flip (a TransportError skips the flip); states with equal key(t, state)
-    are one.  edges lists (k, child triangulation, child state, child key)
-    for every transportable flip out of a state above `depth`, and is empty
-    at `depth`.  The state yielded under word w + [k] is the one the flip at
-    k carries the state yielded under w to, so a caller can key per-state
-    data (the arc sweep's seeds) by flip word.
+    its shortest flip word.  A flip is transportable when `flip` hands out
+    its quad; `require_transportable` refuses the others.  advance(state,
+    quad) carries a state across a flip; a TransportError from either skips
+    the flip.  States with equal key(t, state) are one.  edges lists (k,
+    child triangulation, child state, child key) for every transportable
+    flip out of a state above `depth`, and is empty at `depth`.  The state
+    yielded under word w + [k] is the one the flip at k carries the state
+    yielded under w to, so a caller can key per-state data (the arc sweep's
+    seeds) by flip word.
     A caller that knows, before flipping, that the flip at k of a state
     reaches a seen key passes skip(state, k), and that flip is neither
     taken nor listed.  Any other error of a flip or an advance ends the walk.
@@ -270,7 +271,7 @@ def _walk(
             ks = range(1, cur.n_arcs + 1) if len(word) < depth else ()
             for k in ks if skip is None else [k for k in ks if not skip(state, k)]:
                 try:
-                    res = _require_transportable(cur, k)
+                    res = require_transportable(cur, k)
                     child = advance(state, res.quad)
                 except TransportError:
                     continue
@@ -329,7 +330,7 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
     stacked = shear_matrix(t, *(lam for _, _, lam in rows))
     for k in range(1, n + 1):
         try:  # the flips the walker takes, with the fixture carried across
-            res = _require_transportable(t, k)
+            res = require_transportable(t, k)
             moved = transport_curve(c, res.quad) if c else None
         except TransportError:
             continue

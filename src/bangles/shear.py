@@ -71,19 +71,6 @@ def dual_shear(t: Triangulation, lam: Curve) -> ShearVector:
     if d == 0:
         return tuple(out)
     occ = t.occurrences
-
-    def quad_index(a: int, tri: int, slot: int) -> Optional[int]:
-        (ta, ia), (tb, ib) = occ[a]
-        if tri == ta and slot == (ia + 1) % 3:
-            return 1
-        if tri == ta and slot == (ia + 2) % 3:
-            return 2
-        if tri == tb and slot == (ib + 1) % 3:
-            return 3
-        if tri == tb and slot == (ib + 2) % 3:
-            return 4
-        return None
-
     for m, (tri, a) in enumerate(lam.steps):
         (ta, ia), (tb, ib) = occ[a]
         if ta == tb:
@@ -101,10 +88,13 @@ def dual_shear(t: Triangulation, lam: Curve) -> ShearVector:
             exits = _rest_slot(t, lam.ends[1])
         if entry is None or exits is None:
             continue
-        pair = {quad_index(a, *entry), quad_index(a, *exits)}
-        if pair == {2, 4}:
+        # entry side in tri, exit side in landing: each side's slot past a's
+        # own slot in that triangle; two 2s are a Z, two 1s an S
+        a_slot = {ta: ia, tb: ib}
+        offsets = [(slot - a_slot[side_tri]) % 3 for side_tri, slot in (entry, exits)]
+        if offsets == [2, 2]:
             out[a - 1] += 1
-        elif pair == {1, 3}:
+        elif offsets == [1, 1]:
             out[a - 1] -= 1
     return tuple(out)
 

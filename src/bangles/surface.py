@@ -365,8 +365,9 @@ class _QuadView:
     and new ones (tb, ta, ta, tb) by QuadRecord's storage rule.  The shared
     corners (the new diagonal's endpoints on the dst side) admit a corner in
     both dst triangles, the other two corners pin a unique dst triangle.
-    Curves cross only transportable quads, whose four triangles each have
-    three distinct sides, so (triangle, label) names each slot once.
+    Every quad it sees is clean by construction (`flip` hands out no other):
+    its four triangles each have three distinct sides, so (triangle, label)
+    names each slot once.
     """
 
     def __init__(self, q: QuadRecord, forward: bool):
@@ -411,8 +412,13 @@ class QuadRecord:
     e1,e2,e3,e4 and corners P=e1^e2, Q=e2^k(^e3), R=e3^e4, S=e4^k(^e1).
     The new triangles are stored exactly as (e2,e3,k) at tri_a and
     (e4,e1,k) at tri_b, so k joins P to R afterwards.  Quads compare by
-    identity.
+    identity.  `flip` hands out a quad only for a flip curves can follow:
+    one that switches no tags and whose four triangles are clean.
     """
+
+    # Always True, as every quad handed out is transportable; kept only
+    # because perfbench/workloads.py `_move` reads it on each quad it gets.
+    transportable = True
 
     def __init__(
         self,
@@ -421,14 +427,12 @@ class QuadRecord:
         tri_b: int,
         sides: Tuple[int, int, int, int],  # labels of e1..e4
         old_k_slots: Tuple[Corner, Corner],  # k in old tri_a, tri_b
-        transportable: bool,
     ):
         self.arc = arc
         self.tri_a = tri_a
         self.tri_b = tri_b
         self.sides = sides
         self.old_k_slots = old_k_slots
-        self.transportable = transportable
 
     # Each direction's tables are built on first use and kept on the quad,
     # so every state whose flip word runs through this quad shares them and
@@ -445,10 +449,12 @@ class QuadRecord:
 
 class FlipResult(NamedTuple):
     triangulation: Triangulation
-    quad: Optional[QuadRecord]  # None when tag switches were involved
+    quad: Optional[QuadRecord]  # None when curves cannot follow the flip
 
 
-def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
+def _ideal_flip(t: Triangulation, k: int) -> Tuple[Triangulation, QuadRecord, bool]:
+    """The re-diagonalized triangulation, its quad, and whether the quad is
+    clean: no triangle before or after has a repeated side."""
     occ = t.occurrences[k]
     (ta, ia), (tb, ib) = occ
     if ta == tb:
@@ -459,22 +465,10 @@ def _ideal_flip(t: Triangulation, k: int) -> FlipResult:
     new_tris = list(t.triangles)
     new_tris[ta] = (e2, e3, k)
     new_tris[tb] = (e4, e1, k)
-    out = t._with(triangles=tuple(new_tris))
-    clean = (
-        len(set(tri_a)) == 3
-        and len(set(tri_b)) == 3
-        and len(set(new_tris[ta])) == 3
-        and len(set(new_tris[tb])) == 3
-    )
-    quad = QuadRecord(
-        arc=k,
-        tri_a=ta,
-        tri_b=tb,
-        sides=(e1, e2, e3, e4),
-        old_k_slots=((ta, ia), (tb, ib)),
-        transportable=clean,
-    )
-    return FlipResult(out, quad)
+    quad = QuadRecord(k, ta, tb, (e1, e2, e3, e4), ((ta, ia), (tb, ib)))
+    # k is no e_i, so the four triangles (e1,e2,k), (e3,e4,k), (e2,e3,k)
+    # and (e4,e1,k) are clean exactly when neighbouring sides differ
+    return t._with(triangles=tuple(new_tris)), quad, e1 != e2 != e3 != e4 != e1
 
 
 def _match_puncture(old: Triangulation, new: Triangulation, pid: int, q: QuadRecord) -> int:
@@ -497,7 +491,12 @@ def _match_puncture(old: Triangulation, new: Triangulation, pid: int, q: QuadRec
 
 
 def flip(t: Triangulation, k: int) -> FlipResult:
-    """Flip tagged arc k (1-based label); the replacement keeps the label."""
+    """Flip tagged arc k (1-based label); the replacement keeps the label.
+
+    This is the one place that decides whether curves can follow a flip:
+    the result's quad is None for a flip that switches tags and for one
+    whose quadrilateral has a triangle with a repeated side.
+    """
     if t.is_boundary(k):
         raise UnsupportedFlipError(k, "boundary segments cannot be flipped")
     if not t.is_arc(k):
@@ -532,11 +531,10 @@ def flip(t: Triangulation, k: int) -> FlipResult:
             continue
         break
 
-    res = _ideal_flip(cur, k)
-    out = res.triangulation
+    out, quad, clean = _ideal_flip(cur, k)
     for pid in reversed(applied):
-        out = tag_switch(out, _match_puncture(cur, out, pid, res.quad))
-    return FlipResult(out, res.quad if not applied else None)
+        out = tag_switch(out, _match_puncture(cur, out, pid, quad))
+    return FlipResult(out, quad if clean and not applied else None)
 
 
 def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:

@@ -131,7 +131,7 @@ def _graph_corpus():
                     if word and word[-1] == k:
                         continue
                     res = flip(cur, k)
-                    if res.quad is None or not res.quad.transportable:
+                    if res.quad is None:
                         continue
                     stack.append((res.triangulation, quads + (res.quad,), word + [k]))
     return [g for g in graphs if g.d <= 8]
@@ -205,7 +205,7 @@ def test_criterion_6_structural_invariants():
                 cases.append(build_band_graph(t, core))
             for k in range(1, t.n_arcs + 1):
                 res = flip(t, k)
-                if res.quad is None or not res.quad.transportable:
+                if res.quad is None:
                     continue
                 back = transport_curve(arc_curve(k), res.quad, forward=False)
                 cases.append(build_snake_graph(t, back))

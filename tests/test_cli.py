@@ -8,6 +8,12 @@ from bangles.poly import lp_format, var_names, xy_names
 from bangles.surface import flip, format_triangulation
 
 
+# the punctured square with every end at its puncture notched
+NOTCHED_SQUARE = format_triangulation(load_surface("punctured-square")) + (
+    "tag 1 0 notched\ntag 2 1 notched\ntag 3 1 notched\ntag 4 1 notched\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -214,17 +220,14 @@ def test_verify_shear_stops_at_a_flip_the_curve_cannot_follow(tmp_path, capsys):
     )
     assert code == 2
     assert "step 2: Sh =" in out
-    assert "flip of arc 2 involved tags or folded sides" in err
+    assert err == "error: flip at 2 has no transportable quadrilateral\n"
 
 
 def test_verify_shear_stops_at_a_flip_that_rewrites_tags(tmp_path, capsys):
     # every puncture end notched: flipping arc 1 switches tags, so there is
     # no quadrilateral to carry the curve across
     tri_file, curve_file = tmp_path / "notched.tri", tmp_path / "a.curve"
-    tri_file.write_text(
-        format_triangulation(load_surface("punctured-square"))
-        + "tag 1 0 notched\ntag 2 1 notched\ntag 3 1 notched\ntag 4 1 notched\n"
-    )
+    tri_file.write_text(NOTCHED_SQUARE)
     curve_file.write_text("curve closed=0\narc 1\n")
     code, out, err = run(
         capsys,
@@ -238,6 +241,29 @@ def test_verify_shear_stops_at_a_flip_that_rewrites_tags(tmp_path, capsys):
     )
     assert (code, out) == (2, "step 0: Sh = (0, 0, 0, 0)\n")
     assert err == "error: flip at 1 has no transportable quadrilateral\n"
+
+
+@pytest.mark.parametrize("command", ["verify-arc", "verify-shear"])
+@pytest.mark.parametrize(
+    "notched, flips, k",
+    [
+        (False, "1 3 2", 2),  # the third flip makes a self-folded triangle
+        (True, "1", 1),  # every puncture end notched: the flip switches tags
+    ],
+)
+def test_verify_commands_refuse_an_uncarryable_flip_with_one_text(
+    tmp_path, capsys, command, notched, flips, k
+):
+    tri_file, curve_file = tmp_path / "square.tri", tmp_path / "a.curve"
+    tri_file.write_text(NOTCHED_SQUARE if notched else format_triangulation(load_surface("punctured-square")))
+    curve_file.write_text("curve closed=0\narc 1\n")
+    code, out, err = run(
+        capsys, command, "--triangulation", str(tri_file), "--curve", str(curve_file), "--flips", flips
+    )
+    assert (code, err) == (2, f"error: flip at {k} has no transportable quadrilateral\n")
+    # verify-shear prints the shear vector before each flip it reaches
+    steps = len(flips.split()) if command == "verify-shear" else 0
+    assert [line.split(" Sh = ")[0] for line in out.splitlines()] == [f"step {i}:" for i in range(steps)]
 
 
 def test_verify_arc_roundtrip(tmp_path, capsys):

@@ -18,6 +18,7 @@ from bangles.curve import (
     validate_curve,
 )
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
+from bangles.harness import require_transportable
 from bangles.snakegraph import build_band_graph, build_snake_graph
 from bangles.surface import QuadRecord, TriangulationError, flip
 
@@ -104,7 +105,7 @@ def test_transport_round_trip_all_fixtures():
     for name, t, c in closed_fixtures():
         for k in range(1, t.n_arcs + 1):
             res = flip(t, k)
-            if res.quad is None or not res.quad.transportable:
+            if res.quad is None:
                 continue
             moved = transport_curve(c, res.quad)
             validate_curve(res.triangulation, moved)
@@ -121,7 +122,7 @@ def _pulled_back_arcs():
         arcs = range(1, t0.n_arcs + 1)
         for word in itertools.chain.from_iterable(itertools.product(arcs, repeat=r) for r in (1, 2)):
             t, steps = flip_word(t0, list(word))
-            if any(s.quad is None or not s.quad.transportable for s in steps):
+            if any(s.quad is None for s in steps):
                 continue
             for j in arcs:
                 c = arc_curve(j)
@@ -152,7 +153,7 @@ def test_transport_chains_along_words():
             ok = True
             for k in word:
                 res = flip(t, k)
-                if res.quad is None or not res.quad.transportable:
+                if res.quad is None:
                     ok = False
                     break
                 c = transport_curve(c, res.quad)
@@ -167,7 +168,7 @@ def test_arc_transport_round_trip_on_polygons():
         t = load_surface(name)
         for k in range(1, t.n_arcs + 1):
             res = flip(t, k)
-            if res.quad is None or not res.quad.transportable:
+            if res.quad is None:
                 continue
             for j in range(1, t.n_arcs + 1):
                 moved = transport_curve(arc_curve(j), res.quad)
@@ -332,12 +333,11 @@ def test_parse_curve_rejects_malformed_text(surface, text, exc, fragment):
 def test_transport_refuses_tagged_quads():
     square = load_surface("punctured-square")
     t4, _ = flip_word(square, [1, 3, 2])
-    res = flip(t4, 4)  # folded side: tag switches involved
-    assert res.quad is None
-    res2 = flip(t4, 2)  # loop flip: ideal but not clean
-    assert res2.quad is not None and not res2.quad.transportable
-    with pytest.raises(TransportError):
-        transport_curve(arc_curve(1), res2.quad)
+    # folded side: tag switches involved; loop flip: ideal but not clean
+    for k in (4, 2):
+        assert flip(t4, k).quad is None
+        with pytest.raises(TransportError, match=f"^flip at {k} has no transportable quadrilateral$"):
+            require_transportable(t4, k)
 
 
 def _view_cases():
@@ -352,7 +352,7 @@ def _view_cases():
 
 def _fresh(q: QuadRecord) -> QuadRecord:
     """A copy of the quad with no view built."""
-    return QuadRecord(q.arc, q.tri_a, q.tri_b, q.sides, q.old_k_slots, q.transportable)
+    return QuadRecord(q.arc, q.tri_a, q.tri_b, q.sides, q.old_k_slots)
 
 
 @pytest.mark.parametrize("first", ["forward", "backward"])
@@ -365,7 +365,7 @@ def test_shared_views_transport_like_fresh_ones(first):
     for surface, t, c in _view_cases():
         for k in range(1, t.n_arcs + 1):
             res = flip(t, k)
-            if res.quad is None or not res.quad.transportable:
+            if res.quad is None:
                 continue
             moved = transport_curve(c, _fresh(res.quad), True)
             back = transport_curve(moved, _fresh(res.quad), False)

@@ -54,7 +54,7 @@ def test_key_lemma_on_annulus():
     assert all(r.passed for r in reports)
     # a passing report formats no sides; a failing one prints both
     assert all(r.lhs == r.rhs == "" for r in reports)
-    res = harness._require_transportable(t, 1)
+    res = harness.require_transportable(t, 1)
     before = harness._band_reads(t, c)
     f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
     assert g2 == (-1, 1)
@@ -73,7 +73,7 @@ def test_key_lemma_f_fails_on_a_perturbed_side():
     # negative control: the annulus core across flip 1, with F' given one
     # extra y1 term, then with h'_1 shifted by 1
     t, c = _annulus_core()
-    res = harness._require_transportable(t, 1)
+    res = harness.require_transportable(t, 1)
     before = harness._band_reads(t, c)
     f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
     extra = dict(f2)
@@ -512,7 +512,7 @@ def test_arc_sweep_skips_only_flips_to_reached_clusters(monkeypatch, name, depth
     for (quads, backs), k in skips:
         rest = frozenset(backs[: k - 1] + backs[k:])
         (other,) = [key for key in tri if rest < key and key != frozenset(backs)]
-        res = harness._require_transportable(tri[frozenset(backs)], k)
+        res = harness.require_transportable(tri[frozenset(backs)], k)
         slow = normalize_curve(harness._pull_back_arc(k, quads + (res.quad,)))
         assert rest | {slow} == other
 

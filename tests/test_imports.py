@@ -3,8 +3,9 @@ every private module-level helper of the package has a caller, every
 public one has a caller outside the tests or is exported, every default
 of a public function is both passed and left out by the program, the
 tests' oracles import nothing private of the package, the package keeps
-no unbounded function caches and no keys made of object ids, no
-harness `except` skips anything but a TransportError silently, and it
+no unbounded function caches and no keys made of object ids, it never
+reads `.transportable`, no harness `except` skips anything but a
+TransportError silently, and it
 imports neither `dataclasses` nor `array`; a subprocess checks that
 importing the CLI loads neither, nor `inspect`."""
 
@@ -414,6 +415,43 @@ def test_id_guard_sees_calls_not_names():
         "cache[id(obj)] = obj\n"
     )
     assert _id_calls(ast.parse(src)) == [1, 3]
+
+
+def _transportable_reads(tree: ast.Module):
+    """Lines that read or set the attribute `transportable`, as `x.transportable`
+    or as getattr(x, "transportable")."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "transportable"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and any(isinstance(a, ast.Constant) and a.value == "transportable" for a in node.args[1:2])
+    )
+
+
+def test_no_transportable_reads():
+    """`flip` alone decides whether curves can follow a flip, by handing
+    out no quad for one they cannot; `QuadRecord.transportable` is always
+    True and is kept only for the benchmark, so the package never reads it."""
+    found = []
+    for path in sorted((ROOT / "src" / "bangles").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(ROOT)}:{line}" for line in _transportable_reads(tree)]
+    assert not found, "reads of .transportable in the package:\n" + "\n".join(found)
+
+
+def test_transportable_guard_sees_both_spellings():
+    src = (
+        "ok = q.transportable\n"
+        "transportable = True\n"
+        "ok = getattr(q, 'transportable')\n"
+        "ok = getattr(q, 'arc')\n"
+        "ok = res.quad.transportable and k\n"
+    )
+    assert _transportable_reads(ast.parse(src)) == [1, 3, 5]
 
 
 def _silent_handlers(tree: ast.Module):

@@ -275,7 +275,7 @@ def transported_arcs():
         t = load_surface(name)
         for k in range(1, t.n_arcs + 1):
             res = flip(t, k)
-            if res.quad is None or not res.quad.transportable:
+            if res.quad is None:
                 continue
             back = transport_curve(arc_curve(k), res.quad, forward=False)
             yield name, k, build_snake_graph(t, back)
@@ -322,7 +322,7 @@ def loop_arcs():
                 try:
                     cur, quads = t, []
                     for k in more:
-                        res = harness._require_transportable(cur, k)
+                        res = harness.require_transportable(cur, k)
                         cur, quads = res.triangulation, quads + [res.quad]
                     for q in reversed(quads):
                         c = transport_curve(c, q, forward=False)
@@ -591,7 +591,7 @@ def test_polygon_arc_msw_vs_seed_engine():
             ok = True
             for k in word:
                 res = flip(t, k)
-                if res.quad is None or not res.quad.transportable:
+                if res.quad is None:
                     ok = False
                     break
                 t, quads = res.triangulation, quads + [res.quad]
