@@ -8,7 +8,9 @@ yields each state once, under its shortest flip word, so a sweep of depth
 d covers exactly the checks reachable by words of length <= d, and hands
 out every flip it took, with the child state and its key.  The key-lemma
 sweep checks each such flip edge, builds each state's band graph once and
-keeps only its (F, g, h), until the sweep returns.  Its F identity clears
+keeps only its (F, g, h) and its shape, until the sweep returns; so the
+201 states of the depth-4 corpus sweeps share 30 scans, one per shape of
+band graph (`snakegraph`).  Its F identity clears
 the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
 polynomials, each one binomial sum along y_k (`lp_binomial_sum`); like
 every check it is exact, and a passing keylemma-F report carries no sides.
@@ -42,7 +44,7 @@ from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, seed_mutate, yseed_mutate
 from .poly import lp_binomial_sum, lp_format, var_names
 from .shear import dual_shear, elementary_laminate, shear_matrix
-from .snakegraph import build_band_graph, msw_function
+from .snakegraph import Shape, build_band_graph, msw_function
 from .surface import FlipResult, Triangulation, canonical_form, flip
 
 IDENTITIES = (
@@ -82,10 +84,12 @@ def require_transportable(t: Triangulation, k: int) -> FlipResult:
     return res
 
 
-def _band_reads(t: Triangulation, c: Curve) -> tuple:
-    """(F, g, h) of a closed curve; its band graph is dropped on return."""
+def _band_reads(t: Triangulation, c: Curve) -> Tuple[tuple, Shape]:
+    """(F, g, h) of a closed curve, and the shape of its band graph; the
+    graph is dropped on return.  While a caller holds the shape, a graph
+    of that shape reads the scan already made for it."""
     g = build_band_graph(t, c)
-    return g.f_poly, g.g_vector, g.h_vector
+    return (g.f_poly, g.g_vector, g.h_vector), g.shape
 
 
 def _key_lemma_reports(
@@ -144,11 +148,11 @@ def verify_key_lemma_word(
     identity under Y-seed mutation, the g-vector rules, and h = min(0, g).
     Each step's moved curve and its (F, g, h) carry over to the next step."""
     reports: List[VerificationReport] = []
-    before = _band_reads(t, c)
+    before, _ = _band_reads(t, c)
     for i, k in enumerate(word, 1):
         res = require_transportable(t, k)
         c = transport_curve(c, res.quad)
-        after = _band_reads(res.triangulation, c)
+        after, _ = _band_reads(res.triangulation, c)
         reports.extend(_key_lemma_reports(t, k, before, after, f"step {i}: flip={k}"))
         t, before = res.triangulation, after
     return reports
@@ -290,15 +294,16 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
     t0 = load_surface(name)
     c0 = _closed_fixture(t0, name)
     label = CLOSED_CURVES[name]
-    # (F, g, h) by the walker's state key, for this sweep only.  A read that
-    # raises stores nothing, so each check that needs it fails under its
-    # own case.
-    known: Dict[tuple, tuple] = {}
+    # ((F, g, h), shape) by the walker's state key, for this sweep only:
+    # holding each read state's shape lets every later state of that shape
+    # reuse its scan.  A read that raises stores nothing, so each check
+    # that needs it fails under its own case.
+    known: Dict[tuple, Tuple[tuple, Shape]] = {}
 
     def reads(t: Triangulation, c: Curve, key: tuple) -> tuple:
         if key not in known:
             known[key] = _band_reads(t, c)
-        return known[key]
+        return known[key][0]
 
     for cur, curve, key, word, edges in _walk(t0, c0, depth, transport_curve, _state_key):
         for k, t2, c2, key2 in edges:

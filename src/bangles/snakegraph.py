@@ -13,30 +13,37 @@ the matched edge labels, and a y-monomial recording how far the matching
 winds above the minimal one.  All invariants here (F-polynomial, g- and
 h-vectors, the curve's Laurent expansions) are read off the bivariate
 generating sum W over matchings.  One transfer scan computes W, for snakes
-and bands alike; the graph caches W and each read off it, so each is
-computed once and freed with the graph.  One live graph is kept per
-(triangulation, curve) value: while any caller holds the graph of (t, c),
-every build or read of an equal (t, c) returns that same graph, and the
-graph is freed with its last holder.  One pass over the tiles lays the
+and bands alike.  W depends on a graph's labels only through which of them
+are equal and what each one weighs, so it is computed per shape: the tiles
+with their labels renamed by first appearance, and each renamed label's
+x-weight kind (arc, boundary segment, or loop and its radius).  A graph reads
+W's columns off its shape through its label map, an arc that no tile shows
+reading as a zero column, and reads its floor, F, g, h and expansions off
+those columns itself.  Each read is computed once and cached on its owner.
+One live graph is kept per (triangulation, curve) value, and one live shape
+per shape value, each by weak reference: while any caller holds the graph of
+(t, c), every build or read of an equal (t, c) returns that same graph; while
+anything holds a shape, every graph of that shape reads its one scan; and
+each is freed with its last holder.  One pass over a shape's tiles lays the
 edges out, and the scan plan is read straight off that layout: vertex
-bitmasks for the frontiers, and each 2n-exponent weight packed into one
-int, in byte-aligned signed fields whose width the same pass bounds.  A
-frontier keeps its terms under an offset, so taking an edge moves the
-offset and copies no term.  W is unpacked once, into one column per
-exponent and one of counts (`_polypure._columns`), and the reads shift and
-zip those columns in C: each column minus its shift (the floor or the
-crossing degree), zipped back into keys.  The tests check W against an
-oracle of their own (`tests/oracles.py`) that reads only the tiles: it
-enumerates matchings by backtracking and reads each height off the tiles
-that the matching and the minimal one enclose.
+bitmasks for the frontiers, and each 2n-exponent weight packed into one int,
+in byte-aligned signed fields whose width the same pass bounds.  A frontier
+keeps its terms under an offset, so taking an edge moves the offset and
+copies no term.  W is unpacked once, into one column per exponent and one of
+counts (`_polypure._columns`), and the reads shift and zip those columns in
+C: each column minus its shift (the floor or the crossing degree), zipped
+back into keys.  The tests check W against an oracle of their own
+(`tests/oracles.py`) that reads only the tiles: it enumerates matchings by
+backtracking and reads each height off the tiles that the matching and the
+minimal one enclose.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from itertools import repeat
-from operator import mul, sub
+from itertools import chain, repeat
+from operator import sub
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _polypure
@@ -70,29 +77,32 @@ _SIDES = {"S": ((0, 0), (1, 0)), "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1)), "
 _SIDE = {"S": (0, 1, 2, 1, 0), "W": (0, 2, 3, 0, 0), "E": (1, 3, 1, 0, 0), "N": (2, 3, 0, -1, 1)}
 
 
-class SnakeGraph:
-    """A graph and its reads, each computed once (`cached_property`); graphs
-    compare by identity, and `_live_graphs` holds them by weak reference."""
+class Shape:
+    """A graph with its labels renamed (`_shape`): its tiles, given as their
+    positions and their labels (every diagonal, then every N, E, S and W
+    side); its band flag and seam copies; and per renamed label the renamed
+    arcs that its x-weight multiplies.  Its layout, scan and unpacked W are
+    computed once (`cached_property`), and every graph of the shape reads W
+    through its label map.  Shapes compare by identity, and `_live_shapes`
+    holds them by weak reference."""
 
     def __init__(
         self,
-        surface: Triangulation,
-        tiles: Tuple[Tile, ...],
+        positions: Tuple[Vertex, ...],
+        labels: Tuple[int, ...],
         band: bool,
-        iota: Optional[EdgeId],  # first tile's seam copy (bands only)
-        omega: Optional[EdgeId],  # last tile's seam copy
-        cross_vec: Tuple[int, ...],
+        iota: Optional[EdgeId],
+        omega: Optional[EdgeId],
+        weights: Tuple[Tuple[int, ...], ...],  # per renamed label: arcs it weighs
     ):
-        self.surface = surface
-        self.tiles = tiles
+        d = len(positions)
+        compasses = zip(*(labels[i : i + d] for i in range(d, 5 * d, d)))
+        self.tiles = tuple(map(Tile._make, zip(positions, labels[:d], compasses)))
         self.band = band
         self.iota = iota
         self.omega = omega
-        self.cross_vec = cross_vec
-
-    @property
-    def d(self) -> int:
-        return len(self.tiles)
+        self.weights = weights
+        self.n_arcs = sum(1 for w in weights if w)  # the renamed arcs are 1..n_arcs
 
     @cached_property
     def _layout(self) -> tuple:
@@ -112,8 +122,49 @@ class SnakeGraph:
     def _columns(self) -> tuple:
         """W unpacked once (`_polypure._columns`): its n x-columns, its n
         y-columns, then its counts, term by term in one order."""
-        cols = _polypure._columns(self._packed, 2 * self.surface.n_arcs, self._width)
+        cols = _polypure._columns(self._packed, 2 * self.n_arcs, self._width)
         return (*cols, list(self._packed.values()))
+
+
+class SnakeGraph:
+    """A graph and its reads, each computed once (`cached_property`); graphs
+    compare by identity, and `_live_graphs` holds them by weak reference.
+    W is its shape's, read through the label map (`_columns`): labels[i - 1]
+    is the graph's own label of renamed label i."""
+
+    def __init__(
+        self,
+        surface: Triangulation,
+        tiles: Tuple[Tile, ...],
+        band: bool,
+        iota: Optional[EdgeId],  # first tile's seam copy (bands only)
+        omega: Optional[EdgeId],  # last tile's seam copy
+        cross_vec: Tuple[int, ...],
+    ):
+        self.surface = surface
+        self.tiles = tiles
+        self.band = band
+        self.iota = iota
+        self.omega = omega
+        self.cross_vec = cross_vec
+        self.shape, self.labels = _shape(surface, tiles, band, iota, omega)
+
+    @property
+    def d(self) -> int:
+        return len(self.tiles)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """The shape's columns in the surface's fields: n x-columns, n
+        y-columns, then counts.  An arc that no tile shows and no shown loop
+        encloses has no field in the shape, and reads as a zero column."""
+        *cols, counts = self.shape._columns
+        m, zero = self.shape.n_arcs, [0] * len(counts)
+        field = {label: i for i, label in enumerate(self.labels[:m])}
+        at = [field.get(j) for j in range(1, self.surface.n_arcs + 1)]
+        xs = [zero if i is None else cols[i] for i in at]
+        ys = [zero if i is None else cols[m + i] for i in at]
+        return (*xs, *ys, counts)
 
     @cached_property
     def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Poly]:
@@ -182,17 +233,6 @@ def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
         raise SnakeGraphError(f"arc {a} is not a simple side of triangle {triple}")
     i = hits[0]
     return (triple[i], triple[(i + 1) % 3], triple[(i + 2) % 3])
-
-
-def _label_x_vec(t: Triangulation, label: int, loops: Dict[int, int]) -> Tuple[int, ...]:
-    """x-weight of an edge label; loops maps each loop to its radius, as a
-    loop stands for the pair of radii it encloses."""
-    v = [0] * t.n_arcs
-    if not t.is_boundary(label):
-        v[label - 1] += 1
-        if label in loops:
-            v[loops[label] - 1] += 1
-    return tuple(v)
 
 
 def _build(t: Triangulation, c: Curve) -> SnakeGraph:
@@ -272,6 +312,44 @@ def _build(t: Triangulation, c: Curve) -> SnakeGraph:
 _live_graphs: weakref.WeakValueDictionary[tuple, SnakeGraph] = weakref.WeakValueDictionary()
 
 
+# shape value -> the live Shape of that value.  The layout and the scan
+# read nothing of a shape but its fields, and meet labels only through
+# label equality and each label's weights, so equal keys give equal W.  Values are weak: an entry goes when the last graph or
+# caller holding its shape drops it.
+_live_shapes: weakref.WeakValueDictionary[tuple, Shape] = weakref.WeakValueDictionary()
+
+
+def _shape(
+    t: Triangulation, tiles: Tuple[Tile, ...], band: bool, iota: Optional[EdgeId], omega: Optional[EdgeId]
+) -> Tuple[Shape, Tuple[int, ...]]:
+    """The live shape of a graph, and its label map: the graph's own label
+    of each renamed label, in order.
+
+    Labels are renamed by first appearance (every tile's diagonal, then
+    every tile's N, E, S and W side), arcs first, then the radius of each shown loop
+    that no tile shows, then boundary segments.  So the renamed arcs are
+    1..n_arcs, and the weights of a renamed label are its own index for an
+    arc, its own and its radius's for a loop (a loop stands for the pair of
+    radii it encloses), and none for a boundary segment.  Renaming a
+    graph's labels by a bijection that keeps these kinds renames its W and
+    leaves its shape as it is."""
+    n, loops = t.n_arcs, {loop: r for r, loop in folded_sides(t).items()}
+    positions, diagonals, compasses = zip(*tiles)
+    flat = diagonals + tuple(chain(*zip(*compasses)))  # as `Shape` takes them
+    shown = dict.fromkeys(flat)
+    arcs = [x for x in shown if x <= n]  # labels 1..n are arcs, the rest boundary
+    arcs += [loops[x] for x in arcs if x in loops and loops[x] not in shown]
+    labels = tuple(arcs + [x for x in shown if x > n])
+    new = dict(zip(labels, range(1, len(labels) + 1)))
+    weights = tuple([(new[x], new[loops[x]]) if x in loops else (new[x],) for x in arcs])
+    weights += ((),) * (len(labels) - len(arcs))
+    key = (positions, tuple(map(new.__getitem__, flat)), band, iota, omega, weights)
+    shape = _live_shapes.get(key)
+    if shape is None:
+        shape = _live_shapes[key] = Shape(*key)
+    return shape, labels
+
+
 def _graph(t: Triangulation, c: Curve, band: bool) -> SnakeGraph:
     if band != c.closed:
         raise SnakeGraphError("closed curves give band graphs, open curves snake graphs")
@@ -299,7 +377,7 @@ def build_band_graph(t: Triangulation, c: Curve) -> SnakeGraph:
 _State = Tuple[int, Dict[int, int], bool]
 
 
-def _scan(g: SnakeGraph) -> Dict[int, int]:
+def _scan(shape: Shape) -> Dict[int, int]:
     """Walk the edges tile by tile, keeping only covered-vertex frontiers.
 
     Sums the weights (packed 2n-exponent -> count) of the good matchings.  A
@@ -316,11 +394,11 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
     terms as an offset and a {packed weight: count} dict: taking an edge
     moves the offset and copies no term, and terms move only where two
     frontiers meet (`_merge`).  The sum stays packed."""
-    (slots, xvecs, _, seam), n = g._layout, g.surface.n_arcs
-    units = [1 << (i * g._width) for i in range(2 * n)]
-    xw = {label: sum(map(mul, xv, units)) for label, xv in xvecs.items()}
+    (slots, _, seam), n = shape._layout, shape.n_arcs
+    units = [1 << (i * shape._width) for i in range(2 * n)]
+    xw = [0] + [sum(units[a - 1] for a in w) for w in shape.weights]  # by label
     suffix = [0]  # reversed below: suffix[i] is the packed diagonals of tiles[i:]
-    for _, diagonal, _ in reversed(g.tiles):
+    for _, diagonal, _ in reversed(shape.tiles):
         suffix.append(suffix[-1] + units[n + diagonal - 1])
     suffix.reverse()
     # per edge: its end bits, the bits a matching that takes it sets, its
@@ -355,7 +433,7 @@ def _scan(g: SnakeGraph) -> Dict[int, int]:
                 nxt[key] = new if old is None else _merge(old, new)
         states = nxt
 
-    if g.band:
+    if shape.band:
         iota, omega, label = seam
         parts = [(iota | omega, xw[label]), (iota, 0), (omega, 0)]
     else:
@@ -387,23 +465,23 @@ def _merge(a: _State, b: _State) -> _State:
     return offset, terms, True
 
 
-def _field_width(g: SnakeGraph) -> int:
+def _field_width(shape: Shape) -> int:
     """Bits per packed exponent: the narrowest byte-aligned width
     (`_polypure._byte_width`) that holds every packed value the scan forms.
 
     Let S_i be the sum of field i's magnitudes over all edges.  Every
-    partial weight in a scan sums the weights of a subset of g's edges, so
+    partial weight in a scan sums the weights of a subset of the edges, so
     its field i lies in [-S_i, S_i]; so does each term of W.  The reads
-    unpack W before they subtract anything (`SnakeGraph._columns`), so
+    unpack W before they subtract anything (`Shape._columns`), so
     their differences are Python ints and need no room in a field.  So the
     bound is the largest S_i."""
-    return _polypure._byte_width(g._layout[2])
+    return _polypure._byte_width(shape._layout[1])
 
 
-def _lay_out(g: SnakeGraph) -> tuple:
+def _lay_out(shape: Shape) -> tuple:
     """The edges laid out in one pass over the tiles, for the scan plan:
-    (slots, each label's x-weight, the largest S_i of `_field_width`, and
-    for a band the bits of ι and ω and the seam label).
+    (slots, the largest S_i of `_field_width`, and for a band the bits of ι
+    and ω and the seam label).
 
     A slot is [label, end bits, seam bit, retired bits, sign, start, stop],
     one per edge in scan order.  A tile adds the sides
@@ -413,7 +491,7 @@ def _lay_out(g: SnakeGraph) -> tuple:
     touches it.  A horizontal edge weighs sign times one y per diagonal of
     tiles[start:stop], the tiles above it in its column, so a tile adds
     one to S_i per horizontal edge below it there."""
-    t, tiles, d, n = g.surface, g.tiles, g.d, g.surface.n_arcs
+    tiles, d, n = shape.tiles, len(shape.tiles), shape.n_arcs
     xs = [x for (x, _), _, _ in tiles]
     ups = [a == b for a, b in zip(xs, xs[1:])]  # next tile above?
     stop = [d] * d  # past the top tile of each tile's column
@@ -437,16 +515,15 @@ def _lay_out(g: SnakeGraph) -> tuple:
     for v, j in last.items():
         slots[j][3] |= v
     seam = None
-    if g.band:  # ι is the first tile's south or west side, ω the last tile's north or east
-        iota = slots[0 if tiles[0].edge_id("S") == g.iota else 1]
-        omega = slots[-1 if tiles[-1].edge_id("N") == g.omega else -2]
+    if shape.band:  # ι is the first tile's south or west side, ω the last tile's north or east
+        iota = slots[0 if tiles[0].edge_id("S") == shape.iota else 1]
+        omega = slots[-1 if tiles[-1].edge_id("N") == shape.omega else -2]
         iota[2], omega[2] = fresh, fresh << 1
         seam = (fresh, fresh << 1, iota[0])
-    loops = {loop: r for r, loop in folded_sides(t).items()}
-    xvecs = {label: _label_x_vec(t, label, loops) for label in counts}
     for label, cnt in counts.items():
-        sums[:n] = [s + cnt * x for s, x in zip(sums, xvecs[label])]
-    return slots, xvecs, max(sums), seam
+        for arc in shape.weights[label - 1]:
+            sums[arc - 1] += cnt
+    return slots, max(sums), seam
 
 
 # ---------------------------------------------------------------------------

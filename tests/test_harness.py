@@ -55,8 +55,8 @@ def test_key_lemma_on_annulus():
     # a passing report formats no sides; a failing one prints both
     assert all(r.lhs == r.rhs == "" for r in reports)
     res = harness.require_transportable(t, 1)
-    before = harness._band_reads(t, c)
-    f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
+    before, _ = harness._band_reads(t, c)
+    (f2, g2, h2), _ = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
     assert g2 == (-1, 1)
     wrong_g = (-1, -1)  # moves min(0, g'_2) off h'_2
     failed = {r.identity: r for r in harness._key_lemma_reports(t, 1, before, (f2, wrong_g, h2), "c")}
@@ -74,8 +74,8 @@ def test_key_lemma_f_fails_on_a_perturbed_side():
     # extra y1 term, then with h'_1 shifted by 1
     t, c = _annulus_core()
     res = harness.require_transportable(t, 1)
-    before = harness._band_reads(t, c)
-    f2, g2, h2 = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
+    before, _ = harness._band_reads(t, c)
+    (f2, g2, h2), _ = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
     extra = dict(f2)
     extra[(1, 0)] += 1
 
@@ -258,7 +258,10 @@ def _fail_first_call(monkeypatch, name, exc):
 
     def flaky(*args):
         if pending:
-            raise pending.pop()
+            # a copy: the parametrized instance outlives the test, and a
+            # traceback on it would keep the sweep's frames alive
+            exc = pending.pop()
+            raise type(exc)(*exc.args)
         return real(*args)
 
     monkeypatch.setattr(harness, name, flaky)

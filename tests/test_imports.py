@@ -370,8 +370,9 @@ def _function_caches(tree: ast.Module):
 
 def test_no_function_caches():
     """A value is cached on the object that owns it (`cached_property`) or in
-    `snakegraph`'s weak map of live graphs, so it is freed with its owner and
-    a long sweep's memory stays bounded; a function cache would outlive it."""
+    one of `snakegraph`'s weak maps, of live graphs and of live shapes, so it
+    is freed with its owner and a long sweep's memory stays bounded; a
+    function cache would outlive it."""
     found = []
     for path in sorted((ROOT / "src" / "bangles").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))

@@ -6,6 +6,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bangles import _polypure, harness, snakegraph
 from bangles.curve import (
@@ -29,6 +30,7 @@ from bangles.poly import (
     var_names,
 )
 from bangles.snakegraph import (
+    Shape,
     SnakeGraph,
     SnakeGraphError,
     build_band_graph,
@@ -40,7 +42,7 @@ from bangles.snakegraph import (
     snake_g_vector,
     snake_h_vector,
 )
-from bangles.surface import adjacency_matrix, flip, folded_sides
+from bangles.surface import Triangulation, adjacency_matrix, flip, folded_sides
 
 from flipwords import flip_word
 from oracles import edges, matching_sum
@@ -154,9 +156,9 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
     scan = snakegraph._scan
     calls = []
 
-    def counting_scan(g):  # keeps no reference to g
-        calls.append(g.d)
-        return scan(g)
+    def counting_scan(shape):  # keeps no reference to the shape
+        calls.append(len(shape.tiles))
+        return scan(shape)
 
     monkeypatch.setattr(snakegraph, "_scan", counting_scan)
     g = build_band_graph(t, c)
@@ -164,12 +166,12 @@ def test_w_is_scanned_once_and_freed_with_its_graph(monkeypatch):
     assert len(calls) == 1  # one scan, shared by every reader
     assert msw_function(t, c) is g.msw and principal_msw(t, c) is g.principal_msw
     assert len(calls) == 1  # while g is held, the wrappers read g itself
-    ref = weakref.ref(g)
+    ref, shape_ref = weakref.ref(g), weakref.ref(g.shape)
     del g
     gc.collect()
-    assert ref() is None
+    assert ref() is None and shape_ref() is None
     msw_function(t, c)
-    assert len(calls) == 2  # the map held no strong reference: a new graph
+    assert len(calls) == 2  # neither map held a strong reference: a new scan
 
 
 def test_equal_values_share_one_live_graph():
@@ -209,6 +211,31 @@ def test_live_graphs_are_freed_after_a_sweep():
     assert reports and all(r.passed for r in reports)
     gc.collect()
     assert len(snakegraph._live_graphs) == 0
+    assert len(snakegraph._live_shapes) == 0
+
+
+def relabelled(t, c, sigma):
+    """(t, c) with each arc label j replaced by sigma[j - 1]; boundary
+    labels and triangle positions stay, so c's steps still index t."""
+    new = lambda x: sigma[x - 1] if t.is_arc(x) else x
+    triangles = tuple(tuple(map(new, tri)) for tri in t.triangles)
+    t2 = Triangulation(t.genus, t.boundary_marks, t.n_punctures, t.n_arcs, t.n_boundary, triangles, t.notched)
+    return t2, closed_curve(tuple((tri, new(a)) for tri, a in c.steps))
+
+
+def test_a_failed_floor_raises_again_for_every_graph_of_its_shape(monkeypatch):
+    # a shared W whose least height is two matchings: no graph of the shape
+    # stores a floor or a read of it, and each raises on every read, every time
+    two_floors = ((1, 0, 0, 0), (0, 1, 0, 0))
+    monkeypatch.setattr(snakegraph, "_scan", lambda shape: {pack(w, shape._width): 1 for w in two_floors})
+    graphs = [build_band_graph(*relabelled(ANNULUS, CORE, sigma)) for sigma in ((1, 2), (2, 1))]
+    assert graphs[1].shape is graphs[0].shape and graphs[1] is not graphs[0]
+    reads = ("_floor", "f_poly", "g_vector", "h_vector", "principal_msw")
+    for g in graphs * 2:
+        for read in reads:
+            with pytest.raises(SnakeGraphError, match="height floor"):
+                getattr(g, read)
+    assert not any(read in g.__dict__ for g in graphs for read in reads)
 
 
 def test_torus_band_zigzags():
@@ -258,12 +285,12 @@ def test_oracle_shares_no_scan_code(monkeypatch):
     def boom(*args):
         raise AssertionError("the oracle reached the scan or its layout")
 
-    for name in ("_lay_out", "_label_x_vec", "_scan", "_field_width"):
+    for name in ("_lay_out", "_scan", "_field_width"):
         monkeypatch.setattr(snakegraph, name, boom)
     for name in ("_columns", "_byte_width"):  # read off `_polypure`
         monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
-    assert "_layout" not in g.__dict__  # a fresh graph
+    assert "_layout" not in g.shape.__dict__  # a fresh shape
     assert matching_sum(g) == expected
     with pytest.raises(AssertionError, match="scan or its layout"):
         g.principal_msw
@@ -286,22 +313,22 @@ def test_oracle_matches_transported_arcs():
         assert matching_sum(g) == g.principal_msw, (name, k)
 
 
-def criterion_4_arcs(monkeypatch):
-    """Snake graphs of every pulled-back arc that the acceptance criterion's
-    arc sweep checks (words to length 5), less the arcs of t0 itself."""
+def swept_arcs(monkeypatch, depth):
+    """Snake graphs of every pulled-back arc that the arc sweep of the five
+    arc surfaces checks with words up to depth, less the arcs of t0 itself."""
     backs = []
     real = harness._arc_report
     record = lambda t, c, *rest: backs.append((t, c)) or real(t, c, *rest)
     monkeypatch.setattr(harness, "_arc_report", record)
     for name in ("pentagon", "hexagon", "heptagon", "octagon", "annulus"):
-        harness._arc_sweep(name, 5, [])
+        harness._arc_sweep(name, depth, [])
     return [(t, c, build_snake_graph(t, c)) for t, c in backs if c.steps]
 
 
 def test_reads_agree_on_a_swept_arc_and_its_reversal(monkeypatch):
     # the arc sweep keys an arc by one of its two orientations; either one
     # must give the same expansion and the same F, g and h
-    for t, c, g in criterion_4_arcs(monkeypatch):
+    for t, c, g in swept_arcs(monkeypatch, 5):
         rev = build_snake_graph(t, _reversed(c))
         assert msw_function(t, _reversed(c)) == msw_function(t, c), c
         assert (rev.f_poly, rev.g_vector, rev.h_vector) == (g.f_poly, g.g_vector, g.h_vector), c
@@ -338,7 +365,7 @@ def loop_arcs():
 def test_oracle_matches_swept_and_loop_arcs(monkeypatch):
     # the closed fixtures and their k-fold curves are in
     # test_oracle_matches_fixture_bands
-    swept = criterion_4_arcs(monkeypatch)
+    swept = swept_arcs(monkeypatch, 5)
     assert len(swept) == 60 - 16 and max(g.d for *_, g in swept) == 9
     for t, c, g in swept:
         assert matching_sum(g) == g.principal_msw, c
@@ -349,6 +376,7 @@ def test_oracle_matches_swept_and_loop_arcs(monkeypatch):
 
 
 def test_sweeps_scan_every_graph_they_build(monkeypatch):
+    # a graph reads W off its shape, which may have been scanned for another
     graphs = []
     real = snakegraph._build
 
@@ -360,7 +388,79 @@ def test_sweeps_scan_every_graph_they_build(monkeypatch):
     cfg = CorpusConfig(keylemma_depth=2, arc_depth=3, arc_surfaces=("pentagon", "annulus"))
     assert all(r.passed for r in run_corpus(cfg))
     assert {g.band for g in graphs} == {True, False}
-    assert all("_packed" in g.__dict__ for g in graphs)
+    assert all("_packed" in g.shape.__dict__ for g in graphs)
+
+
+def test_key_lemma_corpus_scans_each_shape_once(monkeypatch):
+    # 204 band graphs: the 2 + 95 + 104 states of the annulus, annulus2 and
+    # torus-boundary sweeps, and each closed fixture again for
+    # g-equals-shear.  A sweep holds 2, 14 and 14 shapes, and frees them
+    # before the shear sweep builds its fixture again.
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(snakegraph, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(snakegraph, name, counted)
+
+    counting("_build")
+    counting("_scan")
+    reports = run_corpus(CorpusConfig(keylemma_depth=4, arc_surfaces=()))
+    assert len(reports) == 1177 and all(r.passed for r in reports)
+    assert calls == {"_build": 204, "_scan": 2 + 14 + 14 + 3}
+
+
+def keylemma_states(depth):
+    """(t, c) of every state the key-lemma sweeps read with words up to depth."""
+    for _, t0, c0 in closed_fixtures():
+        for t, c, *_ in harness._walk(t0, c0, depth, transport_curve, harness._state_key):
+            yield t, c
+
+
+def test_reads_off_a_shared_shape_match_the_oracle(monkeypatch):
+    # every graph of the depth-4 key-lemma sweep, the depth-6 arc sweep,
+    # the k-fold fixtures and the loop arcs, all alive at once: a graph
+    # whose shape was first scanned for another one reads W and the floor
+    # through its label map, and its reads must equal the oracle's
+    bands = [build_band_graph(t, c) for t, c in keylemma_states(4)]
+    snakes = [g for *_, g in swept_arcs(monkeypatch, 6)]
+    folds = [g for *_, g in k_fold_fixtures(ORACLE_KMAX)]
+    loops = [g for *_, g in loop_arcs()]
+    assert (len(bands), len(snakes), len(folds), len(loops)) == (201, 46, 15, 50)
+    read, borrowed = set(), Counter()
+    for part, graphs in (("bands", bands), ("snakes", snakes), ("folds", folds), ("loops", loops)):
+        for g in graphs:
+            if g in read:  # a 1-fold fixture is the key-lemma start state
+                continue
+            read.add(g)
+            borrowed[part] += "_packed" in g.shape.__dict__
+            assert packed_reads(g) == tuple_reads(g), (part, g.tiles)
+    assert len(read) == 201 + 46 + 12 + 50
+    assert borrowed == {"bands": 171, "snakes": 19, "folds": 0, "loops": 28}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabelled_curves_read_relabelled_values(data):
+    # σ(t, c) is (t, c) with its arc labels permuted: one shape, and every
+    # read is (t, c)'s with σ applied to each exponent vector
+    name = data.draw(st.sampled_from(sorted(CLOSED_CURVES)))
+    t = load_surface(name)
+    c = parse_curve(t, load_curve_text(CLOSED_CURVES[name]))
+    c = closed_curve(c.steps * data.draw(st.integers(1, 2)))
+    n = t.n_arcs
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    on = lambda v: tuple(v[sigma.index(j)] for j in range(1, n + 1))
+    on_keys = lambda p: {on(e): x for e, x in p.items()}
+    g, moved = build_band_graph(t, c), build_band_graph(*relabelled(t, c, sigma))
+    assert moved.shape is g.shape
+    assert (moved.f_poly, moved.msw) == (on_keys(g.f_poly), on_keys(g.msw))
+    assert (moved.g_vector, moved.h_vector) == (on(g.g_vector), on(g.h_vector))
+    assert moved.principal_msw == {on(e[:n]) + on(e[n:]): x for e, x in g.principal_msw.items()}
 
 
 WEAVE = parse_curve(load_surface("torus-boundary"), load_curve_text("torus-weave"))
@@ -431,9 +531,15 @@ def single_tile_graph():
     return build_snake_graph(t, transport_curve(arc_curve(1), flip(t, 1).quad, forward=False))
 
 
-def copied(g):
-    """A copy of g with no read cached."""
-    return SnakeGraph(g.surface, g.tiles, g.band, g.iota, g.omega, g.cross_vec)
+def unshared(g):
+    """A copy of g on a copy of its shape that no other graph reads and that
+    has no read cached."""
+    out, s = SnakeGraph(g.surface, g.tiles, g.band, g.iota, g.omega, g.cross_vec), g.shape
+    positions, diagonals, compasses = zip(*s.tiles)
+    labels = diagonals + tuple(itertools.chain(*zip(*compasses)))
+    out.shape = Shape(positions, labels, s.band, s.iota, s.omega, s.weights)
+    assert out.shape.tiles == s.tiles and out.shape is not s
+    return out
 
 
 def test_crossing_vector_does_not_set_the_field_width():
@@ -443,9 +549,9 @@ def test_crossing_vector_does_not_set_the_field_width():
     g = single_tile_graph()
     assert g.cross_vec == (1, 0)
     assert 1 not in edges(g).values()
-    assert snakegraph._field_width(g) == 8
+    assert snakegraph._field_width(g.shape) == 8
     crossed = SnakeGraph(g.surface, g.tiles, g.band, g.iota, g.omega, (300, 0))
-    assert snakegraph._field_width(crossed) == 8
+    assert crossed.shape is g.shape and snakegraph._field_width(crossed.shape) == 8
     assert packed_reads(crossed) == tuple_reads(crossed)
     assert crossed.msw == {(-300, 0): 1, (-300, 1): 1}
 
@@ -463,16 +569,16 @@ def test_layout_bound_is_the_largest_edge_magnitude_sum():
             sums["x", label] += not g.surface.is_boundary(label)
             for tile in g.tiles if a[1] == b[1] else ():
                 sums["y", tile.diagonal] += tile.pos[0] == a[0] and tile.pos[1] >= a[1]
-        assert g._layout[2] == max(sums.values()), (name, k)
-        widths[name, k] = g._width
+        assert g.shape._layout[1] == max(sums.values()), (name, k)
+        widths[name, k] = g.shape._width
     assert widths["annulus", 11] == 16 and widths["annulus", 10] == 8
 
 
 def test_fields_wider_than_64_bits_raise():
     # a layout whose largest edge-magnitude sum needs a 65-bit field
-    g = copied(single_tile_graph())
-    slots, xvecs, _, seam = g._layout
-    g.__dict__["_layout"] = (slots, xvecs, 2**63, seam)
+    g = unshared(single_tile_graph())
+    slots, _, seam = g.shape._layout
+    g.shape.__dict__["_layout"] = (slots, 2**63, seam)
     with pytest.raises(ValueError, match="64-bit"):
         g.msw
 
@@ -481,8 +587,8 @@ def test_floor_must_be_one_matching():
     # two matchings on the least height, then a least height no matching has
     g = single_tile_graph()
     for w in ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1}):
-        fake = copied(g)
-        fake.__dict__["_packed"] = {pack(key, g._width): 1 for key in w}
+        fake = unshared(g)
+        fake.shape.__dict__["_packed"] = {pack(key, g.shape._width): 1 for key in w}
         with pytest.raises(SnakeGraphError, match="height floor"):
             fake.f_poly
 
@@ -504,7 +610,7 @@ def test_reads_scan_and_unpack_w_once(monkeypatch):
     counting(snakegraph, "_scan")
     counting(_polypure, "_columns")
     g = build_band_graph(t, closed_curve(c.steps * 2))
-    assert "_packed" not in g.__dict__  # a fresh graph
+    assert "_packed" not in g.shape.__dict__  # a fresh shape
     packed_reads(g)
     assert calls == ["_scan", "_columns"]
     assert matching_sum(g) == g.principal_msw
@@ -528,7 +634,7 @@ def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
     monkeypatch.setattr(snakegraph, "_merge", watching_merge)
     t = load_surface("torus-boundary")
     g = build_band_graph(t, parse_curve(t, load_curve_text("torus-weave")))
-    assert "_packed" not in g.__dict__
+    assert "_packed" not in g.shape.__dict__
     assert matching_sum(g) == g.principal_msw
     assert any(copied)
 
@@ -559,8 +665,8 @@ def test_loop_edge_weighs_the_loop_and_its_radius():
     ((radius, loop),) = folded_sides(t).items()
     g = build_snake_graph(t, open_curve([(3, 1)], ((3, 0), (0, 0))))
     assert loop in edges(g).values()
-    (want,) = lp_mul(lp_var(t.n_arcs, loop - 1), lp_var(t.n_arcs, radius - 1))
-    assert g._layout[1][loop] == want
+    renamed = g.labels.index(loop) + 1
+    assert [g.labels[a - 1] for a in g.shape.weights[renamed - 1]] == [loop, radius]
     assert matching_sum(g) == g.principal_msw
 
 
