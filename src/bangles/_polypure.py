@@ -58,7 +58,8 @@ def mul_accum(a: dict, b: dict) -> dict:
 
 
 def binomial_sum(terms: Iterable[Tuple[tuple, int, int]], k: int) -> dict:
-    """Sum of c * v^e * (1 + v_k)^m over (e, c, m) triples, zeros pruned."""
+    """Sum of c * v^e * (1 + v_k)^m over (e, c, m) triples, zeros pruned.
+    The j = 0 term of each is c * v^e itself, so its tuple is not rebuilt."""
     rows: dict = {}
     out: dict = {}
     for e, c, m in terms:
@@ -67,9 +68,10 @@ def binomial_sum(terms: Iterable[Tuple[tuple, int, int]], k: int) -> dict:
             row = rows[m] = [1]
             for j in range(m):
                 row.append(row[j] * (m - j) // (j + 1))
-        head, ek, tail = e[:k], e[k], e[k + 1 :]
+        if m:
+            head, ek, tail = e[:k], e[k], e[k + 1 :]
         for j, b in enumerate(row):
-            x = head + (ek + j,) + tail
+            x = head + (ek + j,) + tail if j else e
             s = out.get(x, 0) + c * b
             if s:
                 out[x] = s

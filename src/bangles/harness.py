@@ -9,11 +9,15 @@ d covers exactly the checks reachable by words of length <= d, and hands
 out every flip it took, with the child state and its key.  The key-lemma
 sweep checks each such flip edge, builds each state's band graph once and
 keeps only its (F, g, h) and its shape, until the sweep returns; so the
-201 states of the depth-4 corpus sweeps share 30 scans, one per shape of
-band graph (`snakegraph`).  Its F identity clears
+201 states of the depth-4 corpus sweeps share 30 scans and 30 floors, one
+per shape of band graph (`snakegraph`).  A state keeps F in column form,
+the lists its shape's floor holds, not a dict.  Its F identity clears
 the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
-polynomials, each one binomial sum along y_k (`lp_binomial_sum`); like
-every check it is exact, and a passing keylemma-F report carries no sides.
+polynomials, each one binomial sum along y_k (`lp_binomial_sum`) over
+terms whose keys are zipped from F's columns; the moved exponent and the
+power of (1+y_k) of each term of F' are dot products down those columns
+(`column_dot`).  Like every check it is exact, and a passing keylemma-F
+report carries no sides.
 The arc sweep looks a flip up before taking it, by the n-1 arcs it keeps,
 and takes only flips that reach a new cluster.  It keys seeds by the flip
 word of their cluster, and builds one only for a cluster that holds an arc
@@ -36,13 +40,14 @@ holds a value type can meet a plain tuple equal to it.
 from __future__ import annotations
 
 from collections import Counter
-from operator import mul
+from itertools import repeat
+from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, seed_mutate, yseed_mutate
-from .poly import lp_binomial_sum, lp_format, var_names
+from .poly import column_dot, lp_binomial_sum, lp_format, var_names
 from .shear import dual_shear, elementary_laminate, shear_matrix
 from .snakegraph import Shape, build_band_graph, msw_function
 from .surface import FlipResult, Triangulation, canonical_form, flip
@@ -85,18 +90,19 @@ def require_transportable(t: Triangulation, k: int) -> FlipResult:
 
 
 def _band_reads(t: Triangulation, c: Curve) -> Tuple[tuple, Shape]:
-    """(F, g, h) of a closed curve, and the shape of its band graph; the
-    graph is dropped on return.  While a caller holds the shape, a graph
-    of that shape reads the scan already made for it."""
+    """(F in column form, g, h) of a closed curve, and the shape of its band
+    graph; the graph is dropped on return.  While a caller holds the shape,
+    a graph of that shape reads the scan and the floor already made for it."""
     g = build_band_graph(t, c)
-    return (g.f_poly, g.g_vector, g.h_vector), g.shape
+    return (g.f_columns, g.g_vector, g.h_vector), g.shape
 
 
 def _key_lemma_reports(
     t: Triangulation, k: int, before: tuple, after: tuple, case: str
 ) -> List[VerificationReport]:
-    """Compare the (F, g, h) of a band graph before and after the flip at k."""
-    (f1, gv1, hv1), (f2, gv2, hv2) = before, after
+    """Compare the (F, g, h) of a band graph before and after the flip at k,
+    each F in column form."""
+    ((*e1, c1), gv1, hv1), ((*e2, c2), gv2, hv2) = before, after
     n = t.n_arcs
     b = t.adjacency
     hk, hk2 = hv1[k - 1], hv2[k - 1]
@@ -110,19 +116,17 @@ def _key_lemma_reports(
     # negative power, each side is one binomial sum along y_k, a Laurent
     # polynomial; the two are equal exactly when the sides are.  Off entry
     # k each a_j is the j-th unit vector, so sum e_j a_j is e with its k-th
-    # entry replaced by e's dot product with column k of the a_j.
+    # entry replaced by e's dot product with column k of the a_j.  Both
+    # dot products run down F's columns, and the keys are zipped from them.
     i = k - 1
     yp = yseed_mutate(b, i)
-    col, ps = [a[i] for a, _ in yp], [p for _, p in yp]
-    # per term of F'(y'): y-monomial, coefficient, power of (1+y_k)
-    moved = [
-        (e[:i] + (sum(map(mul, e, col)),) + e[i + 1 :], c, sum(map(mul, e, ps)) - hk)
-        for e, c in f2.items()
-    ]
-    big_n = max([0, hk2] + [-q for _, _, q in moved])
-    shifted = ((e[:i] + (e[i] + hk2,) + e[i + 1 :], c, big_n - hk2) for e, c in f1.items())
-    lhs = lp_binomial_sum(shifted, i)
-    rhs = lp_binomial_sum(((e, c, big_n + q) for e, c, q in moved), i)
+    at_k = column_dot(e2, [a[i] for a, _ in yp], len(c2))
+    powers = list(column_dot(e2, [p for _, p in yp], len(c2)))  # sum e_j p_j
+    big_n = max(0, hk2, hk - min(powers))
+    left = zip(*e1[:i], map(add, e1[i], repeat(hk2)), *e1[k:])  # e + h'_k e_k
+    right = zip(*e2[:i], at_k, *e2[k:])  # sum e_j a_j
+    lhs = lp_binomial_sum(zip(left, c1, repeat(big_n - hk2)), i)
+    rhs = lp_binomial_sum(zip(right, c2, map(add, powers, repeat(big_n - hk))), i)
     # only a failing line prints its sides, so only a failure formats them
     ok_f = lhs == rhs
     sides = () if ok_f else tuple(lp_format(side, var_names("y", n)) for side in (lhs, rhs))
@@ -134,7 +138,7 @@ def _key_lemma_reports(
     sides = () if ok_g else (f"g={gv1} g'={gv2}", f"rule={rule} h_k-h'_k={hk - hk2}")
     reports.append(VerificationReport(case, "keylemma-g", ok_g, *sides))
 
-    floors = (tuple(min(0, x) for x in gv1), tuple(min(0, x) for x in gv2))
+    floors = (tuple(map(min, gv1, repeat(0))), tuple(map(min, gv2, repeat(0))))
     ok_h = (hv1, hv2) == floors
     sides = () if ok_h else (f"h={hv1} h'={hv2}", f"min(0,g)={floors[0]} min(0,g')={floors[1]}")
     reports.append(VerificationReport(case, "keylemma-h", ok_h, *sides))

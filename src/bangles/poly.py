@@ -9,6 +9,13 @@ Term order is graded lexicographic (total degree first, then the exponent
 tuple); it fixes printing, equality of rendered forms, and the leading term
 used by exact division.
 
+A polynomial can also be read in column form: one sequence per variable
+holding that exponent of each term, then one holding the coefficients,
+term by term in one order, every key distinct.  F-polynomials are kept so
+from the transfer scan to the key-lemma check; `column_dot` reads a dot
+product down the columns in C, and `trop_eval_many` evaluates tropically
+on them.
+
 Every value the checks compare is a Laurent polynomial: cluster variables
 by the Laurent phenomenon, and the key-lemma F identity once its
 denominators, a monomial times a power of (1+y_k), are cleared.  No
@@ -23,8 +30,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, lt, mul, neg, sub
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import add, itemgetter, lt, mul, neg, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _polypure as _kernel
 
@@ -106,11 +113,11 @@ def lp_binomial_sum(terms: Iterable[Tuple[Exponent, int, int]], i: int) -> Poly:
     n = len(terms[0][0])
     if not 0 <= i < n:
         raise IndexError(f"variable {i} out of range for arity {n}")
-    for e, _, m in terms:
-        if len(e) != n:
-            raise ArityError(f"arity mismatch: {n} vs {len(e)}")
-        if m < 0:
-            raise ValueError("negative power of a polynomial")
+    arities = set(map(len, map(itemgetter(0), terms)))
+    if arities != {n}:
+        raise ArityError(f"arity mismatch: {n} vs {max(arities - {n})}")
+    if min(map(itemgetter(2), terms)) < 0:
+        raise ValueError("negative power of a polynomial")
     return _kernel.binomial_sum(terms, i)
 
 
@@ -207,39 +214,42 @@ def _descending(e: Exponent) -> tuple:
 # tropical evaluation
 
 
-def assert_subtraction_free(p: Poly) -> None:
-    if p and min(p.values()) < 0:
-        raise NotSubtractionFreeError("polynomial has a negative coefficient")
+def column_dot(cols: Sequence[Sequence[int]], c: Sequence[int], size: int) -> Iterable[int]:
+    """Term by term, the dot product of c with the exponents of size terms
+    that cols hold as columns: one lazy chain of `map`s, run in C, that
+    reads only c's nonzero entries and starts from the first of them.  For
+    a unit vector c that is one of cols itself, so callers only iterate."""
+    sums: Optional[Iterable[int]] = None
+    for x, col in zip(c, cols):
+        if not x:
+            continue
+        if sums is None:
+            sums = col if x == 1 else map(mul, col, repeat(x))
+        elif x == 1:
+            sums = map(add, sums, col)
+        elif x == -1:
+            sums = map(sub, sums, col)
+        else:
+            sums = map(add, sums, map(mul, col, repeat(x)))
+    return repeat(0, size) if sums is None else sums
 
 
-def trop_eval_many(p: Poly, dirs: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+def trop_eval_many(p: Sequence[Sequence[int]], dirs: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """For each weight vector c in dirs, min over exponent vectors e of p of
-    the dot product c . e.
+    the dot product c . e; p is in column form.
 
     This is evaluation in the tropical semifield Trop(u) at u^{c_i}: the sum
     of two powers of u is the power with the smaller exponent, so a
-    subtraction-free p evaluates to u^(the integer read for c).  Each c is
-    read through its nonzero entries only: p's exponent columns, scaled by
-    them, are summed term by term in one chain of `map`s that `min` runs.
+    subtraction-free p evaluates to u^(the integer read for c).
     """
-    if not p:
+    *cols, coeffs = p
+    if not coeffs:
         raise ValueError("tropical evaluation of zero polynomial")
-    assert_subtraction_free(p)
-    cols = list(zip(*p))
-    if set(map(len, p)) != {len(cols)} or set(map(len, dirs)) - {len(cols)}:
+    if min(coeffs) < 0:
+        raise NotSubtractionFreeError("polynomial has a negative coefficient")
+    if set(map(len, cols)) - {len(coeffs)} or set(map(len, dirs)) - {len(cols)}:
         raise ArityError("weight vector arity mismatch")
-    out = []
-    for c in dirs:
-        sums = repeat(0, len(p))
-        for x, col in zip(c, cols):
-            if x == 1:
-                sums = map(add, sums, col)
-            elif x == -1:
-                sums = map(sub, sums, col)
-            elif x:
-                sums = map(add, sums, map(mul, col, repeat(x)))
-        out.append(min(sums))
-    return tuple(out)
+    return tuple(min(column_dot(cols, c, len(coeffs))) for c in dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,19 @@ generating sum W over matchings.  One transfer scan computes W, for snakes
 and bands alike.  W depends on a graph's labels only through which of them
 are equal and what each one weighs, so it is computed per shape: the tiles
 with their labels renamed by first appearance, and each renamed label's
-x-weight kind (arc, boundary segment, or loop and its radius).  A graph reads
-W's columns off its shape through its label map, an arc that no tile shows
-reading as a zero column, and reads its floor, F, g, h and expansions off
-those columns itself.  Each read is computed once and cached on its owner.
+x-weight kind (arc, boundary segment, or loop and its radius).  The shape
+also finds its floor once: the least height in each direction, the
+x-degrees of the one matching there, and F in column form (`poly`): W's
+heights above the floor, with counts summed only where two terms share a
+height.  A graph picks those columns through its label map, an arc that no
+tile shows reading as a zero column; it reads g and h (tropically, down F's
+columns) and its expansions itself, and builds F as a dict only when asked.
+Each read is computed once and cached on its owner.
 One live graph is kept per (triangulation, curve) value, and one live shape
 per shape value, each by weak reference: while any caller holds the graph of
 (t, c), every build or read of an equal (t, c) returns that same graph; while
-anything holds a shape, every graph of that shape reads its one scan; and
+anything holds a shape, every graph of that shape reads its one scan and
+floor; and
 each is freed with its last holder.  One pass over a shape's tiles lays the
 edges out, and the scan plan is read straight off that layout: vertex
 bitmasks for the frontiers, and each 2n-exponent weight packed into one int,
@@ -81,10 +86,10 @@ class Shape:
     """A graph with its labels renamed (`_shape`): its tiles, given as their
     positions and their labels (every diagonal, then every N, E, S and W
     side); its band flag and seam copies; and per renamed label the renamed
-    arcs that its x-weight multiplies.  Its layout, scan and unpacked W are
-    computed once (`cached_property`), and every graph of the shape reads W
-    through its label map.  Shapes compare by identity, and `_live_shapes`
-    holds them by weak reference."""
+    arcs that its x-weight multiplies.  Its layout, scan, unpacked W and
+    floor are computed once (`cached_property`), and every graph of the
+    shape reads them through its label map.  Shapes compare by identity,
+    and `_live_shapes` holds them by weak reference."""
 
     def __init__(
         self,
@@ -125,6 +130,11 @@ class Shape:
         cols = _polypure._columns(self._packed, 2 * self.n_arcs, self._width)
         return (*cols, list(self._packed.values()))
 
+    @cached_property
+    def _floor(self) -> tuple:
+        """The floor and F in the shape's fields (`_find_floor`)."""
+        return _find_floor(self)
+
 
 class SnakeGraph:
     """A graph and its reads, each computed once (`cached_property`); graphs
@@ -154,39 +164,47 @@ class SnakeGraph:
         return len(self.tiles)
 
     @cached_property
-    def _columns(self) -> tuple:
-        """The shape's columns in the surface's fields: n x-columns, n
-        y-columns, then counts.  An arc that no tile shows and no shown loop
-        encloses has no field in the shape, and reads as a zero column."""
-        *cols, counts = self.shape._columns
-        m, zero = self.shape.n_arcs, [0] * len(counts)
-        field = {label: i for i, label in enumerate(self.labels[:m])}
-        at = [field.get(j) for j in range(1, self.surface.n_arcs + 1)]
-        xs = [zero if i is None else cols[i] for i in at]
-        ys = [zero if i is None else cols[m + i] for i in at]
-        return (*xs, *ys, counts)
+    def _fields(self) -> List[Optional[int]]:
+        """Per arc of the surface, its field in the shape: the index of its
+        renamed label, or None for an arc that no tile shows and no shown
+        loop encloses."""
+        field = {label: i for i, label in enumerate(self.labels[: self.shape.n_arcs])}
+        return [field.get(j) for j in range(1, self.surface.n_arcs + 1)]
+
+    def _pick(self, values, zero) -> list:
+        """Per arc of the surface, its field's entry of values, or zero."""
+        return [zero if i is None else values[i] for i in self._fields]
 
     @cached_property
-    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Poly]:
-        """x-degrees and heights of the minimal matching, which must be the
-        only matching at the least height in every direction, and F: the
-        counts summed by height above it."""
-        n = self.surface.n_arcs
-        *cols, counts = self._columns
-        m0 = tuple(map(min, cols[n:]))
-        heights = list(zip(*_minus(cols[n:], m0)))
-        f = _tally(heights, counts)
-        zero = (0,) * n
-        if f.get(zero) != 1:
-            raise SnakeGraphError("height floor is not a single matching")
-        i = heights.index(zero)
-        return tuple(col[i] for col in cols[:n]), m0, f
+    def _columns(self) -> tuple:
+        """The shape's columns in the surface's fields: n x-columns, n
+        y-columns, then counts; an arc with no field reads as a zero column."""
+        *cols, counts = self.shape._columns
+        zero = [0] * len(counts)
+        return (*self._pick(cols, zero), *self._pick(cols[self.shape.n_arcs :], zero), counts)
+
+    @cached_property
+    def _floor(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], tuple]:
+        """The shape's floor in the surface's fields: x-degrees and heights
+        of the minimal matching, and F in column form."""
+        x0, m0, (*heights, counts) = self.shape._floor
+        f = (*self._pick(heights, [0] * len(counts)), counts)
+        return tuple(self._pick(x0, 0)), tuple(self._pick(m0, 0)), f
+
+    @property
+    def f_columns(self) -> tuple:
+        """F in column form (`poly`): one column of heights per arc, then
+        the count of matchings at each height, term by term.  The lists
+        are shared with every graph of the shape; callers must not mutate
+        them."""
+        return self._floor[2]
 
     @cached_property
     def f_poly(self) -> Poly:
         """Height generating polynomial: constant term 1, coefficients count
         matchings at each normalized height."""
-        return self._floor[2]
+        *heights, counts = self.f_columns
+        return dict(zip(zip(*heights), counts))
 
     @cached_property
     def g_vector(self) -> Tuple[int, ...]:
@@ -196,9 +214,11 @@ class SnakeGraph:
     @cached_property
     def h_vector(self) -> Tuple[int, ...]:
         """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
-        rows = enumerate(self.surface.adjacency)
-        dirs = [tuple(-1 if j == i else max(-x, 0) for j, x in enumerate(r)) for i, r in rows]
-        return trop_eval_many(self.f_poly, dirs)
+        dirs = []  # direction i: -e_i + sum_j [-b_ij]+ e_j, and b_ii = 0
+        for i, row in enumerate(self.surface.adjacency):
+            dirs.append([max(-x, 0) for x in row])
+            dirs[i][i] = -1
+        return trop_eval_many(self.f_columns, dirs)
 
     @cached_property
     def msw(self) -> Poly:
@@ -225,6 +245,28 @@ def _tally(keys, counts) -> Poly:
     for key, cnt in zip(keys, counts):
         out[key] = out.get(key, 0) + cnt
     return out
+
+
+def _find_floor(shape: Shape) -> tuple:
+    """(x-degrees and heights of the minimal matching, F in column form),
+    in the shape's fields.  The minimal matching must be the only matching
+    at the least height in every direction.  F's columns are W's heights
+    above it, one list per renamed arc, and its counts are W's; only when
+    two terms of W share a height are the counts summed by height."""
+    m = shape.n_arcs
+    *cols, counts = shape._columns
+    m0 = tuple(map(min, cols[m:]))
+    heights = [list(col) for col in _minus(cols[m:], m0)]
+    keys = list(zip(*heights))
+    f = dict(zip(keys, counts))
+    if len(f) < len(keys):
+        f = _tally(keys, counts)
+        heights, counts = [list(col) for col in zip(*f)], list(f.values())
+    zero = (0,) * m
+    if f.get(zero) != 1:
+        raise SnakeGraphError("height floor is not a single matching")
+    i = keys.index(zero)
+    return tuple(col[i] for col in cols[:m]), m0, (*heights, counts)
 
 
 def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:

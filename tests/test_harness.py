@@ -30,6 +30,8 @@ from bangles.poly import (
     lp_var,
 )
 
+from columns import as_columns, as_dict
+
 
 def _annulus_core():
     t = load_surface("annulus")
@@ -76,8 +78,9 @@ def test_key_lemma_f_fails_on_a_perturbed_side():
     res = harness.require_transportable(t, 1)
     before, _ = harness._band_reads(t, c)
     (f2, g2, h2), _ = harness._band_reads(res.triangulation, transport_curve(c, res.quad))
-    extra = dict(f2)
+    extra = as_dict(f2)
     extra[(1, 0)] += 1
+    extra = as_columns(extra)
 
     def report(after):
         return {r.identity: r for r in harness._key_lemma_reports(t, 1, before, after, "annulus:flip=1")}
@@ -100,6 +103,7 @@ def _product_form_sides(t, k, before, after):
     F * y_k^(h'_k) * (1+y_k)^(N-h'_k), and the sum over the terms c * y^e
     of F' of c * y^(sum e_j a_j) * (1+y_k)^(N + sum e_j p_j - h_k)."""
     (f1, _, hv1), (f2, _, hv2) = before, after
+    f1, f2 = as_dict(f1), as_dict(f2)
     n, i = t.n_arcs, k - 1
     hk, hk2 = hv1[i], hv2[i]
     moved = []  # (c * y^(sum e_j a_j), sum e_j p_j) per term of F'
@@ -143,6 +147,45 @@ def test_key_lemma_f_sides_match_the_product_form(monkeypatch, name):
     for (t, k, before, after, report), lhs, rhs in zip(calls, sides[::2], sides[1::2]):
         assert report.identity == "keylemma-F" and report.passed, report.case
         assert (lhs, rhs) == _product_form_sides(t, k, before, after), report.case
+
+
+# keylemma-F checks of the depth-3 sweeps of the three closed fixtures:
+# one per flip edge (4 annulus, 60 annulus2, 75 torus-boundary)
+DEPTH_3_EDGES = 139
+
+
+def _depth_3_f_failures(monkeypatch, perturb):
+    """The failing keylemma-F reports of the depth-3 sweeps of the three
+    closed fixtures, with each check's `after` passed through perturb.
+    keylemma-g and -h read neither the Y-seed nor F, so they pass, and
+    none of the three failed by raising (that fails all three)."""
+    real = harness._key_lemma_reports
+    monkeypatch.setattr(harness, "_key_lemma_reports", lambda t, k, b, a, case: real(t, k, b, perturb(a), case))
+    out = []
+    for name in ("annulus", "annulus2", "torus-boundary"):
+        harness._keylemma_sweep(name, 3, out)
+    f_reports = [r for r in out if r.identity == "keylemma-F"]
+    assert len(f_reports) == DEPTH_3_EDGES
+    assert all(r.passed for r in out if r.identity != "keylemma-F")
+    return [r for r in f_reports if not r.passed]
+
+
+def test_key_lemma_f_fails_with_the_y_seed_of_minus_b(monkeypatch):
+    # negative control: y' mutated by -B(T) in place of B(T)
+    assert not _depth_3_f_failures(monkeypatch, lambda after: after)
+    real = harness.yseed_mutate
+    monkeypatch.setattr(harness, "yseed_mutate", lambda b, i: real(tuple(tuple(-x for x in r) for r in b), i))
+    assert len(_depth_3_f_failures(monkeypatch, lambda after: after)) == DEPTH_3_EDGES
+
+
+def test_key_lemma_f_fails_on_every_edge_with_one_coefficient_of_f_prime_raised(monkeypatch):
+    # negative control: one more matching at the first height of F', in a
+    # counts list of its own, so the shared shape keeps its counts
+    def raised(after):
+        (*heights, counts), g, h = after
+        return (*heights, [counts[0] + 1] + counts[1:]), g, h
+
+    assert len(_depth_3_f_failures(monkeypatch, raised)) == DEPTH_3_EDGES
 
 
 def test_arc_check_with_empty_word():

@@ -23,6 +23,7 @@ from bangles.poly import (
     trop_eval_many,
     var_names,
 )
+from columns import as_columns
 from packing import pack
 
 Y2 = var_names("y", 2)
@@ -101,31 +102,31 @@ F_ANNULUS = {(0, 0): 1, (0, 1): 1, (1, 1): 1}  # 1 + y2 + y1*y2
 
 
 def test_trop_three_term_const():
-    assert trop_eval_many(F_ANNULUS, [(-1, 2)]) == (0,)
+    assert trop_eval_many(as_columns(F_ANNULUS), [(-1, 2)]) == (0,)
 
 
 def test_trop_three_term_negative():
-    assert trop_eval_many({(0, 0): 1, (1, 0): 1, (1, 1): 1}, [(-1, 0)]) == (-1,)
+    assert trop_eval_many(as_columns({(0, 0): 1, (1, 0): 1, (1, 1): 1}), [(-1, 0)]) == (-1,)
 
 
 def test_trop_constant_poly():
-    assert trop_eval_many(lp_one(2), [(7, -9), (0, 0)]) == (0, 0)
+    assert trop_eval_many(as_columns(lp_one(2)), [(7, -9), (0, 0)]) == (0, 0)
 
 
 def test_trop_reads_every_direction_in_one_call():
-    assert trop_eval_many(F_ANNULUS, [(-1, 2), (0, -1), (1, 0), (0, 0)]) == (0, -1, 0, 0)
-    assert trop_eval_many(F_ANNULUS, []) == ()
+    assert trop_eval_many(as_columns(F_ANNULUS), [(-1, 2), (0, -1), (1, 0), (0, 0)]) == (0, -1, 0, 0)
+    assert trop_eval_many(as_columns(F_ANNULUS), []) == ()
 
 
 def test_trop_rejects_zero_and_negative_coeffs():
     with pytest.raises(ValueError):
-        trop_eval_many({}, [(1,)])
+        trop_eval_many(([], []), [(1,)])
     with pytest.raises(NotSubtractionFreeError):
-        trop_eval_many({(0, 0): 1, (1, 0): -1}, [(1, 1)])
+        trop_eval_many(as_columns({(0, 0): 1, (1, 0): -1}), [(1, 1)])
     with pytest.raises(ArityError):
-        trop_eval_many({(0, 0): 1, (1, 0): 1}, [(1, 1), (1,)])
-    with pytest.raises(ArityError):
-        trop_eval_many({(0, 0): 1, (1,): 1}, [(1, 1)])
+        trop_eval_many(as_columns({(0, 0): 1, (1, 0): 1}), [(1, 1), (1,)])
+    with pytest.raises(ArityError):  # a column one term short
+        trop_eval_many(([0, 1], [0], [1, 1]), [(1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,9 @@ def test_division_returns_a_quotient_or_refuses(a, q, multiply):
 @settings(max_examples=150, deadline=None)
 @given(pos_polys, pos_polys, st.lists(st.tuples(*[st.integers(-3, 3)] * 2), max_size=3))
 def test_trop_is_a_semiring_morphism(p, q, dirs):
-    tp, tq = trop_eval_many(p, dirs), trop_eval_many(q, dirs)
-    assert trop_eval_many(lp_mul(p, q), dirs) == tuple(map(sum, zip(tp, tq)))
-    assert trop_eval_many(lp_add(p, q), dirs) == tuple(map(min, zip(tp, tq)))
+    tp, tq = trop_eval_many(as_columns(p), dirs), trop_eval_many(as_columns(q), dirs)
+    assert trop_eval_many(as_columns(lp_mul(p, q)), dirs) == tuple(map(sum, zip(tp, tq)))
+    assert trop_eval_many(as_columns(lp_add(p, q)), dirs) == tuple(map(min, zip(tp, tq)))
 
 
 @st.composite
@@ -276,7 +277,7 @@ def trop_cases(draw):
 @given(trop_cases())
 def test_trop_is_the_least_dot_product(case):
     p, dirs = case
-    assert trop_eval_many(p, dirs) == tuple(min(sum(c * e for c, e in zip(d, x)) for x in p) for d in dirs)
+    assert trop_eval_many(as_columns(p), dirs) == tuple(min(sum(c * e for c, e in zip(d, x)) for x in p) for d in dirs)
 
 
 def test_large_coefficients_stay_exact():

@@ -236,6 +236,7 @@ def test_a_failed_floor_raises_again_for_every_graph_of_its_shape(monkeypatch):
             with pytest.raises(SnakeGraphError, match="height floor"):
                 getattr(g, read)
     assert not any(read in g.__dict__ for g in graphs for read in reads)
+    assert "_floor" not in graphs[0].shape.__dict__
 
 
 def test_torus_band_zigzags():
@@ -412,6 +413,34 @@ def test_key_lemma_corpus_scans_each_shape_once(monkeypatch):
     reports = run_corpus(CorpusConfig(keylemma_depth=4, arc_surfaces=()))
     assert len(reports) == 1177 and all(r.passed for r in reports)
     assert calls == {"_build": 204, "_scan": 2 + 14 + 14 + 3}
+
+
+def test_key_lemma_corpus_finds_each_shape_floor_once_and_builds_no_f_dict(monkeypatch):
+    # the sweeps read F in column form off each shape's floor; only the
+    # compute path and the bracelets ask for F as a dict
+    calls = Counter()
+    real_build, real_floor, real_f_poly = snakegraph._build, snakegraph._find_floor, SnakeGraph.f_poly
+
+    def counted_build(t, c):
+        calls["_build"] += 1
+        return real_build(t, c)
+
+    def counted_floor(shape):
+        calls["_find_floor"] += 1
+        return real_floor(shape)
+
+    def counted_f_poly(g):
+        calls["f_poly"] += 1
+        return real_f_poly.func(g)
+
+    monkeypatch.setattr(snakegraph, "_build", counted_build)
+    monkeypatch.setattr(snakegraph, "_find_floor", counted_floor)
+    monkeypatch.setattr(SnakeGraph, "f_poly", property(counted_f_poly))
+    reports = run_corpus(CorpusConfig(keylemma_depth=4, arc_surfaces=()))
+    assert len(reports) == 1177 and all(r.passed for r in reports)
+    assert calls == {"_build": 204, "_find_floor": 33}
+    build_band_graph(ANNULUS, CORE).f_poly
+    assert calls == {"_build": 205, "_find_floor": 34, "f_poly": 1}
 
 
 def keylemma_states(depth):
