@@ -24,7 +24,10 @@ word of their cluster, and builds one only for a cluster that holds an arc
 not yet checked, mutating along the word from its longest built prefix;
 each exchange is made at most once.  The shear sweep stacks -B over the
 shear rows of the closed fixture and of every elementary laminate, and
-mutates that one matrix once per flip the walker would take.
+mutates that one matrix once per flip the walker would take; like a
+keylemma-F report, a passing shear-flip report carries no sides.
+run_corpus loads each surface once, and every sweep of it reads that
+triangulation.
 A check that raises becomes failing reports under its own identities and
 case (lhs: the exception type, rhs: its message) and the sweep goes on.
 A flip or a transport that raises anything but TransportError ends the
@@ -205,8 +208,13 @@ def verify_shear_flip(
     the matrix rebuilt on the flipped triangulation from `moved`, lam
     carried across the flip."""
     lhs = matrix_mutate(shear_matrix(t, lam), k - 1)
-    rhs = shear_matrix(flipped, moved)
-    return VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs))
+    return _shear_flip_report(case, lhs, shear_matrix(flipped, moved))
+
+
+def _shear_flip_report(case: str, lhs, rhs) -> VerificationReport:
+    # only a failing line prints its sides, so only a failure formats them
+    ok = lhs == rhs
+    return VerificationReport(case, "shear-flip", ok, *(() if ok else (repr(lhs), repr(rhs))))
 
 
 def verify_g_equals_shear(t: Triangulation, c: Curve, case: str) -> VerificationReport:
@@ -292,10 +300,9 @@ def _walk(
         frontier = nxt
 
 
-def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
-    if name not in CLOSED_CURVES:
-        return
-    t0 = load_surface(name)
+def _keylemma_sweep(t0: Triangulation, name: str, depth: int, out: List[VerificationReport]) -> None:
+    """The key lemma on every flip edge of the closed fixture's sweep; t0
+    is surface `name`, which must have a closed fixture."""
     c0 = _closed_fixture(t0, name)
     label = CLOSED_CURVES[name]
     # ((F, g, h), shape) by the walker's state key, for this sweep only:
@@ -320,8 +327,7 @@ def _keylemma_sweep(name: str, depth: int, out: List[VerificationReport]) -> Non
                 out.extend(_error_report(case, i, exc) for i in IDENTITIES[:3])
 
 
-def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
-    t = load_surface(name)
+def _shear_sweep(t: Triangulation, name: str, out: List[VerificationReport]) -> None:
     n = t.n_arcs
     c = _closed_fixture(t, name)
     # Row n + i of the stacked [-B; Sh_1; ...] is the shear row of the i-th
@@ -352,7 +358,7 @@ def _shear_sweep(name: str, out: List[VerificationReport]) -> None:
                 mutated = mutated or matrix_mutate(stacked, k - 1)
                 lhs = mutated[:n] + mutated[row : row + 1]
                 rhs = shear_matrix(t2, elementary_laminate(t2, j) if j else moved)
-                out.append(VerificationReport(case, "shear-flip", lhs == rhs, repr(lhs), repr(rhs)))
+                out.append(_shear_flip_report(case, lhs, rhs))
             except Exception as exc:
                 out.append(_error_report(case, "shear-flip", exc))
 
@@ -364,12 +370,11 @@ def _flip_cluster(state: tuple, quad) -> tuple:
     return quads, backs[: k - 1] + (normalize_curve(_pull_back_arc(k, quads)),) + backs[k:]
 
 
-def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
+def _arc_sweep(t0: Triangulation, name: str, depth: int, out: List[VerificationReport]) -> None:
     # A state is a cluster: the flips that reach it and its arcs pulled back
     # to t0.  Triangulations that encode identically can still carry
     # distinct arcs (twists), so clusters are keyed by the pulled-back arcs,
     # and each arc is checked once, in the first cluster holding it.
-    t0 = load_surface(name)
     n = t0.n_arcs
     start = ((), tuple(normalize_curve(arc_curve(j)) for j in range(1, n + 1)))
     checked: Set[Curve] = set()
@@ -414,20 +419,36 @@ def _arc_sweep(name: str, depth: int, out: List[VerificationReport]) -> None:
 def run_corpus(config: Optional[CorpusConfig] = None) -> List[VerificationReport]:
     """Every identity check the corpus supports, deterministically ordered.
 
-    A fixture that fails to load becomes a failing corpus-load entry
-    instead of aborting the other surfaces.
+    Each surface is loaded once, when the first sweep that needs it runs,
+    and every sweep of it reads that triangulation.  A fixture that fails
+    to load, and a sweep that raises, become a failing corpus-load entry
+    under the surface's name, one per sweep, instead of aborting the other
+    surfaces; the key-lemma sweep runs, and loads, only on a surface with
+    a closed fixture.
     """
     config = config or CorpusConfig()
     out: List[VerificationReport] = []
+    # name -> its triangulation, or the report of its failed load
+    loaded: Dict[str, object] = {}
 
     def guarded(sweep, name, *args):
+        if name not in loaded:
+            try:
+                loaded[name] = load_surface(name)
+            except Exception as exc:
+                loaded[name] = _error_report(name, "corpus-load", exc)
+        t0 = loaded[name]
+        if isinstance(t0, VerificationReport):
+            out.append(t0)
+            return
         try:
-            sweep(name, *args, out)
+            sweep(t0, name, *args, out)
         except Exception as exc:
             out.append(_error_report(name, "corpus-load", exc))
 
     for name in config.surfaces:
-        guarded(_keylemma_sweep, name, config.keylemma_depth)
+        if name in CLOSED_CURVES:
+            guarded(_keylemma_sweep, name, config.keylemma_depth)
         guarded(_shear_sweep, name)
     for name in config.arc_surfaces:
         if name in config.surfaces:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .curve import Curve, _landing, open_curve, validate_curve
+from .curve import Curve, open_curve, validate_curve
 from .mutation import Matrix
 from .surface import Triangulation
 
@@ -39,62 +39,41 @@ class ShearError(ValueError):
     pass
 
 
-def _side_slot(t: Triangulation, tri: int, label: int) -> int:
-    sides = t.triangles[tri]
-    hits = [i for i in range(3) if sides[i] == label]
-    if len(hits) != 1:
-        raise ShearError(f"side {label} is not unique in triangle {tri + 1}")
-    return hits[0]
-
-
-def _rest_slot(t: Triangulation, end: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-    """(triangle, side slot) of the boundary segment an open end rests on.
+def _rest_side(t: Triangulation, end: Tuple[int, int]) -> Optional[int]:
+    """The boundary segment an open end rests on.
 
     An end whose corner touches no boundary side (a truncated spiral) or two
     of them (nothing to pin it) classifies no passage and yields None.
     """
     tri, corner = end
-    a, b = corner, (corner + 1) % 3
-    on_a = t.is_boundary(t.triangles[tri][a])
-    on_b = t.is_boundary(t.triangles[tri][b])
+    a, b = t.triangles[tri][corner], t.triangles[tri][corner - 2]  # corner, corner + 1
+    on_a, on_b = t.is_boundary(a), t.is_boundary(b)
     if on_a == on_b:
         return None
-    return (tri, a if on_a else b)
+    return a if on_a else b
 
 
 def dual_shear(t: Triangulation, lam: Curve) -> ShearVector:
     """Z-minus-S crossing counts of a laminate, indexed by arcs."""
     validate_curve(t, lam)
-    n = t.n_arcs
-    out = [0] * n
-    d = len(lam.steps)
-    if d == 0:
-        return tuple(out)
-    occ = t.occurrences
-    for m, (tri, a) in enumerate(lam.steps):
+    out = [0] * t.n_arcs
+    steps, tris, occ = lam.steps, t.triangles, t.occurrences
+    d = len(steps)
+    for m, (tri, a) in enumerate(steps):
         (ta, ia), (tb, ib) = occ[a]
         if ta == tb:
             raise ShearError(f"arc {a} bounds a one-triangle quadrilateral")
-        landing = _landing(t, lam.steps[m])
-        if m > 0 or lam.closed:
-            prev_arc = lam.steps[(m - 1) % d][1]
-            entry = (tri, _side_slot(t, tri, prev_arc))
-        else:
-            entry = _rest_slot(t, lam.ends[0])
-        if m < d - 1 or lam.closed:
-            next_arc = lam.steps[(m + 1) % d][1]
-            exits = (landing, _side_slot(t, landing, next_arc))
-        else:
-            exits = _rest_slot(t, lam.ends[1])
-        if entry is None or exits is None:
-            continue
-        # entry side in tri, exit side in landing: each side's slot past a's
-        # own slot in that triangle; two 2s are a Z, two 1s an S
-        a_slot = {ta: ia, tb: ib}
-        offsets = [(slot - a_slot[side_tri]) % 3 for side_tri, slot in (entry, exits)]
-        if offsets == [2, 2]:
+        # a sits at slot i of tri and at slot j of the triangle it lands in;
+        # the passage enters by a side of tri and leaves by one of that one
+        land, i, j = (tb, ia, ib) if tri == ta else (ta, ib, ia)
+        entry = steps[m - 1][1] if m > 0 or lam.closed else _rest_side(t, lam.ends[0])
+        exits = steps[(m + 1) % d][1] if m < d - 1 or lam.closed else _rest_side(t, lam.ends[1])
+        # the side two slots past a's own in each triangle is its slot - 1,
+        # one past it is its slot - 2: two of the first kind are a Z, two
+        # of the second an S
+        if entry == tris[tri][i - 1] and exits == tris[land][j - 1]:
             out[a - 1] += 1
-        elif offsets == [1, 1]:
+        elif entry == tris[tri][i - 2] and exits == tris[land][j - 2]:
             out[a - 1] -= 1
     return tuple(out)
 

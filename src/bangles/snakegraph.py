@@ -52,7 +52,7 @@ from operator import sub
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _polypure
-from .curve import Curve, _landing, validate_curve
+from .curve import Curve, validate_curve
 from .poly import Poly, lp_var, trop_eval_many
 from .surface import Triangulation, folded_sides
 
@@ -269,48 +269,44 @@ def _find_floor(shape: Shape) -> tuple:
     return tuple(col[i] for col in cols[:m]), m0, (*heights, counts)
 
 
-def _rotate_at(triple: Tuple[int, int, int], a: int) -> Tuple[int, int, int]:
-    hits = [i for i in range(3) if triple[i] == a]
-    if len(hits) != 1:
-        raise SnakeGraphError(f"arc {a} is not a simple side of triangle {triple}")
-    i = hits[0]
-    return (triple[i], triple[(i + 1) % 3], triple[(i + 2) % 3])
-
-
 def _build(t: Triangulation, c: Curve) -> SnakeGraph:
     validate_curve(t, c)
     band = c.closed
     if not c.steps:
         raise SnakeGraphError("a label-only arc has no snake graph")
-    d = len(c.steps)
+    steps, tris, occ = c.steps, t.triangles, t.occurrences
+    d = len(steps)
 
     tiles: List[Tile] = []
     pos, glued = (0, 0), None  # compass place and label of the side the last tile shares
-    for i in range(1, d + 1):
-        tri_before, a = c.steps[i - 1]
-        landing = _landing(t, c.steps[i - 1])
-        _, s, s2 = _rotate_at(t.triangles[landing], a)
-        _, u, u2 = _rotate_at(t.triangles[tri_before], a)
+    for i, (before, a) in enumerate(steps, 1):
+        # a sits at slot j of the triangle the crossing lands in and at slot
+        # k of the one before it; clockwise past a come slots j - 2, j - 1
+        (ta, ja), (tb, jb) = occ[a]
+        land, j, k = (tb, jb, ja) if before == ta else (ta, ja, jb)
+        lt, bt = tris[land], tris[before]
+        s, s2 = lt[j - 2], lt[j - 1]
         if i % 2 == 1:
-            compass = (s, s2, u, u2)  # N, E, S, W
+            compass = (s, s2, bt[k - 2], bt[k - 1])  # N, E, S, W
         else:
-            compass = (s2, s, u2, u)
+            compass = (s2, s, bt[k - 1], bt[k - 2])
         if glued and compass[glued[0]] != glued[1]:
             raise SnakeGraphError(f"glued edge labeled {glued[1]} and {compass[glued[0]]} at tile {i}")
         tiles.append(Tile(pos, a, compass))
         if i < d or band:
-            nxt = c.steps[i % d]
-            third = [x for x in t.triangles[landing] if x != a and x != nxt[1]]
-            if len(third) != 1:
-                raise SnakeGraphError(
-                    f"triangle {t.triangles[landing]} gives no unique connector"
-                )
-            ci = third[0]
+            # the connector: the landing triangle's side that is neither a
+            # nor the next crossed arc
+            nxt = steps[i % d][1]
+            if nxt == s2 != s:
+                ci = s
+            elif nxt == s != s2:
+                ci = s2
+            else:
+                raise SnakeGraphError(f"triangle {lt} gives no unique connector")
             if i < d:
-                north, east = compass[0], compass[1]
-                if ci == north:
+                if ci == compass[0]:
                     pos, glued = (pos[0], pos[1] + 1), (2, ci)
-                elif ci == east:
+                elif ci == compass[1]:
                     pos, glued = (pos[0] + 1, pos[1]), (3, ci)
                 else:
                     raise SnakeGraphError(f"connector {ci} missing from tile {i}")

@@ -26,7 +26,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Tuple
 
-from .mutation import Matrix, as_matrix
+from .mutation import Matrix
 
 Corner = Tuple[int, int]  # (triangle index, corner position); corner i sits
 # between side i and side i+1 (mod 3) of the clockwise triple
@@ -163,13 +163,6 @@ def folded_sides(t: Triangulation) -> Dict[int, int]:
                 r = tri[pos]
                 loop = tri[(pos + 2) % 3]
                 out[r] = loop
-    return out
-
-
-def pi_map(t: Triangulation) -> Dict[int, int]:
-    """pi(i) = enclosing loop when i is a folded side, else i."""
-    out = {lbl: lbl for lbl in range(1, t.n_arcs + t.n_boundary + 1)}
-    out.update(folded_sides(t))
     return out
 
 
@@ -310,27 +303,27 @@ def validate(t: Triangulation) -> None:
 
 
 def adjacency_matrix(t: Triangulation) -> Matrix:
-    """Skew-symmetric B(T): +1 for each clockwise-consecutive arc pair of a
-    non-self-folded triangle, indices routed through pi (folded -> loop
-    preimages share rows/columns)."""
+    """Skew-symmetric B(T): +1 at (a, c) and -1 at (c, a) for each
+    clockwise-consecutive arc pair (a, c) of a triangle with three distinct
+    sides.  A self-folded triangle adds nothing, and its folded side, which
+    no other triangle has, takes its loop's row and column (pi routes a
+    folded side to its loop)."""
     n = t.n_arcs
-    pi = pi_map(t)
-    pre: Dict[int, List[int]] = {}
-    for label in range(1, n + 1):
-        pre.setdefault(pi[label], []).append(label)
     b = [[0] * n for _ in range(n)]
-    for tri in t.triangles:
-        if len(set(tri)) < 3:
-            continue  # self-folded triangles are skipped by definition
-        for pos in range(3):
-            a, c = tri[pos], tri[(pos + 1) % 3]
-            if not (t.is_arc(a) and t.is_arc(c)):
-                continue
-            for j in pre.get(a, [a]):
-                for k in pre.get(c, [c]):
-                    b[j - 1][k - 1] += 1
-                    b[k - 1][j - 1] -= 1
-    return as_matrix(b)
+    routes = []  # (folded side, loop) of each self-folded triangle
+    for x, y, z in t.triangles:
+        if x == y or y == z or z == x:
+            routes.append((x, z) if x == y else (y, x) if y == z else (z, y))
+            continue
+        for a, c in ((x, y), (y, z), (z, x)):
+            if a <= n and c <= n:  # labels above n are boundary segments
+                b[a - 1][c - 1] += 1
+                b[c - 1][a - 1] -= 1
+    for r, loop in routes:
+        b[r - 1] = b[loop - 1][:]
+        for row in b:
+            row[r - 1] = row[loop - 1]
+    return tuple(map(tuple, b))
 
 
 # ---------------------------------------------------------------------------

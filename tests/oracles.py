@@ -5,6 +5,8 @@ derives from them: the edges come from each tile's corner and compass,
 matchings from backtracking, and each height from the tiles that the
 matching and the minimal matching P₋ enclose (Musiker–Schiffler–Williams,
 Adv. Math. 2011).  `gamma_transform` is the shear transport law.
+`adjacency_by_pi` builds B(T) from its definition through the map pi
+(Fomin–Shapiro–Thurston, Acta Math. 2008).
 """
 
 from collections import Counter
@@ -120,3 +122,29 @@ def gamma_transform(g, b, k):
     """g'_k = -g_k; g'_i = g_i + sgn(g_k)[b_ik*g_k]+ for i != k."""
     sgn = (g[k] > 0) - (g[k] < 0)
     return tuple(-g[k] if i == k else g[i] + sgn * max(0, b[i][k] * g[k]) for i in range(len(b)))
+
+
+def adjacency_by_pi(t):
+    """B(T) by definition: pi sends a folded side to its loop and every
+    other label to itself, and each clockwise-consecutive arc pair (a, c)
+    of a triangle with three distinct sides adds +1 at (j, k) and -1 at
+    (k, j) for every j with pi(j) = a and k with pi(k) = c."""
+    n = t.n_arcs
+    pi = {label: label for label in range(1, n + t.n_boundary + 1)}
+    pi.update(folded_sides(t))
+    pre = {}
+    for label in range(1, n + 1):
+        pre.setdefault(pi[label], []).append(label)
+    b = [[0] * n for _ in range(n)]
+    for tri in t.triangles:
+        if len(set(tri)) < 3:
+            continue
+        for pos in range(3):
+            a, c = tri[pos], tri[(pos + 1) % 3]
+            if not (t.is_arc(a) and t.is_arc(c)):
+                continue
+            for j in pre.get(a, [a]):
+                for k in pre.get(c, [c]):
+                    b[j - 1][k - 1] += 1
+                    b[k - 1][j - 1] -= 1
+    return tuple(map(tuple, b))

@@ -8,7 +8,7 @@ import random
 import time
 
 from bangles.curve import arc_curve, normalize_curve, transport_curve
-from bangles.fixtures import SURFACES, load_surface
+from bangles.fixtures import CLOSED_CURVES, SURFACES, load_surface
 from bangles.harness import (
     _arc_sweep,
     _closed_fixture,
@@ -65,8 +65,8 @@ def test_criterion_1_annulus_reproduction():
 def test_criterion_2_key_lemma_sweep():
     def body():
         out = []
-        for name in SURFACES:
-            _keylemma_sweep(name, 4, out)
+        for name in CLOSED_CURVES:
+            _keylemma_sweep(load_surface(name), name, 4, out)
         assert out
         assert all(r.passed for r in out)
         # each closed-curve fixture contributed
@@ -80,7 +80,7 @@ def test_criterion_3_shear_transport():
     def body():
         out = []
         for name in SURFACES:
-            _shear_sweep(name, out)
+            _shear_sweep(load_surface(name), name, out)
         assert out
         assert all(r.passed for r in out)
         assert any(r.identity == "g-equals-shear" for r in out)
@@ -93,7 +93,7 @@ def test_criterion_4_arc_bangles_vs_mutation():
     def body():
         out = []
         for name in ("pentagon", "hexagon", "heptagon", "octagon", "annulus"):
-            _arc_sweep(name, 5, out)
+            _arc_sweep(load_surface(name), name, 5, out)
         assert len(out) >= 50
         assert all(r.passed for r in out)
         # every diagonal is checked once, in the first cluster that holds it

@@ -8,7 +8,7 @@ import pytest
 import bangles.harness as harness
 import bangles.surface as surface
 from bangles.curve import normalize_curve, parse_curve, transport_curve
-from bangles.fixtures import load_curve_text, load_surface
+from bangles.fixtures import SURFACES, load_curve_text, load_surface
 from bangles.harness import (
     IDENTITIES,
     CorpusConfig,
@@ -142,7 +142,7 @@ def test_key_lemma_f_sides_match_the_product_form(monkeypatch, name):
     monkeypatch.setattr(harness, "lp_binomial_sum", recording_sum)
     monkeypatch.setattr(harness, "_key_lemma_reports", recording_reports)
     out = []
-    harness._keylemma_sweep(name, 3, out)
+    harness._keylemma_sweep(load_surface(name), name, 3, out)
     assert calls and len(sides) == 2 * len(calls)
     for (t, k, before, after, report), lhs, rhs in zip(calls, sides[::2], sides[1::2]):
         assert report.identity == "keylemma-F" and report.passed, report.case
@@ -163,7 +163,7 @@ def _depth_3_f_failures(monkeypatch, perturb):
     monkeypatch.setattr(harness, "_key_lemma_reports", lambda t, k, b, a, case: real(t, k, b, perturb(a), case))
     out = []
     for name in ("annulus", "annulus2", "torus-boundary"):
-        harness._keylemma_sweep(name, 3, out)
+        harness._keylemma_sweep(load_surface(name), name, 3, out)
     f_reports = [r for r in out if r.identity == "keylemma-F"]
     assert len(f_reports) == DEPTH_3_EDGES
     assert all(r.passed for r in out if r.identity != "keylemma-F")
@@ -288,11 +288,63 @@ def test_deeper_words_reach_new_cases():
 
 
 def test_broken_fixture_becomes_failed_entry():
+    # one report, from the shear sweep: the key-lemma sweep never loads a
+    # surface without a closed fixture
     reports = run_corpus(CorpusConfig(surfaces=("no-such-surface",), arc_surfaces=()))
-    assert reports
-    assert not any(r.passed for r in reports)
-    assert all(r.identity == "corpus-load" for r in reports)
-    assert "no-such-surface" in reports[0].rhs
+    assert reports == [
+        VerificationReport(
+            "no-such-surface", "corpus-load", False, "KeyError", "\"unknown surface fixture 'no-such-surface'\""
+        )
+    ]
+
+
+def test_each_surface_is_loaded_once_and_a_failed_load_fails_each_sweep(monkeypatch):
+    loads = Counter()
+    real = harness.load_surface
+
+    def counting(name):
+        loads[name] += 1
+        return real(name)
+
+    monkeypatch.setattr(harness, "load_surface", counting)
+    assert run_corpus() and loads == Counter(SURFACES)
+
+    def refused(name):
+        raise OSError(f"cannot read {name}")
+
+    # one report per sweep that loads the surface: key lemma, shear and arcs
+    # on the annulus, shear and arcs on the pentagon, which has no closed
+    # fixture and so no key-lemma sweep
+    monkeypatch.setattr(harness, "load_surface", refused)
+    annulus = VerificationReport("annulus", "corpus-load", False, "OSError", "cannot read annulus")
+    pentagon = VerificationReport("pentagon", "corpus-load", False, "OSError", "cannot read pentagon")
+    assert run_corpus(CorpusConfig(surfaces=("annulus",), arc_surfaces=())) == [annulus] * 2
+    assert run_corpus(CorpusConfig(surfaces=("annulus",))) == [annulus] * 3
+    assert run_corpus(CorpusConfig(surfaces=("pentagon",))) == [pentagon] * 2
+
+
+def test_only_a_failing_shear_flip_report_carries_its_sides(monkeypatch):
+    reports = [r for r in run_corpus() if r.identity == "shear-flip"]
+    assert reports and all(r.passed and r.lhs == r.rhs == "" for r in reports)
+    real = harness.matrix_mutate
+
+    def bumped(b, k):
+        # +1 on the first entry of the row below -B: on the pentagon, which
+        # has no closed fixture, the row of laminate 1
+        out = real(b, k)
+        n = len(b[0])
+        return out[:n] + ((out[n][0] + 1,) + out[n][1:],) + out[n + 1 :]
+
+    monkeypatch.setattr(harness, "matrix_mutate", bumped)
+    reports = run_corpus(CorpusConfig(surfaces=("pentagon",), arc_surfaces=()))
+    failed = [r for r in reports if not r.passed]
+    assert [r.case for r in failed] == ["pentagon:laminate=1:flip=2"]
+    assert all(r.lhs == r.rhs == "" for r in reports if r.passed)
+    assert failed[0].line() == (
+        "[FAIL] shear-flip :: pentagon:laminate=1:flip=2\n"
+        "  lhs: ((0, -1), (1, 0), (2, 0))\n"
+        "  rhs: ((0, -1), (1, 0), (1, 0))"
+    )
 
 
 def _fail_first_call(monkeypatch, name, exc):
@@ -394,7 +446,7 @@ def test_key_lemma_sweep_builds_each_state_once(monkeypatch):
 
     monkeypatch.setattr(harness, "build_band_graph", recording)
     out = []
-    harness._keylemma_sweep("annulus", 3, out)
+    harness._keylemma_sweep(load_surface("annulus"), "annulus", 3, out)
     assert out and all(r.passed for r in out)
     assert len(built) == len(set(built))
 
@@ -409,7 +461,7 @@ def test_key_lemma_sweep_flips_once_per_check(monkeypatch):
 
     monkeypatch.setattr(harness, "flip", counting)
     out = []
-    harness._keylemma_sweep("annulus2", 3, out)
+    harness._keylemma_sweep(load_surface("annulus2"), "annulus2", 3, out)
     checks = [r for r in out if r.identity == "keylemma-F"]
     assert all(r.passed for r in out)
     assert len(flips) == len(checks) == 60
@@ -444,7 +496,7 @@ def test_arc_sweep_seeds_match_replayed_words(name):
     # each cluster's seed is mutated once, along the flip that first reached
     # it; replaying the report's own word from scratch must agree
     out = []
-    harness._arc_sweep(name, 4, out)
+    harness._arc_sweep(load_surface(name), name, 4, out)
     assert out
     t0 = load_surface(name)
     for r in out:
@@ -480,7 +532,7 @@ def test_arc_sweep_mutates_once_per_checked_arc(monkeypatch, name, mutated):
     monkeypatch.setattr(harness, "seed_mutate", mutate)
     monkeypatch.setattr(harness, "_walk", walk)
     out = []
-    harness._arc_sweep(name, 6, out)
+    harness._arc_sweep(load_surface(name), name, 6, out)
     assert out and all(r.passed for r in out)
     t0 = load_surface(name)
     assert len(seeds) == len(out) - t0.n_arcs == mutated
@@ -512,7 +564,7 @@ def test_arc_sweep_flips_only_to_new_clusters(monkeypatch, name):
     monkeypatch.setattr(harness, "flip", lambda t, k: flips.append(k) or real_flip(t, k))
     monkeypatch.setattr(harness, "_walk", walk)
     out = []
-    harness._arc_sweep(name, 6, out)
+    harness._arc_sweep(load_surface(name), name, 6, out)
     assert out and all(r.passed for r in out)
     assert len(flips) == len(yielded) - 1
 
@@ -550,7 +602,7 @@ def test_arc_sweep_skips_only_flips_to_reached_clusters(monkeypatch, name, depth
 
     monkeypatch.setattr(harness, "_walk", walk)
     out = []
-    harness._arc_sweep(name, depth, out)
+    harness._arc_sweep(load_surface(name), name, depth, out)
     assert out and all(r.passed for r in out)
     # every reached cluster is yielded, with its triangulation
     tri = {key: cur for cur, _, key, _, _ in items}
@@ -569,7 +621,7 @@ def test_arc_sweep_checks_each_arc_once(name, depth, checks):
     # checked once; with orientation-dependent keys these sweeps made 36
     # and 17 checks of 24 and 12 distinct arcs
     out = []
-    harness._arc_sweep(name, depth, out)
+    harness._arc_sweep(load_surface(name), name, depth, out)
     assert all(r.passed for r in out)
     lhs = [r.lhs for r in out]
     assert len(lhs) == len(set(lhs)) == checks
@@ -602,7 +654,7 @@ def test_arc_sweep_quads_are_freed_after_the_sweep(monkeypatch):
 
     monkeypatch.setattr(harness, "_flip_cluster", recording)
     out = []
-    harness._arc_sweep("annulus", 4, out)
+    harness._arc_sweep(load_surface("annulus"), "annulus", 4, out)
     assert out and refs
     gc.collect()
     assert all(ref() is None for ref in refs)

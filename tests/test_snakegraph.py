@@ -322,7 +322,7 @@ def swept_arcs(monkeypatch, depth):
     record = lambda t, c, *rest: backs.append((t, c)) or real(t, c, *rest)
     monkeypatch.setattr(harness, "_arc_report", record)
     for name in ("pentagon", "hexagon", "heptagon", "octagon", "annulus"):
-        harness._arc_sweep(name, depth, [])
+        harness._arc_sweep(load_surface(name), name, depth, [])
     return [(t, c, build_snake_graph(t, c)) for t, c in backs if c.steps]
 
 

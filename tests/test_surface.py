@@ -21,7 +21,6 @@ from bangles.surface import (
     format_triangulation,
     marked_points,
     parse_triangulation,
-    pi_map,
     punctures,
     resolve_vertex_ref,
     tag_switch,
@@ -29,6 +28,7 @@ from bangles.surface import (
 )
 
 from flipwords import flip_word
+from oracles import adjacency_by_pi
 
 ANNULUS = load_surface("annulus")
 SQUARE = load_surface("punctured-square")
@@ -174,7 +174,6 @@ def test_square_flip_chain_to_self_folded():
     assert folded_sides(t4) == {4: 2}
     # the loop flip creates a self-folded triangle: curves cannot follow it
     assert steps[-1].quad is None
-    assert pi_map(t4)[4] == 2
     # the loop and its folded side share rows up to sign structure
     b = adjacency_matrix(t4)
     assert b[1] == b[3]  # arcs 2 and 4 (0-based rows 1 and 3)
@@ -204,6 +203,31 @@ def test_tagged_flips_still_mutate_matrix():
             t2 = flip(t, k).triangulation
             validate(t2)
             assert adjacency_matrix(t2) == matrix_mutate(b, k - 1), (word, k)
+
+
+def _reached(starts, depth):
+    """Every triangulation that tagged flip words of length <= depth reach
+    from starts, as values."""
+    seen, frontier = set(starts), list(starts)
+    for _ in range(depth):
+        children = (flip(t, k).triangulation for t in frontier for k in range(1, t.n_arcs + 1))
+        frontier = [t for t in children if t not in seen and not seen.add(t)]
+    return seen
+
+
+def test_adjacency_matrix_matches_its_definition_through_pi():
+    digon = parse_triangulation(TWICE_PUNCTURED_DIGON)
+    tag_states = [digon, tag_switch(digon, 1), tag_switch(digon, 2), tag_switch(tag_switch(digon, 1), 2)]
+    # words of length 2 from the digon's tag states, as a longer word can
+    # reach a triangulation that `validate` refuses
+    reached = _reached([load_surface(name) for name in SURFACES], 4) | _reached(tag_states, 2)
+    assert len(reached) == 1610 + 108
+    # the square's chain to a self-folded triangle, and two at once (the
+    # digon with both punctures enclosed) are among them
+    assert flip_word(SQUARE, [1, 3, 2])[0] in reached
+    assert any(len(folded_sides(t)) == 2 for t in reached)
+    for t in reached:
+        assert adjacency_matrix(t) == adjacency_by_pi(t), format_triangulation(t)
 
 
 def test_tag_switch_is_involutive():
