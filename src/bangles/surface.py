@@ -12,12 +12,15 @@ Tagged triangulations use a normal form on top of the ideal data:
   notched) is stored as the usual self-folded triangle, the notched arc
   carrying the enclosing loop's label;
 * a puncture with every incident end notched is stored as the tag-switched
-  ideal picture plus the puncture in `notched`;
+  ideal picture plus the puncture's corner orbit in `notched`;
 * everything else at a puncture means all ends plain.
 
-Flips dispatch through tag switches so that the actual surgery is always
-the ideal quadrilateral re-diagonalization, which also creates and absorbs
-self-folded triangles on its own.
+A notched puncture is named by its corners, not by a position among the
+punctures: its corners sit in triangles that a flip outside it never
+rewrites, so the name stays valid across such flips and storage order does
+not set it.  Flips dispatch through tag switches so that the actual surgery
+is always the ideal quadrilateral re-diagonalization, which also creates and
+absorbs self-folded triangles on its own.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Triangulation:
         n_arcs: int,
         n_boundary: int,  # number of boundary segment labels
         triangles: Tuple[Tuple[int, int, int], ...],
-        notched: FrozenSet[int] = frozenset(),  # puncture ids with all ends notched
+        notched: FrozenSet[Tuple[Corner, ...]] = frozenset(),  # orbits of punctures with all ends notched
     ):
         self.genus = genus
         self.boundary_marks = boundary_marks
@@ -196,11 +199,6 @@ def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
     return tuple(o for o, kind in t.vertices if kind == "marked")
 
 
-def puncture_id(t: Triangulation, orbit: Tuple[Corner, ...]) -> int:
-    """1-based id in the canonical (sorted) puncture order."""
-    return punctures(t).index(orbit) + 1
-
-
 def resolve_vertex_ref(t: Triangulation, ref: str) -> Tuple[Corner, ...]:
     kind, _, num = ref.partition(":")
     try:
@@ -286,16 +284,13 @@ def validate(t: Triangulation) -> None:
     if sorted(sizes.values()) != sorted(t.boundary_marks):
         raise TriangulationError("boundary cycle sizes do not match the component data")
 
-    folded = folded_sides(t)
-    for pid in t.notched:
-        if not 1 <= pid <= n_punct:
-            raise TriangulationError(f"notched tag refers to unknown puncture {pid}")
-        orbit = punctures(t)[pid - 1]
-        for r in folded:
-            if enclosed_puncture(t, r) == orbit:
-                raise TriangulationError(
-                    f"puncture {pid} cannot be both notched and carry a self-folded triangle"
-                )
+    if not t.notched <= set(punctures(t)):
+        raise TriangulationError("notched tag refers to an unknown puncture")
+    for r in folded_sides(t):
+        if enclosed_puncture(t, r) in t.notched:
+            raise TriangulationError(
+                f"the puncture inside folded side {r} cannot be both notched and carry a self-folded triangle"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +325,14 @@ def adjacency_matrix(t: Triangulation) -> Matrix:
 # tag switch and flips
 
 
-def tag_switch(t: Triangulation, pid: int) -> Triangulation:
-    """Switch all tags at one puncture.
+def tag_switch(t: Triangulation, orbit: Tuple[Corner, ...]) -> Triangulation:
+    """Switch all tags at the puncture with this corner orbit.
 
     With a self-folded triangle at the puncture this exchanges the radius
     and loop labels (the plain/notched pair trades places); otherwise it
-    toggles the all-notched flag.
+    toggles the all-notched flag.  Neither moves a corner, so every corner
+    orbit stays as it was.
     """
-    orbit = punctures(t)[pid - 1]
     for r, loop in folded_sides(t).items():
         if enclosed_puncture(t, r) == orbit:
             swap = {r: loop, loop: r}
@@ -345,9 +340,7 @@ def tag_switch(t: Triangulation, pid: int) -> Triangulation:
                 tuple(swap.get(s, s) for s in tri) for tri in t.triangles
             )
             return t._with(triangles=tris)
-    notched = set(t.notched)
-    notched.symmetric_difference_update({pid})
-    return t._with(notched=frozenset(notched))
+    return t._with(notched=t.notched ^ {orbit})
 
 
 class _QuadView:
@@ -464,22 +457,21 @@ def _ideal_flip(t: Triangulation, k: int) -> Tuple[Triangulation, QuadRecord, bo
     return t._with(triangles=tuple(new_tris)), quad, e1 != e2 != e3 != e4 != e1
 
 
-def _match_puncture(old: Triangulation, new: Triangulation, pid: int, q: QuadRecord) -> int:
+def _match_puncture(
+    old: Triangulation, new: Triangulation, orbit: Tuple[Corner, ...], q: QuadRecord
+) -> Tuple[Corner, ...]:
     """Follow one puncture through the ideal flip q.  Triangle indices stay
     put, so a corner outside the two rewritten triangles anchors its vertex.
     A puncture with no such corner (one the flip encloses in a self-folded
     triangle) is the one new puncture that no other puncture's anchor
     reaches."""
 
-    def reached(p: int) -> set:
-        anchor = {c for c in punctures(old)[p - 1] if c[0] not in (q.tri_a, q.tri_b)}
-        return {cand for cand, orbit in enumerate(punctures(new), 1) if anchor & set(orbit)}
+    def reached(p: Tuple[Corner, ...]) -> set:
+        return {new.corner_orbits[c] for c in p if c[0] not in (q.tri_a, q.tri_b)}
 
-    hits = reached(pid) or set(range(1, len(punctures(new)) + 1)).difference(
-        *map(reached, range(1, len(punctures(old)) + 1))
-    )
+    hits = reached(orbit) or set(punctures(new)).difference(*map(reached, punctures(old)))
     if len(hits) != 1:
-        raise UnsupportedFlipError(q.arc, f"cannot follow puncture {pid} through the flip")
+        raise UnsupportedFlipError(q.arc, "cannot follow a puncture through the flip")
     return hits.pop()
 
 
@@ -495,50 +487,50 @@ def flip(t: Triangulation, k: int) -> FlipResult:
     if not t.is_arc(k):
         raise UnsupportedFlipError(k, "no such arc")
 
-    applied: List[int] = []
+    region = {ti for ti, _ in t.occurrences[k]}
+    folded = len(region) == 1
+    if folded:
+        # the flip region also spans the triangle outside the loop
+        region |= {ti for ti, _ in t.occurrences[folded_sides(t)[k]]}
+    # Switch off every notched puncture with a corner in the region (its
+    # flag drops: a notched puncture carries no self-folded triangle) and
+    # the puncture a folded k encloses (k becomes its loop), flip, then
+    # switch each back.  Switches at distinct punctures commute, and none
+    # moves a corner, so each is followed from cur to out.
+    switched = [p for p in t.notched if any(ti in region for ti, _ in p)]
+    if folded:
+        switched.append(enclosed_puncture(t, k))
     cur = t
-    while True:
-        occ = cur.occurrences[k]
-        folded = occ[0][0] == occ[1][0]
-        quad_tris = {ti for ti, _ in occ}
-        if folded:
-            # the flip region also spans the triangle outside the loop
-            loop = folded_sides(cur)[k]
-            quad_tris |= {ti for ti, _ in cur.occurrences[loop]}
-        hit = None
-        for pid in sorted(cur.notched):
-            orbit = punctures(cur)[pid - 1]
-            if any(c[0] in quad_tris for c in orbit):
-                hit = pid
-                break
-        if hit is not None:
-            cur = tag_switch(cur, hit)  # structure unchanged, flag dropped
-            applied.append(hit)
-            continue
-        if folded:
-            # switch tags at the enclosed puncture so k becomes the loop,
-            # flip, then switch back
-            pid = puncture_id(cur, enclosed_puncture(cur, k))
-            cur = tag_switch(cur, pid)
-            applied.append(pid)
-            continue
-        break
-
+    for p in switched:
+        cur = tag_switch(cur, p)
     out, quad, clean = _ideal_flip(cur, k)
-    for pid in reversed(applied):
-        out = tag_switch(out, _match_puncture(cur, out, pid, quad))
-    return FlipResult(out, quad if clean and not applied else None)
+    for p in switched:
+        out = tag_switch(out, _match_puncture(cur, out, p, quad))
+    return FlipResult(out, quad if clean and not switched else None)
+
+
+def _corner_name(tri: Tuple[int, int, int], pos: int) -> Tuple[int, int, int]:
+    """A corner's name: its triangle read clockwise from the side that ends
+    at the corner.  Neither the triangle's storage index nor its stored
+    rotation sets it, and no two corners of a triangulation share it: a
+    triangle that is its own rotation repeats a label three times, and two
+    triangles with the same sides in the same cyclic order would hold every
+    occurrence of those labels between them, closing up a surface with no
+    boundary."""
+    return tri[pos:] + tri[:pos]
 
 
 def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    return min(tri[i:] + tri[:i] for i in range(3))
+    return min(_corner_name(tri, pos) for pos in range(3))
 
 
 def canonical_form(t: Triangulation) -> Tuple[tuple, List[int]]:
-    """Flip-path-independent fingerprint (triangle multiset + tags), and the
-    storage indices of t's triangles in its order, from one sort."""
+    """Flip-path-independent fingerprint (triangle multiset + tags, each
+    notched puncture named by its least corner name), and the storage
+    indices of t's triangles in its order, from one sort."""
     rots = sorted((_rotated(tri), i) for i, tri in enumerate(t.triangles))
-    return (tuple(r for r, _ in rots), tuple(sorted(t.notched))), [i for _, i in rots]
+    tags = sorted(min(_corner_name(t.triangles[ti], pos) for ti, pos in p) for p in t.notched)
+    return (tuple(r for r, _ in rots), tuple(tags)), [i for _, i in rots]
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +608,8 @@ def parse_triangulation(text: str) -> Triangulation:
     return _apply_tags(t, tags)
 
 
-def _ends_at(t: Triangulation, pid: int) -> List[Tuple[int, int]]:
-    """The (arc, end) pairs of the arc ends at puncture pid, in label order."""
-    orbit = punctures(t)[pid - 1]
+def _ends_at(t: Triangulation, orbit: Tuple[Corner, ...]) -> List[Tuple[int, int]]:
+    """The (arc, end) pairs of the arc ends at this vertex, in label order."""
     return [
         (arc, end)
         for arc in range(1, t.n_arcs + 1)
@@ -633,20 +624,20 @@ def _apply_tags(t: Triangulation, tags: Dict[Tuple[int, int], str]) -> Triangula
     if not notched_ends:
         return t
     covered = set()
-    notched_pids = set()
-    for pid in range(1, len(punctures(t)) + 1):
-        ends_here = set(_ends_at(t, pid))
+    notched = set()
+    for pid, orbit in enumerate(punctures(t), 1):
+        ends_here = set(_ends_at(t, orbit))
         if ends_here & notched_ends:
             if not ends_here <= notched_ends:
                 raise TriangulationError(
                     f"puncture {pid}: partial notching is stored as a self-folded "
                     "triangle, not as tags"
                 )
-            notched_pids.add(pid)
+            notched.add(orbit)
             covered |= ends_here
     if covered != notched_ends:
         raise TriangulationError("notched tag on a non-puncture end")
-    out = t._with(notched=frozenset(notched_pids))
+    out = t._with(notched=frozenset(notched))
     validate(out)
     return out
 
@@ -665,6 +656,6 @@ def format_triangulation(t: Triangulation) -> str:
             if tri[pos] == tri[(pos + 1) % 3]:
                 extra = f" selffolded={tri[pos]}"
         lines.append("triangle {} {} {}{}".format(*tri, extra))
-    for pid in sorted(t.notched):
-        lines.extend(f"tag {arc} {end} notched" for arc, end in _ends_at(t, pid))
+    for orbit in sorted(t.notched):
+        lines.extend(f"tag {arc} {end} notched" for arc, end in _ends_at(t, orbit))
     return "\n".join(lines) + "\n"

@@ -187,7 +187,7 @@ def test_flip_of_loop_returns():
 
 def test_flip_of_folded_side_gives_all_notched():
     t5, steps = flip_word(SQUARE, [1, 3, 2, 4])
-    assert t5.notched == frozenset({1})
+    assert t5.notched == frozenset(punctures(t5))
     assert not folded_sides(t5)
     assert steps[-1].quad is None
 
@@ -205,23 +205,42 @@ def test_tagged_flips_still_mutate_matrix():
             assert adjacency_matrix(t2) == matrix_mutate(b, k - 1), (word, k)
 
 
-def _reached(starts, depth):
-    """Every triangulation that tagged flip words of length <= depth reach
-    from starts, as values."""
-    seen, frontier = set(starts), list(starts)
-    for _ in range(depth):
-        children = (flip(t, k).triangulation for t in frontier for k in range(1, t.n_arcs + 1))
-        frontier = [t for t in children if t not in seen and not seen.add(t)]
-    return seen
+def _reached(starts, depth=None, key=lambda t: t):
+    """Breadth first over tagged flips from starts, to words of length
+    <= depth (None: until nothing new): {key: the first triangulation met
+    under that key}, and every flip taken on the way as (t, k, the result's
+    triangulation)."""
+    seen = {key(t): t for t in starts}
+    frontier, edges = list(seen.values()), []
+    for _ in range(depth) if depth is not None else itertools.count():
+        children = [(t, k, flip(t, k).triangulation) for t in frontier for k in range(1, t.n_arcs + 1)]
+        edges += children
+        frontier = []
+        for _, _, t2 in children:
+            if key(t2) not in seen:
+                seen[key(t2)] = t2
+                frontier.append(t2)
+        if not frontier:
+            break
+    return seen, edges
+
+
+def _digon_tag_states():
+    """The twice-punctured digon with no puncture notched, the one where
+    arcs 1 and 2 meet (its corners come first), the one where arcs 3 and 4
+    meet, and both."""
+    digon = parse_triangulation(TWICE_PUNCTURED_DIGON)
+    p1, p2 = punctures(digon)
+    return [digon, tag_switch(digon, p1), tag_switch(digon, p2), tag_switch(tag_switch(digon, p1), p2)]
+
+
+def _form(t):
+    return canonical_form(t)[0]
 
 
 def test_adjacency_matrix_matches_its_definition_through_pi():
-    digon = parse_triangulation(TWICE_PUNCTURED_DIGON)
-    tag_states = [digon, tag_switch(digon, 1), tag_switch(digon, 2), tag_switch(tag_switch(digon, 1), 2)]
-    # words of length 2 from the digon's tag states, as a longer word can
-    # reach a triangulation that `validate` refuses
-    reached = _reached([load_surface(name) for name in SURFACES], 4) | _reached(tag_states, 2)
-    assert len(reached) == 1610 + 108
+    reached, _ = _reached([load_surface(name) for name in SURFACES] + _digon_tag_states(), 4)
+    assert len(reached) == 1610 + 1508
     # the square's chain to a self-folded triangle, and two at once (the
     # digon with both punctures enclosed) are among them
     assert flip_word(SQUARE, [1, 3, 2])[0] in reached
@@ -232,9 +251,11 @@ def test_adjacency_matrix_matches_its_definition_through_pi():
 
 def test_tag_switch_is_involutive():
     t4, _ = flip_word(SQUARE, [1, 3, 2])
-    assert tag_switch(tag_switch(t4, 1), 1) == t4
+    (p4,) = punctures(t4)
+    assert tag_switch(tag_switch(t4, p4), p4) == t4
     t5, _ = flip_word(SQUARE, [1, 3, 2, 4])
-    assert tag_switch(tag_switch(t5, 1), 1) == t5
+    (p5,) = punctures(t5)
+    assert tag_switch(tag_switch(t5, p5), p5) == t5
 
 
 # a digon with two punctures: arc 5 joins its two marked points and cuts it
@@ -254,14 +275,74 @@ def test_tagged_flips_on_a_twice_punctured_digon(notched):
     # puncture notched, the flip switches its tags back on the far side and
     # must find it by elimination.
     t = parse_triangulation(TWICE_PUNCTURED_DIGON)
-    for pid in notched:
-        t = tag_switch(t, pid)
-    assert t.notched == frozenset(notched)
+    orbits = frozenset(punctures(t)[pid - 1] for pid in notched)
+    for p in orbits:
+        t = tag_switch(t, p)
+    assert t.notched == orbits
     for k in range(1, 6):
         t2 = flip(t, k).triangulation
         validate(t2)
         assert adjacency_matrix(t2) == matrix_mutate(adjacency_matrix(t), k - 1), k
         assert canonical_form(flip(t2, k).triangulation)[0] == canonical_form(t)[0], k
+
+
+@pytest.mark.parametrize(
+    "start, depth, count",
+    [
+        # to exhaustion: D4's 50 clusters, each under the 4! labellings of
+        # its arcs, and the polygons' Catalan(m - 2) * (m - 3)!
+        ("punctured-square", None, 50 * 24),
+        ("pentagon", None, 5 * 2),
+        ("hexagon", None, 14 * 6),
+        # the twice-punctured digon with no, one and both punctures notched
+        *((state, 4, 183) for state in range(4)),
+    ],
+)
+def test_tagged_flip_census(start, depth, count):
+    # every flip validates, mutates B(T), and flipping k again comes back
+    t0 = _digon_tag_states()[start] if isinstance(start, int) else load_surface(start)
+    reached, edges = _reached([t0], depth, key=_form)
+    assert len(reached) == count
+    for t, k, t2 in edges:
+        validate(t2)
+        assert t2.adjacency == matrix_mutate(t.adjacency, k - 1), (format_triangulation(t), k)
+        assert _form(flip(t2, k).triangulation) == _form(t), (format_triangulation(t), k)
+
+
+def test_the_digon_notched_at_arcs_3_4_flips_through_5_5_2_and_back():
+    # with positional puncture ids the word 5 5 2 moved the notched tag to
+    # the puncture the last flip enclosed, and flipping 1 there never ended
+    t, _ = flip_word(_digon_tag_states()[2], [5, 5, 2])
+    validate(t)
+    assert _form(flip_word(t, [1, 1])[0]) == _form(t)
+
+
+def test_canonical_form_names_a_notched_puncture_whatever_the_storage_order():
+    # the digon stored as triangles 1 2 3 4 and as 3 4 1 2; puncture 1 is
+    # where arcs 1 and 2 meet, puncture 2 where arcs 3 and 4 do
+    lines = TWICE_PUNCTURED_DIGON.splitlines(keepends=True)
+    stored = [parse_triangulation("".join(lines[:3] + tris)) for tris in (lines[3:], lines[5:] + lines[3:5])]
+    assert stored[0].triangles == stored[1].triangles[2:] + stored[1].triangles[:2]
+
+    def notched_at(t, a, b):
+        (p,) = set(arc_endpoints(t, a)) & set(arc_endpoints(t, b))
+        return _form(tag_switch(t, p))
+
+    for a, b in ((1, 2), (3, 4)):
+        assert notched_at(stored[0], a, b) == notched_at(stored[1], a, b)
+    assert notched_at(stored[0], 1, 2) != notched_at(stored[1], 3, 4)
+
+
+def test_tag_switches_commute_with_flips():
+    # Fomin-Shapiro-Thurston: switching the tags at a puncture and then
+    # flipping k gives what flipping k and then switching at that puncture
+    # does, so over all punctures the two sets of results agree
+    _, edges = _reached(_digon_tag_states()[:1], 4, key=_form)
+    assert len(edges) == 300
+    for t, k, t2 in edges:
+        switch_first = {_form(flip(tag_switch(t, p), k).triangulation) for p in punctures(t)}
+        flip_first = {_form(tag_switch(t2, q)) for q in punctures(t2)}
+        assert switch_first == flip_first, (format_triangulation(t), k)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +360,7 @@ def test_notched_tags_round_trip():
     text = format_triangulation(t5)
     assert "tag" in text and "notched" in text
     again = parse_triangulation(text)
-    assert again.notched == frozenset({1})
+    assert again.notched == frozenset(punctures(again))
     assert canonical_form(again)[0] == canonical_form(t5)[0]
 
 
