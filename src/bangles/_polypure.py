@@ -4,10 +4,10 @@ A polynomial is a dict mapping exponent tuples (ints, negatives allowed) to
 nonzero int coefficients.  These loops dominate every verification run;
 `poly` calls them for every sum and product.
 
-`binomial_sum` multiplies terms by powers of (1 + v_k) without products:
-a term c * v^e times (1 + v_k)^m is c * C(m, j) at e + j*e_k, j = 0..m.
-Each row C(m, .) is built once per call from ints, C(m, j+1) = C(m, j) *
-(m-j) // (j+1), a division that is always exact.
+`group_sum` and `group_decode` hold a Laurent polynomial as one int per
+group of terms that agree off variable i: the group's polynomial in v_i,
+times v_i^-low, evaluated at v_i = 2^width (Kronecker substitution along
+v_i).  `poly.lp_binomial_groups` picks the width and proves it exact.
 
 The transfer scan keys each weight by one int instead of a tuple: exponent
 i sits in bits [i*width, (i+1)*width) as a signed field, so adding two
@@ -22,7 +22,8 @@ cast, and never slices fields in Python.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, List, Tuple
+from itertools import repeat
+from typing import Iterable, List
 
 
 def add_merge(a: dict, b: dict) -> dict:
@@ -57,26 +58,33 @@ def mul_accum(a: dict, b: dict) -> dict:
     return out
 
 
-def binomial_sum(terms: Iterable[Tuple[tuple, int, int]], k: int) -> dict:
-    """Sum of c * v^e * (1 + v_k)^m over (e, c, m) triples, zeros pruned.
-    The j = 0 term of each is c * v^e itself, so its tuple is not rebuilt."""
-    rows: dict = {}
-    out: dict = {}
-    for e, c, m in terms:
-        row = rows.get(m)
-        if row is None:
-            row = rows[m] = [1]
-            for j in range(m):
-                row.append(row[j] * (m - j) // (j + 1))
-        if m:
-            head, ek, tail = e[:k], e[k], e[k + 1 :]
-        for j, b in enumerate(row):
-            x = head + (ek + j,) + tail if j else e
-            s = out.get(x, 0) + c * b
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
+def group_sum(side, i: int, table: List[int], width: int, low: int) -> dict:
+    """One side's dict of `poly.lp_binomial_groups`, whose table holds
+    (2^width + 1)^m at m."""
+    cols, coeffs, powers = side
+    # with one variable no column is left to zip, so every key is ()
+    keys = zip(*cols[:i], *cols[i + 1 :]) if len(cols) > 1 else repeat(())
+    groups: dict = {}
+    get = groups.get
+    for key, a, c, m in zip(keys, cols[i], coeffs, powers):
+        groups[key] = get(key, 0) + (c * table[m] << width * (a - low))
+    return groups if all(groups.values()) else {key: v for key, v in groups.items() if v}
+
+
+def group_decode(groups: dict, i: int, width: int, low: int) -> dict:
+    """The Laurent polynomial one dict of `group_sum` holds: a
+    group's int read as balanced base-2^width digits, digit j the
+    coefficient of v_i^(low + j), with that exponent put back into the key
+    at entry i.  The digits are exact while every coefficient lies in
+    (-2^(width-1), 2^(width-1))."""
+    half, out = 1 << (width - 1), {}
+    for key, v in groups.items():
+        a = low
+        while v:
+            d = (v + half) % (2 * half) - half
+            if d:
+                out[key[:i] + (a,) + key[i:]] = d
+            v, a = (v - d) >> width, a + 1
     return out
 
 

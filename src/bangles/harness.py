@@ -13,11 +13,11 @@ keeps only its (F, g, h) and its shape, until the sweep returns; so the
 per shape of band graph (`snakegraph`).  A state keeps F in column form,
 the lists its shape's floor holds, not a dict.  Its F identity clears
 the (1+y_k) denominators of the one-step Y-seed and compares two Laurent
-polynomials, each one binomial sum along y_k (`lp_binomial_sum`) over
-terms whose keys are zipped from F's columns; the moved exponent and the
-power of (1+y_k) of each term of F' are dot products down those columns
-(`column_dot`).  Like every check it is exact, and a passing keylemma-F
-report carries no sides.
+polynomials, each held as one exact int per group of terms with equal
+exponents off y_k (`lp_binomial_groups`), with no power of (1+y_k)
+expanded; the moved exponent and the power of (1+y_k) of each term of F'
+are dot products down F''s columns (`column_dot`).  Like every check it
+is exact, and a passing keylemma-F report decodes and carries no sides.
 The arc sweep looks a flip up before taking it, by the n-1 arcs it keeps,
 and takes only flips that reach a new cluster.  It keys seeds by the flip
 word of their cluster, and builds one only for a cluster that holds an arc
@@ -50,7 +50,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from .curve import Curve, TransportError, arc_curve, normalize_curve, parse_curve, transport_curve
 from .fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from .mutation import Seed, gvec_mutate_with_h, initial_seed, matrix_mutate, seed_mutate, yseed_mutate
-from .poly import column_dot, lp_binomial_sum, lp_format, var_names
+from .poly import column_dot, lp_binomial_decode, lp_binomial_groups, lp_format, var_names
 from .shear import dual_shear, elementary_laminate, shear_matrix
 from .snakegraph import Shape, build_band_graph, msw_function
 from .surface import FlipResult, Triangulation, canonical_form, flip
@@ -106,9 +106,8 @@ def _key_lemma_reports(
     """Compare the (F, g, h) of a band graph before and after the flip at k,
     each F in column form."""
     ((*e1, c1), gv1, hv1), ((*e2, c2), gv2, hv2) = before, after
-    n = t.n_arcs
-    b = t.adjacency
-    hk, hk2 = hv1[k - 1], hv2[k - 1]
+    i, b = k - 1, t.adjacency
+    hk, hk2 = hv1[i], hv2[i]
 
     # F identity  F(y) * (1+y'_k)^(-h'_k)  ==  F'(y') * (1+y_k)^(-h_k),
     # y the initial Y-seed and y'_j = y^(a_j) * (1+y_k)^(p_j).  As
@@ -116,28 +115,29 @@ def _key_lemma_reports(
     # c * y^(e + h'_k e_k) * (1+y_k)^(-h'_k) on the left, and a term
     # c * y^e of F' gives c * y^(sum e_j a_j) * (1+y_k)^(sum e_j p_j - h_k)
     # on the right.  Times (1+y_k)^N, N >= 0 the least that leaves no
-    # negative power, each side is one binomial sum along y_k, a Laurent
-    # polynomial; the two are equal exactly when the sides are.  Off entry
-    # k each a_j is the j-th unit vector, so sum e_j a_j is e with its k-th
-    # entry replaced by e's dot product with column k of the a_j.  Both
-    # dot products run down F's columns, and the keys are zipped from them.
-    i = k - 1
+    # negative power, each side is a Laurent polynomial; the two are equal
+    # exactly when the sides are, and `lp_binomial_groups` compares them
+    # as one int per group of terms along y_k, expanding neither.  Off
+    # entry k each a_j is the j-th unit vector, so sum e_j a_j is e with
+    # its k-th entry replaced by e's dot product with column k of the a_j.
+    # Both dot products run down F''s columns.
     yp = yseed_mutate(b, i)
-    at_k = column_dot(e2, [a[i] for a, _ in yp], len(c2))
+    at_k = list(column_dot(e2, [a[i] for a, _ in yp], len(c2)))  # sum e_j a_j
     powers = list(column_dot(e2, [p for _, p in yp], len(c2)))  # sum e_j p_j
     big_n = max(0, hk2, hk - min(powers))
-    left = zip(*e1[:i], map(add, e1[i], repeat(hk2)), *e1[k:])  # e + h'_k e_k
-    right = zip(*e2[:i], at_k, *e2[k:])  # sum e_j a_j
-    lhs = lp_binomial_sum(zip(left, c1, repeat(big_n - hk2)), i)
-    rhs = lp_binomial_sum(zip(right, c2, map(add, powers, repeat(big_n - hk))), i)
-    # only a failing line prints its sides, so only a failure formats them
+    left = ((*e1[:i], list(map(add, e1[i], repeat(hk2))), *e1[k:]), c1, [big_n - hk2] * len(c1))
+    right = ((*e2[:i], at_k, *e2[k:]), c2, list(map(add, powers, repeat(big_n - hk))))
+    width, low, (lhs, rhs) = lp_binomial_groups((left, right), i)
+    # only a failing line prints its sides, so only a failure decodes them
     ok_f = lhs == rhs
-    sides = () if ok_f else tuple(lp_format(side, var_names("y", n)) for side in (lhs, rhs))
+    sides = () if ok_f else tuple(
+        lp_format(lp_binomial_decode(side, i, width, low), var_names("y", t.n_arcs)) for side in (lhs, rhs)
+    )
     reports = [VerificationReport(case, "keylemma-F", ok_f, *sides)]
 
     # g rules: g_k = h_k - h'_k and the full mutated vector
-    rule = gvec_mutate_with_h(gv1, hk, b, k - 1)
-    ok_g = gv1[k - 1] == hk - hk2 and gv2 == rule
+    rule = gvec_mutate_with_h(gv1, hk, b, i)
+    ok_g = gv1[i] == hk - hk2 and gv2 == rule
     sides = () if ok_g else (f"g={gv1} g'={gv2}", f"rule={rule} h_k-h'_k={hk - hk2}")
     reports.append(VerificationReport(case, "keylemma-g", ok_g, *sides))
 

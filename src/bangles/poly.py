@@ -22,15 +22,18 @@ denominators, a monomial times a power of (1+y_k), are cleared.  No
 rational function is ever formed.
 
 The inner loops live in `_polypure`: term merge, product accumulation, and
-`lp_binomial_sum`, which multiplies terms by powers of (1 + v_i) with
-binomial rows built from ints, not with products.
+the groups of `lp_binomial_groups`, which holds a sum of terms times
+powers of (1 + v_i) as one int per group of terms that agree off v_i,
+its polynomial in v_i evaluated at a power of two wide enough that equal
+ints mean equal polynomials; no power of (1 + v_i) is expanded, and
+`lp_binomial_decode` reads a side back only when it is printed.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, itemgetter, lt, mul, neg, sub
+from operator import add, lt, mul, neg, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _polypure as _kernel
@@ -105,20 +108,51 @@ def lp_mul(p: Poly, q: Poly) -> Poly:
     return _kernel.mul_accum(p, q)
 
 
-def lp_binomial_sum(terms: Iterable[Tuple[Exponent, int, int]], i: int) -> Poly:
-    """Sum of c * vars^e * (1 + variable_i)^m over (e, c, m) triples, m >= 0."""
-    terms = list(terms)
-    if not terms:
-        return {}
-    n = len(terms[0][0])
+def lp_binomial_groups(sides: Sequence[tuple], i: int) -> Tuple[int, int, List[dict]]:
+    """Each side, a sum of c * vars^e * (1 + variable_i)^m over its terms,
+    held as one int per group of terms that agree off entry i: (width, low,
+    one dict per side from each group's key, e with entry i removed, to its
+    int).  A side is (exponent columns, coefficients, powers m >= 0), a
+    term per row.  Two sides are equal exactly when their dicts are.
+
+    With low the least of 0 and every exponent of variable_i, a group's sum
+    is variable_i^low * G(variable_i) times its key's monomial, G a
+    polynomial with int coefficients; its int is G(2^width).  A term
+    c * vars^e * (1 + variable_i)^m adds c * (2^width + 1)^m <<
+    width * (e_i - low) to it, so no side is expanded.  Exactness: the
+    coefficients of (1 + v)^m add up to 2^m, so no coefficient of any G,
+    or of any difference of two sides' G, exceeds M = the sum over all
+    terms of |c| * 2^(greatest m of its side) in size, and width =
+    M.bit_length() + 1 makes M < 2^(width-1).  A nonzero polynomial D with
+    top coefficient d_t and every coefficient less than X = 2^width in size
+    has |D(X) - d_t X^t| <= (X-1)(1 + X + ... + X^(t-1)) = X^t - 1 <
+    |d_t X^t|, so D(X) != 0.  So equal ints mean equal groups, a group of
+    int 0 is zero and is dropped, and the balanced base-2^width digits of
+    a group's int are G's coefficients (`lp_binomial_decode`).
+    """
+    n = len(sides[0][0]) if sides else 0
     if not 0 <= i < n:
         raise IndexError(f"variable {i} out of range for arity {n}")
-    arities = set(map(len, map(itemgetter(0), terms)))
-    if arities != {n}:
-        raise ArityError(f"arity mismatch: {n} vs {max(arities - {n})}")
-    if min(map(itemgetter(2), terms)) < 0:
-        raise ValueError("negative power of a polynomial")
-    return _kernel.binomial_sum(terms, i)
+    bound = top = low = 0
+    for cols, coeffs, powers in sides:
+        if len(cols) != n:
+            raise ArityError(f"arity mismatch: {n} vs {len(cols)}")
+        if coeffs:
+            m = max(powers)
+            if min(powers) < 0:
+                raise ValueError("negative power of a polynomial")
+            bound += sum(map(abs, coeffs)) << m
+            top, low = max(top, m), min(low, min(cols[i]))
+    width = bound.bit_length() + 1
+    table = [1]  # (2^width + 1)^m at m
+    for _ in range(top):
+        table.append(table[-1] * ((1 << width) + 1))
+    return width, low, [_kernel.group_sum(side, i, table, width, low) for side in sides]
+
+
+# lp_binomial_decode(groups, i, width, low): the side that one dict of
+# `lp_binomial_groups(sides, i)` holds, as a Laurent polynomial
+lp_binomial_decode = _kernel.group_decode
 
 
 def lp_pow(p: Poly, k: int) -> Poly:

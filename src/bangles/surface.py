@@ -192,7 +192,9 @@ def corner_sides(t: Triangulation, c: Corner) -> Tuple[int, int]:
 
 
 def punctures(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
-    return tuple(o for o, kind in t.vertices if kind == "puncture")
+    """Puncture orbits by least corner name, as `canonical_form` names a
+    notched one, so `puncture:N` does not follow storage order."""
+    return tuple(sorted((o for o, kind in t.vertices if kind == "puncture"), key=lambda o: _vertex_name(t, o)))
 
 
 def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
@@ -200,6 +202,8 @@ def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
 
 
 def resolve_vertex_ref(t: Triangulation, ref: str) -> Tuple[Corner, ...]:
+    """The orbit `marked:N` or `puncture:N` names, 1-based, in the order of
+    `marked_points` or `punctures`."""
     kind, _, num = ref.partition(":")
     try:
         idx = int(num) - 1
@@ -520,6 +524,10 @@ def _corner_name(tri: Tuple[int, int, int], pos: int) -> Tuple[int, int, int]:
     return tri[pos:] + tri[:pos]
 
 
+def _vertex_name(t: Triangulation, orbit: Tuple[Corner, ...]) -> Tuple[int, int, int]:
+    return min(_corner_name(t.triangles[ti], pos) for ti, pos in orbit)
+
+
 def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
     return min(_corner_name(tri, pos) for pos in range(3))
 
@@ -529,7 +537,7 @@ def canonical_form(t: Triangulation) -> Tuple[tuple, List[int]]:
     notched puncture named by its least corner name), and the storage
     indices of t's triangles in its order, from one sort."""
     rots = sorted((_rotated(tri), i) for i, tri in enumerate(t.triangles))
-    tags = sorted(min(_corner_name(t.triangles[ti], pos) for ti, pos in p) for p in t.notched)
+    tags = sorted(_vertex_name(t, p) for p in t.notched)
     return (tuple(r for r, _ in rots), tuple(tags)), [i for _, i in rots]
 
 

@@ -1,7 +1,8 @@
 """AST scan: the arithmetic modules stay exact.  No float literal, no true
-division, no float() or round(), no import of fractions, decimal or math,
-and no `array` or `.cast` but to signed ints, so every value they compute
-is an int or built from ints."""
+division, no power (`**` or `pow`: an int to a negative int is a float),
+no float() or round(), no import of fractions, decimal or math, and no
+`array` or `.cast` but to signed ints, so every value they compute is an
+int or built from ints."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,10 @@ def _inexact(tree: ast.Module):
             out.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             out.append((node.lineno, "true division /"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            out.append((node.lineno, "power **"))
+        elif called == "pow":
+            out.append((node.lineno, "pow() call"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "round"):
             out.append((node.lineno, f"{node.func.id}() call"))
         elif isinstance(node, ast.Import):
@@ -65,6 +70,7 @@ def test_the_scan_sees_each_banned_construct():
         "CODES = {8: 'b', 32: 'f'}\n"
         "array('d', x)\narray.array('q', x)\narray(CODES[w], x)\narray(code, x)\n"
         "memoryview(x).cast('B')\nmemoryview(x).cast('d')\nview.cast('q')\nview.cast(CODES[w])\n"
+        "p = 2 ** e\np **= 2\nq = pow(2, e)\nr = operator.pow(2, e)\n"
     )
     whats = [what for _, what in _inexact(ast.parse(src))]
     assert whats == [
@@ -81,6 +87,10 @@ def test_the_scan_sees_each_banned_construct():
         "cast typecode 'B'",
         "cast typecode 'd'",
         "cast typecode 'f'",
+        "power **",
+        "power **",
+        "pow() call",
+        "pow() call",
     ]
 
 

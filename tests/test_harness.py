@@ -24,6 +24,7 @@ from bangles.mutation import initial_seed, yseed_mutate
 from bangles.poly import (
     InexactDivisionError,
     lp_add,
+    lp_binomial_decode,
     lp_mul,
     lp_one,
     lp_pow,
@@ -125,28 +126,48 @@ def _product_form_sides(t, k, before, after):
 
 @pytest.mark.parametrize("name", ["annulus", "annulus2", "torus-boundary"])
 def test_key_lemma_f_sides_match_the_product_form(monkeypatch, name):
-    # every flip edge of a depth-3 sweep: each binomial-sum side equals the
-    # same side built from products, and the F report passes
-    sides, calls = [], []
-    real_sum, real_reports = harness.lp_binomial_sum, harness._key_lemma_reports
+    # every flip edge of a depth-3 sweep: each side, decoded from its ints
+    # here though the check passes and decodes nothing, equals the same
+    # side built from products, and the F report passes
+    groups, calls = [], []
+    real_groups, real_reports = harness.lp_binomial_groups, harness._key_lemma_reports
 
-    def recording_sum(terms, i):
-        sides.append(real_sum(terms, i))
-        return sides[-1]
+    def recording_groups(sides, i):
+        groups.append((i, real_groups(sides, i)))
+        return groups[-1][1]
 
     def recording_reports(t, k, before, after, case):
         reports = real_reports(t, k, before, after, case)
         calls.append((t, k, before, after, reports[0]))
         return reports
 
-    monkeypatch.setattr(harness, "lp_binomial_sum", recording_sum)
+    monkeypatch.setattr(harness, "lp_binomial_groups", recording_groups)
     monkeypatch.setattr(harness, "_key_lemma_reports", recording_reports)
     out = []
     harness._keylemma_sweep(load_surface(name), name, 3, out)
-    assert calls and len(sides) == 2 * len(calls)
-    for (t, k, before, after, report), lhs, rhs in zip(calls, sides[::2], sides[1::2]):
+    assert calls and len(groups) == len(calls)
+    for (t, k, before, after, report), (i, (width, low, sides)) in zip(calls, groups):
         assert report.identity == "keylemma-F" and report.passed, report.case
-        assert (lhs, rhs) == _product_form_sides(t, k, before, after), report.case
+        decoded = tuple(lp_binomial_decode(side, i, width, low) for side in sides)
+        assert decoded == _product_form_sides(t, k, before, after), report.case
+
+
+# the square: one arc, 1, cutting it into two triangles
+SQUARE = "surface g=0 b=1 m=4 p=0\narcs 1\nboundary 4\ntriangle 1 2 3\ntriangle 1 4 5\n"
+
+
+def test_key_lemma_f_on_one_arc():
+    # with one arc no column is left off y_1 to key the F identity's
+    # groups; F = F' = 1 must still pass and F' = 1 + y1 fail
+    t = surface.parse_triangulation(SQUARE)
+    one, one_plus = ([0], [1]), ([0, 1], [1, 1])
+    before = (one, (0,), (0,))
+
+    def f_report(f2):
+        return harness._key_lemma_reports(t, 1, before, (f2, (0,), (0,)), "square:flip=1")[0]
+
+    assert f_report(one).passed
+    assert f_report(one_plus).line() == "[FAIL] keylemma-F :: square:flip=1\n  lhs: 1\n  rhs: y1^-1 + 1"
 
 
 # keylemma-F checks of the depth-3 sweeps of the three closed fixtures:
@@ -186,6 +207,23 @@ def test_key_lemma_f_fails_on_every_edge_with_one_coefficient_of_f_prime_raised(
         return (*heights, [counts[0] + 1] + counts[1:]), g, h
 
     assert len(_depth_3_f_failures(monkeypatch, raised)) == DEPTH_3_EDGES
+
+
+def test_no_passing_key_lemma_edge_decodes_a_side(monkeypatch):
+    # a passing F check compares ints only: with the decoder made to raise,
+    # the depth-3 sweeps of the three closed fixtures still pass throughout
+    def refuse(*args):
+        raise AssertionError("a passing check decoded a side")
+
+    monkeypatch.setattr(harness, "lp_binomial_decode", refuse)
+    out = []
+    for name in ("annulus", "annulus2", "torus-boundary"):
+        harness._keylemma_sweep(load_surface(name), name, 3, out)
+    assert len(out) == 3 * DEPTH_3_EDGES and all(r.passed for r in out)
+    # while a failing check does decode its sides through that name
+    one, one_plus = (([0], [1]), (0,), (0,)), (([0, 1], [1, 1]), (0,), (0,))
+    with pytest.raises(AssertionError, match="decoded a side"):
+        harness._key_lemma_reports(surface.parse_triangulation(SQUARE), 1, one, one_plus, "square:flip=1")
 
 
 def test_arc_check_with_empty_word():

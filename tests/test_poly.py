@@ -11,7 +11,8 @@ from bangles.poly import (
     InexactDivisionError,
     NotSubtractionFreeError,
     lp_add,
-    lp_binomial_sum,
+    lp_binomial_decode,
+    lp_binomial_groups,
     lp_divexact,
     lp_format,
     lp_mul,
@@ -346,50 +347,86 @@ def test_byte_width_raises_above_64_bits():
 
 
 # ---------------------------------------------------------------------------
-# binomial sums: terms times powers of (1 + v_i), without products
-
-laurent3 = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), coeffs, max_size=6)
+# binomial groups: sums of terms times powers of (1 + v_i), one int per group
 
 
-def _times_binomial_power(p, i, m):
-    """p * (1 + v_i)^m as a product of polynomials: the oracle."""
-    return lp_mul(p, lp_pow(lp_add(lp_one(3), lp_var(3, i)), m))
-
-
-@given(laurent3, st.integers(0, 2), st.integers(0, 6))
-def test_binomial_sum_matches_the_product(p, i, m):
-    out = lp_binomial_sum([(e, c, m) for e, c in p.items()], i)
-    assert out == _times_binomial_power(p, i, m)
-    assert all(out.values())
-
-
-@given(laurent3, st.integers(0, 2), st.lists(st.integers(0, 6), min_size=6, max_size=6))
-def test_binomial_sum_takes_a_power_per_term(p, i, powers):
-    terms = [(e, c, m) for (e, c), m in zip(p.items(), powers)]
-    want = {}
+def _product_form(terms, n, i):
+    """Sum of c * v^e * (1 + v_i)^m over (e, c, m) terms, built from
+    products: the oracle."""
+    one_plus, out = lp_add(lp_one(n), lp_var(n, i)), {}
     for e, c, m in terms:
-        want = lp_add(want, _times_binomial_power({e: c}, i, m))
-    assert lp_binomial_sum(terms, i) == want
+        out = lp_add(out, lp_mul({e: c}, lp_pow(one_plus, m)))
+    return out
 
 
-def test_binomial_sum_drops_cancelled_terms():
+def _side(terms, n):
+    """(exponent columns, coefficients, powers) of (e, c, m) terms."""
+    return [[e[j] for e, _, _ in terms] for j in range(n)], [c for _, c, _ in terms], [m for *_, m in terms]
+
+
+@st.composite
+def binomial_pairs(draw):
+    """(n, i, lhs terms, rhs terms).  The rhs rewrites some lhs terms by
+    (1 + v_i)^m = (1 + v_i)^(m-1) + v_i * (1 + v_i)^(m-1), so the two are
+    often equal, and then may gain terms of its own."""
+    n = draw(st.integers(1, 4))
+    i = draw(st.integers(0, n - 1))
+    term = st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-4, 4), st.integers(0, 4))
+    lhs, rhs = draw(st.lists(term, max_size=6)), []
+    for e, c, m in lhs:
+        if m and draw(st.booleans()):
+            rhs += [(e, c, m - 1), (e[:i] + (e[i] + 1,) + e[i + 1 :], c, m - 1)]
+        else:
+            rhs.append((e, c, m))
+    return n, i, lhs, rhs + draw(st.lists(term, max_size=2))
+
+
+@settings(max_examples=300)
+@given(binomial_pairs())
+def test_binomial_groups_decide_and_decode_like_the_product_form(case):
+    n, i, lhs, rhs = case
+    want = [_product_form(terms, n, i) for terms in (lhs, rhs)]
+    width, low, groups = lp_binomial_groups([_side(lhs, n), _side(rhs, n)], i)
+    assert (groups[0] == groups[1]) == (want[0] == want[1])
+    assert [lp_binomial_decode(g, i, width, low) for g in groups] == want
+
+
+def test_binomial_groups_drop_cancelled_groups():
     # (1 + y1) - y1 = 1, and (1 + y2)^2 - (1 + y2)^2 = 0
-    assert lp_binomial_sum([((0, 0), 1, 1), ((1, 0), -1, 0)], 0) == {(0, 0): 1}
-    assert lp_binomial_sum([((0, -1), 1, 2), ((0, -1), -1, 2)], 1) == {}
+    assert lp_binomial_groups([([[0, 1], [0, 0]], [1, -1], [1, 0])], 0)[2] == [{(0,): 1}]
+    assert lp_binomial_groups([([[0, 0], [-1, -1]], [1, -1], [2, 2])], 1)[2] == [{}]
     # 2*y1^-1*(1 + y1) - (1 + y1)^2 * y1^-1 = y1^-1 - y1
-    assert fmt(lp_binomial_sum([((-1, 0), 2, 1), ((-1, 0), -1, 2)], 0)) == "y1^-1 - y1"
+    width, low, (side,) = lp_binomial_groups([([[-1, -1], [0, 0]], [2, -1], [1, 2])], 0)
+    assert fmt(lp_binomial_decode(side, 0, width, low)) == "y1^-1 - y1"
 
 
-@given(laurent3, st.integers(0, 2))
-def test_binomial_sum_at_power_zero_is_the_identity(p, i):
-    assert lp_binomial_sum([(e, c, 0) for e, c in p.items()], i) == p
+def test_binomial_groups_on_one_variable_keep_every_term():
+    # one variable leaves no column to key the groups by; every term is
+    # in the one group (), so y1^-1 * (1 + y1) - y1^-1 equals 1, and 1 + y1
+    # does not
+    width, low, (one, also_one, one_plus) = lp_binomial_groups(
+        [([[0]], [1], [0]), ([[-1, -1]], [1, -1], [1, 0]), ([[0, 1]], [1, 1], [0, 0])], 0
+    )
+    assert one == also_one != one_plus
+    assert lp_binomial_decode(one_plus, 0, width, low) == {(0,): 1, (1,): 1}
 
 
-def test_binomial_sum_rejects_bad_terms():
-    with pytest.raises(ValueError):
-        lp_binomial_sum([((0, 0), 1, 2), ((1, 0), 1, -1)], 0)
+def test_binomial_groups_separate_a_difference_that_vanishes_one_bit_narrower():
+    # y1 against 2^w: M = 1 + 2^w, so the width is w + 2 and y1 - 2^w, which
+    # vanishes at y1 = 2^(width-2), is no zero of the ints.  No nonzero
+    # difference vanishes at 2^(width-1): its coefficients are at most M.
+    for w in (1, 5, 64):
+        width, low, (lhs, rhs) = lp_binomial_groups([([[1]], [1], [0]), ([[0]], [1 << w], [0])], 0)
+        assert (width, low) == (w + 2, 0)
+        assert lhs != rhs
+        assert lp_binomial_decode(rhs, 0, width, low) == {(0,): 1 << w}
+
+
+def test_binomial_groups_reject_bad_sides():
+    with pytest.raises(ValueError, match="negative power"):
+        lp_binomial_groups([([[0, 1], [0, 0]], [1, 1], [2, -1])], 0)
     with pytest.raises(ArityError):
-        lp_binomial_sum([((0, 0), 1, 1), ((0, 0, 0), 1, 1)], 0)
+        lp_binomial_groups([([[0], [0]], [1], [1]), ([[0], [0], [0]], [1], [1])], 0)
     with pytest.raises(IndexError):
-        lp_binomial_sum([((0, 0), 1, 1)], 2)
-    assert lp_binomial_sum([], 0) == {}
+        lp_binomial_groups([([[0], [0]], [1], [1])], 2)
+    assert lp_binomial_groups([([[], []], [], []), ([[], []], [], [])], 0)[2] == [{}, {}]

@@ -227,8 +227,8 @@ def _reached(starts, depth=None, key=lambda t: t):
 
 def _digon_tag_states():
     """The twice-punctured digon with no puncture notched, the one where
-    arcs 1 and 2 meet (its corners come first), the one where arcs 3 and 4
-    meet, and both."""
+    arcs 1 and 2 meet (its least corner name comes first), the one where
+    arcs 3 and 4 meet, and both."""
     digon = parse_triangulation(TWICE_PUNCTURED_DIGON)
     p1, p2 = punctures(digon)
     return [digon, tag_switch(digon, p1), tag_switch(digon, p2), tag_switch(tag_switch(digon, p1), p2)]
@@ -331,6 +331,22 @@ def test_canonical_form_names_a_notched_puncture_whatever_the_storage_order():
     for a, b in ((1, 2), (3, 4)):
         assert notched_at(stored[0], a, b) == notched_at(stored[1], a, b)
     assert notched_at(stored[0], 1, 2) != notched_at(stored[1], 3, 4)
+
+
+def test_puncture_refs_name_a_puncture_whatever_the_storage_order():
+    # `puncture:N` counts punctures by least corner name, so on the digon
+    # stored as triangles 1 2 3 4 and as 3 4 1 2, puncture:1 is where arcs
+    # 1 and 2 meet, and so is the puncture 1 of a partial-notching error
+    lines = TWICE_PUNCTURED_DIGON.splitlines(keepends=True)
+    for tris in (lines[3:], lines[5:] + lines[3:5]):
+        text = "".join(lines[:3] + tris)
+        t = parse_triangulation(text)
+        (p,) = set(arc_endpoints(t, 1)) & set(arc_endpoints(t, 2))
+        assert resolve_vertex_ref(t, "puncture:1") == p
+        assert resolve_vertex_ref(t, "puncture:2") != p
+        end = arc_endpoints(t, 1).index(p)
+        with pytest.raises(TriangulationError, match="puncture 1: partial notching"):
+            parse_triangulation(text + f"tag 1 {end} notched\n")
 
 
 def test_tag_switches_commute_with_flips():
