@@ -129,8 +129,11 @@ def normalize_curve(c: Curve) -> Curve:
     least form, an open one takes the lesser of its two orientations."""
     if c.steps and not c.closed:
         return min(c, _reversed(c), key=lambda o: (o.steps, o.ends))
-    rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
-    return closed_curve(min(rots)) if rots else c
+    if not c.steps:
+        return c
+    # the least rotation starts at the least step, so only those rotate
+    steps, least = c.steps, min(c.steps)
+    return closed_curve(min(steps[i:] + steps[:i] for i, s in enumerate(steps) if s == least))
 
 
 # ---------------------------------------------------------------------------

@@ -250,12 +250,12 @@ def _closed_fixture(t: Triangulation, name: str) -> Optional[Curve]:
 
 def _state_key(cur: Triangulation, curve: Curve) -> tuple:
     # Flip words revisit states with triangles stored in another order,
-    # and closed-curve steps index triangles by storage position.  Push
-    # canonical_form's triangle order through the steps so equal keys
-    # really mean equal checks.
-    form, order = canonical_form(cur)
-    new_index = {old: new for new, old in enumerate(order)}
-    steps = tuple((new_index[tri], a) for tri, a in curve.steps)
+    # and closed-curve steps index triangles by storage position.  Each
+    # step names its triangle by canonical_form's name for it instead,
+    # which storage order does not set and no other triangle shares, so
+    # equal keys really mean equal checks.
+    form, names = canonical_form(cur)
+    steps = tuple((names[tri], a) for tri, a in curve.steps)
     return form, normalize_curve(curve._replace(steps=steps))
 
 

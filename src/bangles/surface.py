@@ -357,14 +357,24 @@ class _QuadView:
     both dst triangles, the other two corners pin a unique dst triangle.
     Every quad it sees is clean by construction (`flip` hands out no other):
     its four triangles each have three distinct sides, so (triangle, label)
-    names each slot once.
+    names each slot once.  The corner tables are built together on first
+    read, which a closed curve never makes: it reads only the slot tables.
     """
 
     def __init__(self, q: QuadRecord, forward: bool):
         self.k = q.arc
         ta, tb = self.tris = (q.tri_a, q.tri_b)
-        (_, ka), (_, kb) = q.old_k_slots
+        self._old_k_slots = q.old_k_slots
+        self._forward = forward
         old, new = (ta, ta, tb, tb), (tb, ta, ta, tb)
+        (s1, s2, s3, s4), self.dst_tri = (old, new) if forward else (new, old)
+        e1, e2, e3, e4 = q.sides
+        self.slot_of = {(s1, e1): 0, (s2, e2): 1, (s3, e3): 2, (s4, e4): 3}
+
+    @cached_property
+    def _corner_tables(self) -> Tuple[Dict[Corner, str], Dict[str, Tuple[Corner, ...]]]:
+        ta, tb = self.tris
+        (_, ka), (_, kb) = self._old_k_slots
         old_corner = {
             "P": ((ta, (ka + 1) % 3),),
             "Q": ((ta, (ka + 2) % 3), (tb, kb)),
@@ -377,11 +387,16 @@ class _QuadView:
             "R": ((ta, 1), (tb, 2)),
             "S": ((tb, 0),),
         }
-        src_tris, self.dst_tri = (old, new) if forward else (new, old)
-        src_c, dst_c = (old_corner, new_corner) if forward else (new_corner, old_corner)
-        self.slot_of = {(src_tris[i], q.sides[i]): i for i in range(4)}
-        self.corner_name = {c: n for n, cs in src_c.items() for c in cs}
-        self.dst_corners = dst_c
+        src_c, dst_c = (old_corner, new_corner) if self._forward else (new_corner, old_corner)
+        return {c: n for n, cs in src_c.items() for c in cs}, dst_c
+
+    @property
+    def corner_name(self) -> Dict[Corner, str]:
+        return self._corner_tables[0]
+
+    @property
+    def dst_corners(self) -> Dict[str, Tuple[Corner, ...]]:
+        return self._corner_tables[1]
 
     def dst_corner(self, name: str, near_tri: int) -> Tuple[Corner, bool]:
         """Corner for this vertex on the dst side, preferring the triangle the
@@ -529,16 +544,27 @@ def _vertex_name(t: Triangulation, orbit: Tuple[Corner, ...]) -> Tuple[int, int,
 
 
 def _rotated(tri: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """The triangle's least corner name.  A strictly least label fixes it;
+    only a triangle that repeats its least label compares whole names."""
+    a, b, c = tri
+    if a < b and a < c:
+        return tri
+    if b < a and b < c:
+        return (b, c, a)
+    if c < a and c < b:
+        return (c, a, b)
     return min(_corner_name(tri, pos) for pos in range(3))
 
 
-def canonical_form(t: Triangulation) -> Tuple[tuple, List[int]]:
-    """Flip-path-independent fingerprint (triangle multiset + tags, each
-    notched puncture named by its least corner name), and the storage
-    indices of t's triangles in its order, from one sort."""
-    rots = sorted((_rotated(tri), i) for i, tri in enumerate(t.triangles))
+def canonical_form(t: Triangulation) -> Tuple[tuple, List[Tuple[int, int, int]]]:
+    """Flip-path-independent fingerprint (the sorted triangle names, and
+    each notched puncture named by its least corner name), and each stored
+    triangle's name: names[i] is triangle i's least rotation.  Names are
+    unique (see `_corner_name`), so they can stand in for storage indices
+    wherever the storage order must not show."""
+    names = [_rotated(tri) for tri in t.triangles]
     tags = sorted(_vertex_name(t, p) for p in t.notched)
-    return (tuple(r for r, _ in rots), tuple(tags)), [i for _, i in rots]
+    return (tuple(sorted(names)), tuple(tags)), names
 
 
 # ---------------------------------------------------------------------------

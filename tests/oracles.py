@@ -6,7 +6,10 @@ matchings from backtracking, and each height from the tiles that the
 matching and the minimal matching P₋ enclose (Musiker–Schiffler–Williams,
 Adv. Math. 2011).  `gamma_transform` is the shear transport law.
 `adjacency_by_pi` builds B(T) from its definition through the map pi
-(Fomin–Shapiro–Thurston, Acta Math. 2008).
+(Fomin–Shapiro–Thurston, Acta Math. 2008).  `state_key_by_rank` is the
+walker's state key by its first definition: steps renumber their triangles
+by rank in the sorted triangle rotations, and a curve takes the least of
+all its rotations (`normalize_by_all_rotations`).
 """
 
 from collections import Counter
@@ -148,3 +151,31 @@ def adjacency_by_pi(t):
                     b[j - 1][k - 1] += 1
                     b[k - 1][j - 1] -= 1
     return tuple(map(tuple, b))
+
+
+def _least_rotation(tri):
+    return min(tri[j:] + tri[:j] for j in range(3))
+
+
+def normalize_by_all_rotations(c):
+    """A closed curve's least rotation among all d of them; an open one's
+    lesser orientation, each step of the reversed curve starting where the
+    original step lands."""
+    if c.steps and not c.closed:
+        lands = [tri for tri, _ in c.steps[1:]] + [c.ends[1][0]]
+        rev = c._replace(steps=tuple((land, a) for land, (_, a) in zip(lands, c.steps))[::-1], ends=c.ends[::-1])
+        return min(c, rev, key=lambda o: (o.steps, o.ends))
+    rots = [c.steps[i:] + c.steps[:i] for i in range(len(c.steps))]
+    return c._replace(steps=min(rots)) if rots else c
+
+
+def state_key_by_rank(t, c):
+    """(sorted triangle rotations, each notched puncture by the least of
+    its corners' triangles read from that corner) and the curve with each
+    step's triangle renumbered by its rank in that sort, ties by storage
+    index, at its least rotation."""
+    ranked = sorted((_least_rotation(tri), i) for i, tri in enumerate(t.triangles))
+    rank = {i: r for r, (_, i) in enumerate(ranked)}
+    tags = sorted(min(t.triangles[ti][pos:] + t.triangles[ti][:pos] for ti, pos in p) for p in t.notched)
+    form = (tuple(rot for rot, _ in ranked), tuple(tags))
+    return form, normalize_by_all_rotations(c._replace(steps=tuple((rank[tri], a) for tri, a in c.steps)))

@@ -5,6 +5,7 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bangles.curve import (
     CurveError,
@@ -13,6 +14,7 @@ from bangles.curve import (
     arc_curve,
     closed_curve,
     normalize_curve,
+    open_curve,
     parse_curve,
     transport_curve,
     validate_curve,
@@ -23,6 +25,7 @@ from bangles.snakegraph import build_band_graph, build_snake_graph
 from bangles.surface import QuadRecord, TriangulationError, flip
 
 from flipwords import flip_word
+from oracles import normalize_by_all_rotations
 
 ANNULUS = load_surface("annulus")
 CORE = parse_curve(ANNULUS, load_curve_text("annulus-core"))
@@ -74,6 +77,26 @@ def test_validation_rejects_boundary_crossing():
 def test_normalize_rotation():
     c = closed_curve([(1, 2), (0, 1)])
     assert normalize_curve(c).steps == ((0, 1), (1, 2))
+
+
+# few triangles and arcs, so the least step often recurs
+_STEPS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=8)
+_CORNERS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS, st.integers(1, 4))
+def test_normalize_takes_the_least_of_all_rotations(steps, fold):
+    # a k-fold list repeats its least step at least k times
+    c = closed_curve(steps * fold)
+    assert normalize_curve(c) == normalize_by_all_rotations(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STEPS, _CORNERS, _CORNERS)
+def test_normalize_takes_the_lesser_orientation_of_an_open_curve(steps, end0, end1):
+    c = open_curve(steps, (end0, end1))
+    assert normalize_curve(c) == normalize_by_all_rotations(c)
 
 
 def test_transport_annulus_core():
@@ -380,3 +403,14 @@ def test_shared_views_transport_like_fresh_ones(first):
             assert "forward_view" in vars(q) and "backward_view" in vars(q)
             compared += 1
     assert compared == 126
+
+
+def test_closed_curves_build_no_corner_table():
+    # only ends and flipped arcs read corners, so a closed curve's
+    # transport leaves the view's corner tables unbuilt
+    for surface, t, c in closed_fixtures():
+        for k in range(1, t.n_arcs + 1):
+            q = flip(t, k).quad
+            if q is not None:
+                transport_curve(c, q)
+                assert "_corner_tables" not in vars(q.forward_view), (surface, k)

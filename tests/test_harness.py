@@ -8,7 +8,7 @@ import pytest
 import bangles.harness as harness
 import bangles.surface as surface
 from bangles.curve import normalize_curve, parse_curve, transport_curve
-from bangles.fixtures import SURFACES, load_curve_text, load_surface
+from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
 from bangles.harness import (
     IDENTITIES,
     CorpusConfig,
@@ -32,6 +32,7 @@ from bangles.poly import (
 )
 
 from columns import as_columns, as_dict
+from oracles import state_key_by_rank
 
 
 def _annulus_core():
@@ -487,6 +488,21 @@ def test_key_lemma_sweep_builds_each_state_once(monkeypatch):
     harness._keylemma_sweep(load_surface("annulus"), "annulus", 3, out)
     assert out and all(r.passed for r in out)
     assert len(built) == len(set(built))
+
+
+def test_state_keys_split_states_as_the_rank_renumbered_key_does():
+    # every state and every edge's child of the three depth-4 key-lemma
+    # sweeps: two have equal keys exactly when their oracle keys are equal
+    pairs = []
+    for name in CLOSED_CURVES:
+        t0 = load_surface(name)
+        c0 = harness._closed_fixture(t0, name)
+        for t, c, _, _, edges in harness._walk(t0, c0, 4, transport_curve, harness._state_key):
+            pairs.append((t, c))
+            pairs.extend((t2, c2) for _, t2, c2, _ in edges)
+    assert len(pairs) == 560
+    keys = {(harness._state_key(t, c), state_key_by_rank(t, c)) for t, c in pairs}
+    assert len({new for new, _ in keys}) == len({old for _, old in keys}) == len(keys) == 201
 
 
 def test_key_lemma_sweep_flips_once_per_check(monkeypatch):

@@ -13,6 +13,7 @@ from bangles.surface import (
     Triangulation,
     TriangulationError,
     UnsupportedFlipError,
+    _rotated,
     adjacency_matrix,
     arc_endpoints,
     canonical_form,
@@ -104,19 +105,20 @@ def test_double_flip_restores_canonical_form():
 
 
 def test_canonical_form_orders_the_stored_triangles():
-    # the second part of canonical_form lists the stored triangles in the
-    # order of their least rotations in the first, ties by storage index
+    # the second part of canonical_form names each stored triangle by its
+    # least rotation, and the form's triangle part is those names sorted
     for name in SURFACES:
         t = load_surface(name)
         for k in range(1, t.n_arcs + 1):
             t2 = flip(t, k).triangulation
-            (tris, _), order = canonical_form(t2)
-            assert sorted(order) == list(range(len(t2.triangles))), (name, k)
-            for place, i in enumerate(order):
-                tri = t2.triangles[i]
-                assert tris[place] == min(tri[j:] + tri[:j] for j in range(3)), (name, k)
-            for p in range(len(order) - 1):
-                assert tris[p] < tris[p + 1] or order[p] < order[p + 1], (name, k)
+            (tris, _), names = canonical_form(t2)
+            assert names == [min(tri[j:] + tri[:j] for j in range(3)) for tri in t2.triangles], (name, k)
+            assert tris == tuple(sorted(names)), (name, k)
+
+
+def test_rotated_is_the_least_rotation_repeated_labels_included():
+    for tri in itertools.product((1, 2, 3), repeat=3):
+        assert _rotated(tri) == min(tri[j:] + tri[:j] for j in range(3)), tri
 
 
 def test_flipped_triangulation_is_freed_when_dropped():
@@ -303,6 +305,10 @@ def test_tagged_flip_census(start, depth, count):
     t0 = _digon_tag_states()[start] if isinstance(start, int) else load_surface(start)
     reached, edges = _reached([t0], depth, key=_form)
     assert len(reached) == count
+    # the walker keys curve steps by these names, so they must be unique
+    for t in reached.values():
+        names = canonical_form(t)[1]
+        assert len(set(names)) == len(names), format_triangulation(t)
     for t, k, t2 in edges:
         validate(t2)
         assert t2.adjacency == matrix_mutate(t.adjacency, k - 1), (format_triangulation(t), k)
