@@ -23,6 +23,8 @@ heights above the floor, with counts summed only where two terms share a
 height.  A graph picks those columns through its label map, an arc that no
 tile shows reading as a zero column; it reads g and h (tropically, down F's
 columns) and its expansions itself, and builds F as a dict only when asked.
+The shape keeps F's tropical minima by direction in its fields, so h reads
+each direction restricted to the graph's arcs once per shape.
 Each read is computed once and cached on its owner.
 One live graph is kept per (triangulation, curve) value, and one live shape
 per shape value, each by weak reference: while any caller holds the graph of
@@ -49,11 +51,11 @@ import weakref
 from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _polypure
 from .curve import Curve, validate_curve
-from .poly import Poly, lp_var, trop_eval_many
+from .poly import Poly, column_dot, lp_var, trop_eval_many
 from .surface import Triangulation, folded_sides
 
 Vertex = Tuple[int, int]
@@ -135,6 +137,29 @@ class Shape:
         """The floor and F in the shape's fields (`_find_floor`)."""
         return _find_floor(self)
 
+    @cached_property
+    def _minima(self) -> Dict[Tuple[int, ...], int]:
+        """F's tropical minima by direction in the shape's fields, filled
+        by `minima`.  F is checked nonzero, subtraction-free and of one
+        arity once, here: `trop_eval_many` at no direction."""
+        trop_eval_many(self._floor[2], ())
+        return {}
+
+    def minima(self, dirs: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+        """`trop_eval_many` of F at each direction, given in the shape's
+        fields (n_arcs entries); each direction's minimum is computed once
+        per shape.  A graph's F has the floor's column of field j at its
+        arc labels[j] and a zero column at every other arc
+        (`SnakeGraph._floor`), so term by term its dot product with a
+        direction c equals the floor's with c read at its arcs; every
+        graph of the shape whose direction reads the same there has the
+        same minimum."""
+        memo, (*cols, counts) = self._minima, self._floor[2]
+        for c in dirs:
+            if c not in memo:
+                memo[c] = min(column_dot(cols, c, len(counts)))
+        return tuple(map(memo.__getitem__, dirs))
+
 
 class SnakeGraph:
     """A graph and its reads, each computed once (`cached_property`); graphs
@@ -213,12 +238,13 @@ class SnakeGraph:
 
     @cached_property
     def h_vector(self) -> Tuple[int, ...]:
-        """Tropical shadow of the F-polynomial in the exchange-matrix directions."""
-        dirs = []  # direction i: -e_i + sum_j [-b_ij]+ e_j, and b_ii = 0
-        for i, row in enumerate(self.surface.adjacency):
-            dirs.append([max(-x, 0) for x in row])
-            dirs[i][i] = -1
-        return trop_eval_many(self.f_columns, dirs)
+        """Tropical shadow of the F-polynomial in the exchange-matrix
+        directions, direction i -e_i + sum_j [-b_ij]+ e_j (b_ii = 0) read
+        at the graph's arcs, in its shape's fields (`Shape.minima`)."""
+        arcs = self.labels[: self.shape.n_arcs]
+        return self.shape.minima(
+            [tuple(-1 if a == i else max(-row[a - 1], 0) for a in arcs) for i, row in enumerate(self.surface.adjacency, 1)]
+        )
 
     @cached_property
     def msw(self) -> Poly:

@@ -191,14 +191,19 @@ def corner_sides(t: Triangulation, c: Corner) -> Tuple[int, int]:
     return tri[pos], tri[(pos + 1) % 3]
 
 
+def _vertices_by_name(t: Triangulation, kind: str) -> Tuple[Tuple[Corner, ...], ...]:
+    """The vertex orbits of one kind by least corner name, as
+    `canonical_form` names a notched puncture, so `puncture:N` and
+    `marked:N` do not follow storage order."""
+    return tuple(sorted((o for o, k in t.vertices if k == kind), key=lambda o: _vertex_name(t, o)))
+
+
 def punctures(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
-    """Puncture orbits by least corner name, as `canonical_form` names a
-    notched one, so `puncture:N` does not follow storage order."""
-    return tuple(sorted((o for o, kind in t.vertices if kind == "puncture"), key=lambda o: _vertex_name(t, o)))
+    return _vertices_by_name(t, "puncture")
 
 
 def marked_points(t: Triangulation) -> Tuple[Tuple[Corner, ...], ...]:
-    return tuple(o for o, kind in t.vertices if kind == "marked")
+    return _vertices_by_name(t, "marked")
 
 
 def resolve_vertex_ref(t: Triangulation, ref: str) -> Tuple[Corner, ...]:

@@ -54,8 +54,8 @@ def test_compute_snake_from_file(tmp_path, capsys):
     res = flip(t, 1)
     back = transport_curve(arc_curve(1), res.quad, forward=False)
     curve_file = tmp_path / "c.curve"
-    # the pulled-back flipped arc: across arc 1, from marked point 1 to 4
-    curve_file.write_text("curve closed=0\nend marked:1\ntri 1 cross 1\nend marked:4\n")
+    # the pulled-back flipped arc: across arc 1, from marked point 4 to 3
+    curve_file.write_text("curve closed=0\nend marked:4\ntri 1 cross 1\nend marked:3\n")
     assert parse_curve(t, curve_file.read_text()) == back
     code, out, _ = run(
         capsys, "compute", "--triangulation", "pentagon", "--curve", str(curve_file)

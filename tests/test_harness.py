@@ -1,11 +1,14 @@
 import ast
 import gc
+import itertools
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 import bangles.harness as harness
+import bangles.snakegraph as snakegraph
 import bangles.surface as surface
 from bangles.curve import normalize_curve, parse_curve, transport_curve
 from bangles.fixtures import CLOSED_CURVES, SURFACES, load_curve_text, load_surface
@@ -30,6 +33,7 @@ from bangles.poly import (
     lp_pow,
     lp_var,
 )
+from bangles.snakegraph import build_band_graph
 
 from columns import as_columns, as_dict
 from oracles import state_key_by_rank
@@ -125,32 +129,206 @@ def _product_form_sides(t, k, before, after):
     return lhs, rhs
 
 
+def _sweep_edges(name, depth):
+    """Every flip edge of the key-lemma sweep of surface name's closed
+    fixture to depth, in the sweep's order: (t, k, before, after, where F
+    sits, where F' sits, case), each state read once (`_band_reads`)."""
+    t0 = load_surface(name)
+    c0 = harness._closed_fixture(t0, name)
+    known, edges = {}, []
+
+    def reads(t, c, key):
+        if key not in known:
+            known[key] = harness._band_reads(t, c)
+        return known[key]
+
+    for t, c, key, word, children in harness._walk(t0, c0, depth, transport_curve, harness._state_key):
+        for k, t2, c2, key2 in children:
+            (before, at1), (after, at2) = reads(t, c, key), reads(t2, c2, key2)
+            edges.append((t, k, before, after, at1, at2, f"{name}:{CLOSED_CURVES[name]}:word={word + [k]}"))
+    return edges
+
+
 @pytest.mark.parametrize("name", ["annulus", "annulus2", "torus-boundary"])
 def test_key_lemma_f_sides_match_the_product_form(monkeypatch, name):
-    # every flip edge of a depth-3 sweep: each side, decoded from its ints
-    # here though the check passes and decodes nothing, equals the same
-    # side built from products, and the F report passes
-    groups, calls = [], []
-    real_groups, real_reports = harness.lp_binomial_groups, harness._key_lemma_reports
-
-    def recording_groups(sides, i):
-        groups.append((i, real_groups(sides, i)))
-        return groups[-1][1]
-
-    def recording_reports(t, k, before, after, case):
-        reports = real_reports(t, k, before, after, case)
-        calls.append((t, k, before, after, reports[0]))
-        return reports
-
-    monkeypatch.setattr(harness, "lp_binomial_groups", recording_groups)
-    monkeypatch.setattr(harness, "_key_lemma_reports", recording_reports)
-    out = []
-    harness._keylemma_sweep(load_surface(name), name, 3, out)
-    assert calls and len(groups) == len(calls)
-    for (t, k, before, after, report), (i, (width, low, sides)) in zip(calls, groups):
-        assert report.identity == "keylemma-F" and report.passed, report.case
+    # every flip edge of a depth-3 sweep, checked directly, as the sweep
+    # checks only one edge per class: each side, decoded from its ints here
+    # though the check passes and decodes nothing, equals the same side
+    # built from products, and the F report passes
+    groups = []
+    real = harness.lp_binomial_groups
+    monkeypatch.setattr(harness, "lp_binomial_groups", lambda sides, i: groups.append((i, real(sides, i))) or groups[-1][1])
+    recorded = _sweep_edges(name, 3)
+    assert len(recorded) == {"annulus": 4, "annulus2": 60, "torus-boundary": 75}[name]
+    for t, k, before, after, _, _, case in recorded:
+        report = harness._key_lemma_reports(t, k, before, after, case)[0]
+        assert report.identity == "keylemma-F" and report.passed, case
+        i, (width, low, sides) = groups.pop()
         decoded = tuple(lp_binomial_decode(side, i, width, low) for side in sides)
-        assert decoded == _product_form_sides(t, k, before, after), report.case
+        assert decoded == _product_form_sides(t, k, before, after), case
+    assert not groups
+
+
+def _renamed_groups(groups, i, order):
+    """The group dict with each key's entries read in order, arcs by
+    1-based label and the key's entry i removed; every other entry of
+    every key must be zero."""
+    places = [a - 1 if a - 1 < i else a - 2 for a in order]
+    out = {}
+    for key, v in groups.items():
+        kept = tuple(key[p] for p in places)
+        assert sum(map(abs, kept)) == sum(map(abs, key))
+        out[kept] = v
+    return out
+
+
+def _f_classes(monkeypatch, checks):
+    """{edge class (`_f_class`): what its checks computed}, each check (t,
+    k, before, after, where F sits, where F' sits) run directly: its
+    verdict, and the text of the width, low and both dicts of ints of its
+    F identity, each key read with the arcs renamed by first appearance
+    over the two graphs' arcs and k."""
+    calls = []
+    real = harness.lp_binomial_groups
+    monkeypatch.setattr(harness, "lp_binomial_groups", lambda sides, i: calls.append((i, real(sides, i))) or calls[-1][1])
+    by_class = {}
+    for t, k, before, after, at1, at2 in checks:
+        passed = harness._key_lemma_f(t, k, before, after, "").passed
+        i, (width, low, sides) = calls.pop()
+        new = {}
+        for a in (*at1[1], *at2[1], k):
+            new.setdefault(a, len(new))
+        order = [a for a in new if a != k]
+        groups = tuple(_renamed_groups(side, i, order) for side in sides)
+        by_class.setdefault(harness._f_class(t.adjacency, k, before, after, at1, at2), set()).add(
+            (passed, repr((width, low, groups)))
+        )
+    monkeypatch.setattr(harness, "lp_binomial_groups", real)
+    return by_class
+
+
+def test_key_lemma_f_class_decides_the_check_on_the_sweeps(monkeypatch):
+    # every flip edge of the three depth-4 sweeps, checked directly: the
+    # edges of one class make the same F identity up to the class's
+    # renaming of the arcs, so the same verdict; and the sweep, which
+    # checks one edge per class, reports exactly what the direct checks do
+    checks = []
+    for name in CLOSED_CURVES:
+        edges = _sweep_edges(name, 4)
+        checks += [edge[:6] for edge in edges]
+        swept = []
+        harness._keylemma_sweep(load_surface(name), name, 4, swept)
+        assert swept == [r for *edge, case in edges for r in harness._key_lemma_reports(*edge[:4], case)]
+    by_class = _f_classes(monkeypatch, checks)
+    assert len(checks) == 359 and len(by_class) == 137
+    assert all(len(seen) == 1 for seen in by_class.values())
+
+
+def _relabelled(reads, at, sigma):
+    """A state's reads and place with its arcs relabelled by sigma (arc j
+    to sigma[j - 1]): F's columns move with them, g and h stay put."""
+    (*cols, counts), g, h = reads
+    shape, arcs = at
+    moved = [None] * len(cols)
+    for j, col in enumerate(cols, 1):
+        moved[sigma[j - 1] - 1] = col
+    return ((*moved, counts), g, h), (shape, tuple(sigma[x - 1] for x in arcs))
+
+
+def test_key_lemma_f_class_decides_the_check_off_the_sweeps(monkeypatch):
+    # checks no sweep makes, each with F and F' at their places, so that
+    # every entry of the class is needed: on the depth-2 sweeps, the F of
+    # any edge against the F' of any edge of its surface, h_k or h'_k
+    # moved by one, B(T) negated, every other k, and F' moved to arcs
+    # relabelled by a swap.  The checks of one class still make one F
+    # identity up to the renaming
+    checks = []
+    for name in CLOSED_CURVES:
+        edges = [edge[:6] for edge in _sweep_edges(name, 2)]
+        for t, k, before, after, at1, at2 in edges:
+            n = t.n_arcs
+            checks += [(t, k, b, after, a, at2) for _, _, b, _, a, _ in edges]
+            for step in (-1, 1):
+                bump = lambda reads: (*reads[:2], tuple(x + step * (j == k - 1) for j, x in enumerate(reads[2])))
+                checks += [(t, k, bump(before), after, at1, at2), (t, k, before, bump(after), at1, at2)]
+            minus = SimpleNamespace(adjacency=tuple(tuple(-x for x in row) for row in t.adjacency), n_arcs=n)
+            checks.append((minus, k, before, after, at1, at2))
+            checks += [(t, j, before, after, at1, at2) for j in range(1, n + 1) if j != k]
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                sigma = [b if j == a else a if j == b else j for j in range(1, n + 1)]
+                moved, at = _relabelled(after, at2, sigma)
+                checks.append((t, k, before, moved, at1, at))
+            # one arc more, n + 1, which F does not show and F' shows in
+            # place of arc a, with b_k,n+1 = v
+            (*cols1, counts1), g1, h1 = before
+            wide = ((*cols1, [0] * len(counts1), counts1), g1, h1)
+            for a, v in itertools.product(range(1, n + 1), (-1, 1)):
+                rows = [(*row, v * (i == k - 1)) for i, row in enumerate(t.adjacency)]
+                rows.append(tuple(-v * (j == k - 1) for j in range(n)) + (0,))
+                (*cols2, counts2), g2, h2 = after
+                sigma = [n + 1 if j == a else j for j in range(1, n + 1)] + [a]
+                moved, at = _relabelled(((*cols2, [0] * len(counts2), counts2), g2, h2), at2, sigma)
+                checks.append((SimpleNamespace(adjacency=tuple(rows), n_arcs=n + 1), k, wide, moved, at1, at))
+    by_class = _f_classes(monkeypatch, checks)
+    assert all(len(seen) == 1 for seen in by_class.values())
+    verdicts = Counter(passed for seen in by_class.values() for passed, _ in seen)
+    assert verdicts[True] and verdicts[False]
+
+
+def test_keylemma_campaign_counts_f_identities_and_tropical_minima(monkeypatch):
+    # the benchmark's keylemma campaign: 359 flip edges in 137 classes, one
+    # F identity per class; 904 h directions over the 201 states, 130
+    # distinct per shape, one minimum each
+    identities, minima, directions = [], [], []
+    real_groups, real_dot, real_minima = harness.lp_binomial_groups, snakegraph.column_dot, snakegraph.Shape.minima
+    monkeypatch.setattr(harness, "lp_binomial_groups", lambda *a: identities.append(1) or real_groups(*a))
+    monkeypatch.setattr(snakegraph, "column_dot", lambda *a: minima.append(1) or real_dot(*a))
+    monkeypatch.setattr(snakegraph.Shape, "minima", lambda self, dirs: directions.extend(dirs) or real_minima(self, dirs))
+    reports = run_corpus(CorpusConfig(keylemma_depth=4, arc_surfaces=()))
+    assert all(r.passed for r in reports)
+    assert sum(r.identity == "keylemma-F" for r in reports) == 359
+    assert (len(identities), len(directions), len(minima)) == (137, 904, 130)
+
+
+def test_key_lemma_f_fails_on_every_edge_of_a_shape_with_a_count_raised(monkeypatch):
+    # negative control: one more matching at F's first listed height, in
+    # the floor of one shape, the start state's of each sweep.  Every edge
+    # with F or F' of that shape fails, F and F' of one shape included, and
+    # the sweep fails exactly the edges that a direct check of every edge
+    # fails
+    both = 0
+    for name in CLOSED_CURVES:
+        t0 = load_surface(name)
+        start = build_band_graph(t0, harness._closed_fixture(t0, name)).shape
+        target = (start.tiles, start.band, start.iota, start.omega, start.weights)
+        del start
+        real = snakegraph._find_floor
+
+        def raised(shape):
+            x0, m0, (*heights, counts) = real(shape)
+            if (shape.tiles, shape.band, shape.iota, shape.omega, shape.weights) == target:
+                counts = [counts[0] + 1] + counts[1:]
+            return x0, m0, (*heights, counts)
+
+        monkeypatch.setattr(snakegraph, "_find_floor", raised)
+        swept = []
+        harness._keylemma_sweep(t0, name, 3, swept)
+        edges = _sweep_edges(name, 3)
+        direct = [r for t, k, b, a, _, _, case in edges for r in harness._key_lemma_reports(t, k, b, a, case)]
+        assert swept == direct
+        touching = {
+            case for _, _, _, _, (s1, _), (s2, _), case in edges
+            if target in {(s.tiles, s.band, s.iota, s.omega, s.weights) for s in (s1, s2)}
+        }
+        both += sum(
+            (s1.tiles, s1.band, s1.iota, s1.omega, s1.weights) == target == (s2.tiles, s2.band, s2.iota, s2.omega, s2.weights)
+            for _, _, _, _, (s1, _), (s2, _), _ in edges
+        )
+        failed = {r.case for r in swept if not r.passed}
+        assert touching and failed == touching, name
+        assert all(r.passed for r in swept if r.identity != "keylemma-F")
+        monkeypatch.setattr(snakegraph, "_find_floor", real)
+    assert both == 19  # all on the torus: F and F' of the start state's shape
 
 
 # the square: one arc, 1, cutting it into two triangles

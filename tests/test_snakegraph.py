@@ -22,11 +22,13 @@ from bangles.fixtures import CLOSED_CURVES, load_curve_text, load_surface
 from bangles.harness import CorpusConfig, run_corpus
 from bangles.mutation import initial_seed, seed_mutate
 from bangles.poly import (
+    NotSubtractionFreeError,
     lp_const,
     lp_format,
     lp_mul,
     lp_sub,
     lp_var,
+    trop_eval_many,
     var_names,
 )
 from bangles.snakegraph import (
@@ -239,6 +241,23 @@ def test_a_failed_floor_raises_again_for_every_graph_of_its_shape(monkeypatch):
     assert "_floor" not in graphs[0].shape.__dict__
 
 
+def test_h_refuses_an_f_with_a_negative_count(monkeypatch):
+    # a shape checks its F subtraction-free before its first minimum: a
+    # negative count raises on every read of h, and no minima are stored
+    real = snakegraph._find_floor
+
+    def negated(shape):
+        x0, m0, (*heights, counts) = real(shape)
+        return x0, m0, (*heights, [-c for c in counts])
+
+    monkeypatch.setattr(snakegraph, "_find_floor", negated)
+    g = build_band_graph(ANNULUS, closed_curve(CORE.steps * 3))
+    for _ in range(2):
+        with pytest.raises(NotSubtractionFreeError):
+            g.h_vector
+    assert "_minima" not in g.shape.__dict__
+
+
 def test_torus_band_zigzags():
     t = load_surface("torus-boundary")
     c = parse_curve(t, load_curve_text("torus-weave"))
@@ -249,6 +268,27 @@ def test_torus_band_zigzags():
     ]
     assert all(d in ((1, 0), (0, 1)) for d in dirs)
     assert all(a != b for a, b in zip(dirs, dirs[1:]))
+
+
+# the bracelets of the benchmark at seed 0: every k-fold closed fixture up
+# to these k, 26 graphs of 26 distinct shapes
+BRACELET_KMAX = {"annulus": 12, "annulus2": 8, "torus-boundary": 6}
+
+
+def test_h_reads_every_direction_as_trop_eval_many_reads_all_n():
+    # h reads each direction at the graph's arcs, once per shape; with
+    # every graph held, the states of one sweep share their shapes' minima
+    graphs = []
+    for name, t0, c0 in closed_fixtures():
+        walk = harness._walk(t0, c0, 4, transport_curve, harness._state_key)
+        graphs += [build_band_graph(t, c) for t, c, *_ in walk]
+        graphs += [build_band_graph(t0, closed_curve(c0.steps * k)) for k in range(1, BRACELET_KMAX[name] + 1)]
+    assert len(graphs) == 201 + 26
+    assert len({id(g.shape) for g in graphs}) == 30 + 26 - 3  # three 1-fold bracelets are sweep starts
+    for g in graphs:
+        b = g.surface.adjacency
+        dirs = [[-1 if j == i else max(-x, 0) for j, x in enumerate(row)] for i, row in enumerate(b)]
+        assert g.h_vector == trop_eval_many(g.f_columns, dirs)
 
 
 # largest k-fold band graph per closed fixture that the oracle enumerates in

@@ -17,6 +17,7 @@ from bangles.surface import (
     adjacency_matrix,
     arc_endpoints,
     canonical_form,
+    corner_sides,
     flip,
     folded_sides,
     format_triangulation,
@@ -353,6 +354,26 @@ def test_puncture_refs_name_a_puncture_whatever_the_storage_order():
         end = arc_endpoints(t, 1).index(p)
         with pytest.raises(TriangulationError, match="puncture 1: partial notching"):
             parse_triangulation(text + f"tag 1 {end} notched\n")
+
+
+PENTAGON_HEAD = "surface g=0 b=1 m=5 p=0\narcs 2\nboundary 5\n"
+
+
+@pytest.mark.parametrize("ref", [f"marked:{i}" for i in range(1, 6)])
+def test_marked_refs_name_a_marked_point_whatever_the_storage_order(ref):
+    # `marked:N` counts marked points by least corner name too: the
+    # pentagon stored as 3 4 1 / 1 5 2 / 2 6 7 and as 1 5 2 / 2 6 7 / 3 4 1
+    # resolves each ref to the corners between the same sides; marked:1 is
+    # the fan's centre, where arcs 1 and 2 meet
+    def sides(text):
+        t = parse_triangulation(PENTAGON_HEAD + text)
+        return sorted(corner_sides(t, c) for c in resolve_vertex_ref(t, ref))
+
+    one = "triangle 3 4 1\ntriangle 1 5 2\ntriangle 2 6 7\n"
+    other = "triangle 1 5 2\ntriangle 2 6 7\ntriangle 3 4 1\n"
+    assert sides(one) == sides(other)
+    if ref == "marked:1":
+        assert sides(one) == [(1, 3), (2, 1), (7, 2)]
 
 
 def test_tag_switches_commute_with_flips():
