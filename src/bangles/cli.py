@@ -148,12 +148,16 @@ def _emit(reports) -> int:
 def cmd_verify_keylemma(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
+    if not c.closed:
+        raise CliError("verify-keylemma wants a closed curve file (a `curve closed=1` header)")
     return _emit(verify_key_lemma_word(t, c, _parse_word(args.flips, t.n_arcs)))
 
 
 def cmd_verify_shear(args) -> int:
     t = _load_triangulation(args.triangulation)
     c = _load_curve(t, args.curve)
+    if c.arc is not None:
+        raise CliError("verify-shear wants a curve file with crossings, not a label-only `arc j` line")
     word = _parse_word(args.flips, t.n_arcs)
     reports = []
     for i, k in enumerate(word):

@@ -178,11 +178,11 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
         if tri not in v.tris:
             out.append((tri, a))
             continue
-        dst = v.dst_tri[v.slot_of[(tri, a)]]
+        dst = v.dst_of[(tri, a)]
         if i or c.closed:
             # entry j lands where step j + 1 starts
             j = non_k[i - 1]
-            ent_tri = v.dst_tri[v.slot_of[(steps[(j + 1) % d][0], steps[j][1])]]
+            ent_tri = v.dst_of[(steps[(j + 1) % d][0], steps[j][1])]
             if ent_tri != dst:
                 out.append((ent_tri, k))
         out.append((dst, a))
@@ -196,8 +196,7 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
     first = non_k[0]
     if ends[0][0] in v.tris:
         name = v.corner_name[tuple(ends[0])]
-        slot = v.slot_of[(steps[first][0], steps[first][1])]
-        corner, extra = v.dst_corner(name, v.dst_tri[slot])
+        corner, extra = v.dst_corner(name, v.dst_of[(steps[first][0], steps[first][1])])
         ends[0] = corner
         if extra:
             out.insert(0, (corner[0], k))
@@ -205,11 +204,11 @@ def transport_curve(c: Curve, q: QuadRecord, forward: bool = True) -> Curve:
     if ends[1][0] in v.tris:
         name = v.corner_name[tuple(ends[1])]
         land = steps[last + 1][0] if last + 1 < d else c.ends[1][0]
-        slot = v.slot_of[(land, steps[last][1])]
-        corner, extra = v.dst_corner(name, v.dst_tri[slot])
+        near = v.dst_of[(land, steps[last][1])]
+        corner, extra = v.dst_corner(name, near)
         ends[1] = corner
         if extra:
-            out.append((v.dst_tri[slot], k))
+            out.append((near, k))
     return open_curve(out, (ends[0], ends[1]))
 
 

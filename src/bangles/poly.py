@@ -95,12 +95,8 @@ def lp_add(p: Poly, q: Poly) -> Poly:
     return _kernel.add_merge(p, q)
 
 
-def lp_neg(p: Poly) -> Poly:
-    return {e: -c for e, c in p.items()}
-
-
 def lp_sub(p: Poly, q: Poly) -> Poly:
-    return lp_add(p, lp_neg(q))
+    return lp_add(p, {e: -c for e, c in q.items()})
 
 
 def lp_mul(p: Poly, q: Poly) -> Poly:

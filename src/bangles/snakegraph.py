@@ -37,25 +37,33 @@ bitmasks for the frontiers, and each 2n-exponent weight packed into one int,
 in byte-aligned signed fields whose width the same pass bounds.  A frontier
 keeps its terms under an offset, so taking an edge moves the offset and
 copies no term.  W is unpacked once, into one column per exponent and one of
-counts (`_polypure._columns`), and the reads shift and zip those columns in
+counts (`_unpack`), and the reads shift and zip those columns in
 C: each column minus its shift (the floor or the crossing degree), zipped
 back into keys.  The tests check W against an oracle of their own
 (`tests/oracles.py`) that reads only the tiles: it enumerates matchings by
 backtracking and reads each height off the tiles that the matching and the
 minimal one enclose.
+
+A packed key holds exponent i in bits [i*width, (i+1)*width) as a signed
+field, so adding two exponent vectors is one int add.  The encoding is
+linear and stays exact while every field of every sum lies in
+[-2^(width-1), 2^(width-1)); `_lay_out` bounds the fields and picks the
+width (`_byte_width`).  Widths are whole bytes (8, 16, 32 or 64 bits), so
+`_unpack` reads all keys in C, with `int.to_bytes` and one signed
+`memoryview` cast, and never slices fields in Python.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from functools import cached_property
 from itertools import chain, repeat
 from operator import sub
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import _polypure
 from .curve import Curve, validate_curve
-from .poly import Poly, column_dot, lp_var, trop_eval_many
+from .poly import Poly, lp_var, trop_eval_many
 from .surface import Triangulation, folded_sides
 
 Vertex = Tuple[int, int]
@@ -90,8 +98,9 @@ class Shape:
     side); its band flag and seam copies; and per renamed label the renamed
     arcs that its x-weight multiplies.  Its layout, scan, unpacked W and
     floor are computed once (`cached_property`), and every graph of the
-    shape reads them through its label map.  Shapes compare by identity,
-    and `_live_shapes` holds them by weak reference."""
+    shape reads them through its label map; so are F's tropical minima,
+    one per direction (`minima`).  Shapes compare by identity, and
+    `_live_shapes` holds them by weak reference."""
 
     def __init__(
         self,
@@ -110,6 +119,7 @@ class Shape:
         self.omega = omega
         self.weights = weights
         self.n_arcs = sum(1 for w in weights if w)  # the renamed arcs are 1..n_arcs
+        self._minima: Dict[Tuple[int, ...], int] = {}  # direction -> F's minimum there
 
     @cached_property
     def _layout(self) -> tuple:
@@ -121,15 +131,10 @@ class Shape:
         return _scan(self)
 
     @cached_property
-    def _width(self) -> int:
-        """Bits per field of `_packed` (`_field_width`)."""
-        return _field_width(self)
-
-    @cached_property
     def _columns(self) -> tuple:
-        """W unpacked once (`_polypure._columns`): its n x-columns, its n
-        y-columns, then its counts, term by term in one order."""
-        cols = _polypure._columns(self._packed, 2 * self.n_arcs, self._width)
+        """W unpacked once (`_unpack`): its n x-columns, its n y-columns,
+        then its counts, term by term in one order."""
+        cols = _unpack(self._packed, 2 * self.n_arcs, self._layout[1])
         return (*cols, list(self._packed.values()))
 
     @cached_property
@@ -137,27 +142,19 @@ class Shape:
         """The floor and F in the shape's fields (`_find_floor`)."""
         return _find_floor(self)
 
-    @cached_property
-    def _minima(self) -> Dict[Tuple[int, ...], int]:
-        """F's tropical minima by direction in the shape's fields, filled
-        by `minima`.  F is checked nonzero, subtraction-free and of one
-        arity once, here: `trop_eval_many` at no direction."""
-        trop_eval_many(self._floor[2], ())
-        return {}
-
     def minima(self, dirs: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
         """`trop_eval_many` of F at each direction, given in the shape's
-        fields (n_arcs entries); each direction's minimum is computed once
-        per shape.  A graph's F has the floor's column of field j at its
-        arc labels[j] and a zero column at every other arc
-        (`SnakeGraph._floor`), so term by term its dot product with a
-        direction c equals the floor's with c read at its arcs; every
-        graph of the shape whose direction reads the same there has the
-        same minimum."""
-        memo, (*cols, counts) = self._minima, self._floor[2]
-        for c in dirs:
-            if c not in memo:
-                memo[c] = min(column_dot(cols, c, len(counts)))
+        fields (n_arcs entries), memoized per shape: only the directions
+        not yet read are evaluated, each once.  A graph's F has the floor's
+        column of field j at its arc labels[j] and a zero column at every
+        other arc (`SnakeGraph._floor`), so term by term its dot product
+        with a direction c equals the floor's with c read at its arcs;
+        every graph of the shape whose direction reads the same there has
+        the same minimum."""
+        memo = self._minima
+        missing = [c for c in dict.fromkeys(dirs) if c not in memo]
+        if missing:
+            memo.update(zip(missing, trop_eval_many(self._floor[2], missing)))
         return tuple(map(memo.__getitem__, dirs))
 
 
@@ -453,13 +450,13 @@ def _scan(shape: Shape) -> Dict[int, int]:
     The plan is read off the layout (`_lay_out`).  A frontier is a bitmask
     over the vertices and seam copies, so membership, union and retirement
     are `&`, `|` and `& ~`.  A weight is one int with a signed field per
-    exponent (`_field_width` bits wide), summed from
+    exponent (the layout's width in bits), summed from
     unit shifts, so taking an edge is one int add.  A frontier holds its
     terms as an offset and a {packed weight: count} dict: taking an edge
     moves the offset and copies no term, and terms move only where two
     frontiers meet (`_merge`).  The sum stays packed."""
-    (slots, _, seam), n = shape._layout, shape.n_arcs
-    units = [1 << (i * shape._width) for i in range(2 * n)]
+    (slots, width, seam), n = shape._layout, shape.n_arcs
+    units = [1 << (i * width) for i in range(2 * n)]
     xw = [0] + [sum(units[a - 1] for a in w) for w in shape.weights]  # by label
     suffix = [0]  # reversed below: suffix[i] is the packed diagonals of tiles[i:]
     for _, diagonal, _ in reversed(shape.tiles):
@@ -529,23 +526,10 @@ def _merge(a: _State, b: _State) -> _State:
     return offset, terms, True
 
 
-def _field_width(shape: Shape) -> int:
-    """Bits per packed exponent: the narrowest byte-aligned width
-    (`_polypure._byte_width`) that holds every packed value the scan forms.
-
-    Let S_i be the sum of field i's magnitudes over all edges.  Every
-    partial weight in a scan sums the weights of a subset of the edges, so
-    its field i lies in [-S_i, S_i]; so does each term of W.  The reads
-    unpack W before they subtract anything (`Shape._columns`), so
-    their differences are Python ints and need no room in a field.  So the
-    bound is the largest S_i."""
-    return _polypure._byte_width(shape._layout[1])
-
-
 def _lay_out(shape: Shape) -> tuple:
     """The edges laid out in one pass over the tiles, for the scan plan:
-    (slots, the largest S_i of `_field_width`, and for a band the bits of ι
-    and ω and the seam label).
+    (slots, the field width in bits, and for a band the bits of ι and ω
+    and the seam label).
 
     A slot is [label, end bits, seam bit, retired bits, sign, start, stop],
     one per edge in scan order.  A tile adds the sides
@@ -554,7 +538,15 @@ def _lay_out(shape: Shape) -> tuple:
     and ω take the next two bits.  A vertex retires at the last edge that
     touches it.  A horizontal edge weighs sign times one y per diagonal of
     tiles[start:stop], the tiles above it in its column, so a tile adds
-    one to S_i per horizontal edge below it there."""
+    one to S_i per horizontal edge below it there.
+
+    The width is the narrowest byte-aligned one (`_byte_width`) that holds
+    every packed value the scan forms.  Let S_i be the sum of field i's
+    magnitudes over all edges.  Every partial weight in a scan sums the
+    weights of a subset of the edges, so its field i lies in [-S_i, S_i];
+    so does each term of W.  The reads unpack W before they subtract
+    anything (`Shape._columns`), so their differences are Python ints and
+    need no room in a field.  So the bound is the largest S_i."""
     tiles, d, n = shape.tiles, len(shape.tiles), shape.n_arcs
     xs = [x for (x, _), _, _ in tiles]
     ups = [a == b for a, b in zip(xs, xs[1:])]  # next tile above?
@@ -587,7 +579,43 @@ def _lay_out(shape: Shape) -> tuple:
     for label, cnt in counts.items():
         for arc in shape.weights[label - 1]:
             sums[arc - 1] += cnt
-    return slots, max(sums), seam
+    return slots, _byte_width(max(sums)), seam
+
+
+def _bias(n: int, width: int) -> int:
+    """2^(width-1) in each of n fields: adding it makes every in-range field
+    non-negative, so no field borrows from the next."""
+    return ((1 << (n * width)) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+# `memoryview.cast` formats of the signed fields, by width in bits
+_TYPECODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _byte_width(bound: int) -> int:
+    """Narrowest field width in `_TYPECODES` whose signed fields hold every
+    value in [-bound, bound]."""
+    for width in _TYPECODES:
+        if bound < 1 << (width - 1):
+            return width
+    raise ValueError(f"exponents up to {bound} do not fit a {max(_TYPECODES)}-bit packed field")
+
+
+def _unpack(keys: Iterable[int], n: int, width: int) -> List[memoryview]:
+    """The n columns of packed keys, n fields each, every field in
+    [-2^(width-1), 2^(width-1)); width is a key of `_TYPECODES`.  Column i
+    holds field i of each key, in the order of keys.
+
+    Adding 2^(width-1) to every field makes each one non-negative, so no
+    field borrows from the next; flipping each field's top bit back then
+    leaves it in two's complement, which one signed cast of the bytes reads
+    for all keys at once.  Each key is written in native byte order, so on
+    a big-endian host its fields come last to first."""
+    bias, size = _bias(n, width), n * width // 8
+    raw = b"".join([((p + bias) ^ bias).to_bytes(size, sys.byteorder) for p in keys])
+    flat = memoryview(raw).cast(_TYPECODES[width])
+    cols = [flat[i::n] for i in range(n)]
+    return cols if sys.byteorder == "little" else cols[::-1]
 
 
 # ---------------------------------------------------------------------------

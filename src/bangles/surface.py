@@ -353,17 +353,18 @@ def tag_switch(t: Triangulation, orbit: Tuple[Corner, ...]) -> Triangulation:
 
 
 class _QuadView:
-    """Slot and corner tables of one quad for one transport direction.
+    """Side and corner tables of one quad for one transport direction.
 
     src side: where the curve currently lives; dst: after the rewrite.
-    Slots 0..3 are the quad sides e1..e4, in old triangles (ta, ta, tb, tb)
-    and new ones (tb, ta, ta, tb) by QuadRecord's storage rule.  The shared
-    corners (the new diagonal's endpoints on the dst side) admit a corner in
-    both dst triangles, the other two corners pin a unique dst triangle.
-    Every quad it sees is clean by construction (`flip` hands out no other):
-    its four triangles each have three distinct sides, so (triangle, label)
-    names each slot once.  The corner tables are built together on first
-    read, which a closed curve never makes: it reads only the slot tables.
+    The quad sides e1..e4 lie in old triangles (ta, ta, tb, tb) and new
+    ones (tb, ta, ta, tb) by QuadRecord's storage rule; `dst_of` maps each
+    side's (src triangle, label) to its dst triangle.  The shared corners
+    (the new diagonal's endpoints on the dst side) admit a corner in both
+    dst triangles, the other two corners pin a unique dst triangle.  Every
+    quad it sees is clean by construction (`flip` hands out no other): its
+    four triangles each have three distinct sides, so (triangle, label)
+    names each side once.  The corner tables are built together on first
+    read, which a closed curve never makes: it reads only `dst_of`.
     """
 
     def __init__(self, q: QuadRecord, forward: bool):
@@ -372,9 +373,8 @@ class _QuadView:
         self._old_k_slots = q.old_k_slots
         self._forward = forward
         old, new = (ta, ta, tb, tb), (tb, ta, ta, tb)
-        (s1, s2, s3, s4), self.dst_tri = (old, new) if forward else (new, old)
-        e1, e2, e3, e4 = q.sides
-        self.slot_of = {(s1, e1): 0, (s2, e2): 1, (s3, e3): 2, (s4, e4): 3}
+        src, dst = (old, new) if forward else (new, old)
+        self.dst_of = dict(zip(zip(src, q.sides), dst))
 
     @cached_property
     def _corner_tables(self) -> Tuple[Dict[Corner, str], Dict[str, Tuple[Corner, ...]]]:

@@ -13,6 +13,10 @@ NOTCHED_SQUARE = format_triangulation(load_surface("punctured-square")) + (
     "tag 1 0 notched\ntag 2 1 notched\ntag 3 1 notched\ntag 4 1 notched\n"
 )
 
+# the punctured square's arc 1 flipped and pulled back: across arc 1, from
+# marked point 2 to 4
+FLIPPED_ARC = "curve closed=0\nend marked:2\ntri 1 cross 1\nend marked:4\n"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -207,7 +211,7 @@ def test_verify_shear_prints_each_step(capsys):
 
 def test_verify_shear_stops_at_a_flip_the_curve_cannot_follow(tmp_path, capsys):
     curve_file = tmp_path / "a.curve"
-    curve_file.write_text("curve closed=0\narc 1\n")
+    curve_file.write_text(FLIPPED_ARC)
     code, out, err = run(
         capsys,
         "verify-shear",
@@ -228,7 +232,7 @@ def test_verify_shear_stops_at_a_flip_that_rewrites_tags(tmp_path, capsys):
     # no quadrilateral to carry the curve across
     tri_file, curve_file = tmp_path / "notched.tri", tmp_path / "a.curve"
     tri_file.write_text(NOTCHED_SQUARE)
-    curve_file.write_text("curve closed=0\narc 1\n")
+    curve_file.write_text(FLIPPED_ARC)
     code, out, err = run(
         capsys,
         "verify-shear",
@@ -256,7 +260,8 @@ def test_verify_commands_refuse_an_uncarryable_flip_with_one_text(
 ):
     tri_file, curve_file = tmp_path / "square.tri", tmp_path / "a.curve"
     tri_file.write_text(NOTCHED_SQUARE if notched else format_triangulation(load_surface("punctured-square")))
-    curve_file.write_text("curve closed=0\narc 1\n")
+    # verify-arc takes a label-only arc, verify-shear a curve with crossings
+    curve_file.write_text("curve closed=0\narc 1\n" if command == "verify-arc" else FLIPPED_ARC)
     code, out, err = run(
         capsys, command, "--triangulation", str(tri_file), "--curve", str(curve_file), "--flips", flips
     )
@@ -281,6 +286,32 @@ def test_verify_arc_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert "[pass] arc-vs-cluster" in out
+
+
+KEYLEMMA_WANTS = "verify-keylemma wants a closed curve file (a `curve closed=1` header)"
+
+
+@pytest.mark.parametrize(
+    "command, surface, text, message",
+    [
+        ("verify-keylemma", "punctured-square", FLIPPED_ARC, KEYLEMMA_WANTS),
+        ("verify-keylemma", "punctured-square", "curve closed=0\narc 1\n", KEYLEMMA_WANTS),
+        # the label-only arc crosses nothing: every shear vector along the
+        # word would read zero, and the check would be vacuous
+        (
+            "verify-shear",
+            "pentagon",
+            "curve closed=0\narc 1\n",
+            "verify-shear wants a curve file with crossings, not a label-only `arc j` line",
+        ),
+    ],
+    ids=["keylemma-open", "keylemma-arc", "shear-arc"],
+)
+def test_verify_commands_refuse_a_curve_they_have_nothing_to_check_on(tmp_path, capsys, command, surface, text, message):
+    curve_file = tmp_path / "c.curve"
+    curve_file.write_text(text)
+    code, out, err = run(capsys, command, "--triangulation", surface, "--curve", str(curve_file), "--flips", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_run_corpus_exits_zero(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bangles import _polypure
+from bangles import snakegraph
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bangles"
 EXACT_MODULES = ("poly", "_polypure", "mutation", "snakegraph", "shear", "harness", "curve", "surface")
@@ -94,6 +94,6 @@ def test_the_scan_sees_each_banned_construct():
     ]
 
 
-@pytest.mark.parametrize("width, code", sorted(_polypure._TYPECODES.items()))
+@pytest.mark.parametrize("width, code", sorted(snakegraph._TYPECODES.items()))
 def test_each_field_width_has_a_typecode_that_wide(width, code):
     assert memoryview(bytes(8)).cast(code).itemsize * 8 == width

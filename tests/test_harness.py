@@ -280,9 +280,9 @@ def test_keylemma_campaign_counts_f_identities_and_tropical_minima(monkeypatch):
     # F identity per class; 904 h directions over the 201 states, 130
     # distinct per shape, one minimum each
     identities, minima, directions = [], [], []
-    real_groups, real_dot, real_minima = harness.lp_binomial_groups, snakegraph.column_dot, snakegraph.Shape.minima
+    real_groups, real_trop, real_minima = harness.lp_binomial_groups, snakegraph.trop_eval_many, snakegraph.Shape.minima
     monkeypatch.setattr(harness, "lp_binomial_groups", lambda *a: identities.append(1) or real_groups(*a))
-    monkeypatch.setattr(snakegraph, "column_dot", lambda *a: minima.append(1) or real_dot(*a))
+    monkeypatch.setattr(snakegraph, "trop_eval_many", lambda f, dirs: minima.extend(dirs) or real_trop(f, dirs))
     monkeypatch.setattr(snakegraph.Shape, "minima", lambda self, dirs: directions.extend(dirs) or real_minima(self, dirs))
     reports = run_corpus(CorpusConfig(keylemma_depth=4, arc_surfaces=()))
     assert all(r.passed for r in reports)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bangles import _polypure, harness, snakegraph
+from bangles import harness, snakegraph
 from bangles.curve import (
     TransportError,
     _reversed,
@@ -229,7 +229,7 @@ def test_a_failed_floor_raises_again_for_every_graph_of_its_shape(monkeypatch):
     # a shared W whose least height is two matchings: no graph of the shape
     # stores a floor or a read of it, and each raises on every read, every time
     two_floors = ((1, 0, 0, 0), (0, 1, 0, 0))
-    monkeypatch.setattr(snakegraph, "_scan", lambda shape: {pack(w, shape._width): 1 for w in two_floors})
+    monkeypatch.setattr(snakegraph, "_scan", lambda shape: {pack(w, shape._layout[1]): 1 for w in two_floors})
     graphs = [build_band_graph(*relabelled(ANNULUS, CORE, sigma)) for sigma in ((1, 2), (2, 1))]
     assert graphs[1].shape is graphs[0].shape and graphs[1] is not graphs[0]
     reads = ("_floor", "f_poly", "g_vector", "h_vector", "principal_msw")
@@ -255,7 +255,21 @@ def test_h_refuses_an_f_with_a_negative_count(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotSubtractionFreeError):
             g.h_vector
-    assert "_minima" not in g.shape.__dict__
+    assert g.shape._minima == {}
+
+
+def test_minima_evaluate_each_missing_direction_once(monkeypatch):
+    # a shape hands `trop_eval_many` only the directions it has not read,
+    # each once, and answers repeats from its memo
+    calls, real = [], snakegraph.trop_eval_many
+    monkeypatch.setattr(snakegraph, "trop_eval_many", lambda f, dirs: calls.append(list(dirs)) or real(f, dirs))
+    shape = unshared(build_band_graph(ANNULUS, closed_curve(CORE.steps * 2))).shape
+    a, b, c = (-1, 0), (0, -1), (-1, 1)
+    want = dict(zip((a, b, c), real(shape._floor[2], (a, b, c))))
+    assert shape.minima([a, a, b]) == (want[a], want[a], want[b])
+    assert shape.minima([b, c, a, c]) == (want[b], want[c], want[a], want[c])
+    assert shape.minima([c, a]) == (want[c], want[a])
+    assert calls == [[a, b], [c]]
 
 
 def test_torus_band_zigzags():
@@ -326,10 +340,8 @@ def test_oracle_shares_no_scan_code(monkeypatch):
     def boom(*args):
         raise AssertionError("the oracle reached the scan or its layout")
 
-    for name in ("_lay_out", "_scan", "_field_width"):
+    for name in ("_lay_out", "_scan", "_byte_width", "_unpack"):
         monkeypatch.setattr(snakegraph, name, boom)
-    for name in ("_columns", "_byte_width"):  # read off `_polypure`
-        monkeypatch.setattr(_polypure, name, boom)
     g = build_band_graph(t, c)
     assert "_layout" not in g.shape.__dict__  # a fresh shape
     assert matching_sum(g) == expected
@@ -618,19 +630,22 @@ def test_crossing_vector_does_not_set_the_field_width():
     g = single_tile_graph()
     assert g.cross_vec == (1, 0)
     assert 1 not in edges(g).values()
-    assert snakegraph._field_width(g.shape) == 8
+    assert g.shape._layout[1] == 8
     crossed = SnakeGraph(g.surface, g.tiles, g.band, g.iota, g.omega, (300, 0))
-    assert crossed.shape is g.shape and snakegraph._field_width(crossed.shape) == 8
+    assert crossed.shape is g.shape and crossed.shape._layout[1] == 8
     assert packed_reads(crossed) == tuple_reads(crossed)
     assert crossed.msw == {(-300, 0): 1, (-300, 1): 1}
 
 
-def test_layout_bound_is_the_largest_edge_magnitude_sum():
+def test_layout_bound_is_the_largest_edge_magnitude_sum(monkeypatch):
     # the layout counts each S_i from label counts and tile ranks in their
-    # columns; here it is summed edge by edge over the oracle's edges: an
-    # edge's x-weight (no fixture band has a loop), and for a horizontal edge
-    # one y per tile above it in its column.  From the 11-fold annulus core
-    # on, a y-field sets 16-bit fields.
+    # columns, and widens its fields to hold the largest; here S_i is summed
+    # edge by edge over the oracle's edges: an edge's x-weight (no fixture
+    # band has a loop), and for a horizontal edge one y per tile above it in
+    # its column.  From the 11-fold annulus core on, a y-field sets 16-bit
+    # fields.
+    bounds, real = [], snakegraph._byte_width
+    monkeypatch.setattr(snakegraph, "_byte_width", lambda bound: bounds.append(bound) or real(bound))
     widths = {}
     for name, k, g in k_fold_fixtures({"annulus": 12, "annulus2": 8, "torus-boundary": 6}):
         sums = Counter()
@@ -638,18 +653,21 @@ def test_layout_bound_is_the_largest_edge_magnitude_sum():
             sums["x", label] += not g.surface.is_boundary(label)
             for tile in g.tiles if a[1] == b[1] else ():
                 sums["y", tile.diagonal] += tile.pos[0] == a[0] and tile.pos[1] >= a[1]
-        assert g.shape._layout[1] == max(sums.values()), (name, k)
-        widths[name, k] = g.shape._width
+        widths[name, k] = snakegraph._lay_out(g.shape)[1]
+        assert bounds[-1] == max(sums.values()), (name, k)
     assert widths["annulus", 11] == 16 and widths["annulus", 10] == 8
 
 
-def test_fields_wider_than_64_bits_raise():
-    # a layout whose largest edge-magnitude sum needs a 65-bit field
-    g = unshared(single_tile_graph())
-    slots, _, seam = g.shape._layout
-    g.shape.__dict__["_layout"] = (slots, 2**63, seam)
-    with pytest.raises(ValueError, match="64-bit"):
-        g.msw
+def test_fields_wider_than_64_bits_raise(monkeypatch):
+    # no graph small enough to scan needs a 65-bit field, so the widths are
+    # cut to 8 bits: the 11-fold annulus core's real layout bound, which
+    # needs 16, then meets the same refusal as a 65-bit one, on every read
+    monkeypatch.setattr(snakegraph, "_TYPECODES", {8: "b"})
+    g = unshared(build_band_graph(ANNULUS, closed_curve(CORE.steps * 11)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"exponents up to 1\d\d do not fit a 8-bit packed field"):
+            g.msw
+    assert "_layout" not in g.shape.__dict__
 
 
 def test_floor_must_be_one_matching():
@@ -657,7 +675,7 @@ def test_floor_must_be_one_matching():
     g = single_tile_graph()
     for w in ({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, {(0, 0, 0, 1): 1, (0, 0, 1, 0): 1}):
         fake = unshared(g)
-        fake.shape.__dict__["_packed"] = {pack(key, g.shape._width): 1 for key in w}
+        fake.shape.__dict__["_packed"] = {pack(key, g.shape._layout[1]): 1 for key in w}
         with pytest.raises(SnakeGraphError, match="height floor"):
             fake.f_poly
 
@@ -677,13 +695,13 @@ def test_reads_scan_and_unpack_w_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(snakegraph, "_scan")
-    counting(_polypure, "_columns")
+    counting(snakegraph, "_unpack")
     g = build_band_graph(t, closed_curve(c.steps * 2))
     assert "_packed" not in g.shape.__dict__  # a fresh shape
     packed_reads(g)
-    assert calls == ["_scan", "_columns"]
+    assert calls == ["_scan", "_unpack"]
     assert matching_sum(g) == g.principal_msw
-    assert calls == ["_scan", "_columns"]
+    assert calls == ["_scan", "_unpack"]
 
 
 def test_scan_copies_a_shared_frontier_before_merging_into_it(monkeypatch):
@@ -724,6 +742,29 @@ def test_merge_shifts_the_smaller_terms_into_the_larger(small_owned, large_owned
         assert merged[1] is large[1]
     else:  # an unowned dict is copied before it is written
         assert merged[1] is not large[1] and large[1] == kept
+
+
+# small keys and offsets, so that shifted keys often collide
+states = st.tuples(
+    st.integers(-30, 30), st.dictionaries(st.integers(-30, 30), st.integers(1, 9), max_size=8), st.booleans()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states, states)
+def test_merge_returns_the_shifted_sum_and_writes_only_an_owned_larger_dict(a, b):
+    # a state is (offset, {packed weight - offset: count}, owned); the
+    # larger dict is written in place only when owned, the smaller never
+    absolute = lambda offset, terms, _: Counter({p + offset: cnt for p, cnt in terms.items()})
+    large, small = (b, a) if len(a[1]) < len(b[1]) else (a, b)
+    kept_large, kept_small, want = dict(large[1]), dict(small[1]), absolute(*a) + absolute(*b)
+    merged = snakegraph._merge(a, b)
+    assert absolute(*merged) == want and merged[2]
+    assert small[1] == kept_small and merged[1] is not small[1]
+    if large[2]:
+        assert merged[1] is large[1]
+    else:
+        assert merged[1] is not large[1] and large[1] == kept_large
 
 
 def test_loop_edge_weighs_the_loop_and_its_radius():
